@@ -44,7 +44,6 @@ from .braces import (
     trivial_brace,
 )
 from .catalog import (
-    catalog,
     catalog_names,
     cyclic,
     dicyclic,

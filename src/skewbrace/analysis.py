@@ -22,15 +22,15 @@ from .braces import (
     gc_ratio,
     is_bi_skew,
     left_ideals,
-    make_brace,
     swap,
 )
 from .catalog import COMPLETE_ORDERS, groups_of_order, type_name
-from .errors import InternalInconsistency, NotBiSkew, OrderTooLarge
+from .errors import InternalInconsistency, NotBiSkew, OrderTooLarge, require
 from .groups import (
     FiniteGroup,
     GroupMap,
     Subgroup,
+    _trusted_group,
     are_isomorphic,
     automorphisms,
     distinguished_subgroups,
@@ -81,7 +81,7 @@ def enumerate_operations(circ: FiniteGroup, *, bound: int | None = None,
     classes = _enumerate_classes(circ, bound or ENUM_DEFAULT_BOUND,
                                  bool(enable_heavy))
     tables = sorted(t for _, orbit, _ in classes for t in orbit)
-    return tuple(make_brace(t, circ) for t in tables)
+    return tuple(SkewBrace(_trusted_group(t), circ) for t in tables)
 
 
 def enumerate_reports(circ: FiniteGroup, *, bound: int | None = None,
@@ -93,10 +93,26 @@ def enumerate_reports(circ: FiniteGroup, *, bound: int | None = None,
     out = []
     for class_id, (rep, orbit, stab) in enumerate(classes):
         for t in sorted(orbit):
-            out.append(analyze(make_brace(t, circ), iso_class_id=class_id,
+            out.append(analyze(SkewBrace(_trusted_group(t), circ),
+                               iso_class_id=class_id,
                                orbit_size=n_aut // stab))
     out.sort(key=lambda r: r.operation.table)
     return tuple(out)
+
+
+def _regular_subgroup_search(circ: FiniteGroup, enable_heavy: bool):
+    """The search listing the regular subgroups of Hol(N) for types N of
+    circ's order: the full one, or above _FULL_ENUM_MAX without
+    enable_heavy the cyclic scan, which is exhaustive only for a cyclic
+    circ, so any other circ is refused."""
+    n = circ.order
+    if n <= _FULL_ENUM_MAX or enable_heavy:
+        return regular_subgroups_in_holomorph
+    if not circ.is_cyclic():
+        raise OrderTooLarge(
+            f"full enumeration at order {n} requires enable_heavy "
+            "(holomorph search over every type is expensive)")
+    return cyclic_regular_subgroups_in_holomorph
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,25 +124,18 @@ def _enumerate_classes(circ: FiniteGroup, bound: int, enable_heavy: bool):
     to circ is a brace on N, pulled back to circ's labels along one
     isomorphism; the full operation set is the union of the orbits under
     the automorphism action  s ._phi t = phi(phi^-1(s) . phi^-1(t)).
+    Every table is a relabeling of a valid one, so none is re-checked.
     """
     n = circ.order
     if n > bound:
         raise OrderTooLarge(f"order {n} exceeds the enumeration bound {bound}")
-    heavy_route = n > _FULL_ENUM_MAX
-    if heavy_route and not enable_heavy and not circ.is_cyclic():
-        raise OrderTooLarge(
-            f"full enumeration at order {n} requires enable_heavy "
-            "(holomorph search over every type is expensive)")
+    search = _regular_subgroup_search(circ, enable_heavy)
     types = groups_of_order(n)  # raises if the catalog is not complete
     aut_images = [f.images for f in automorphisms(circ)]
     seen: set = set()
     classes = []
     for N in types:
-        if heavy_route and not enable_heavy:
-            regs = cyclic_regular_subgroups_in_holomorph(N)
-        else:
-            regs = regular_subgroups_in_holomorph(N)
-        for R in regs:
+        for R in search(N):
             theta = isomorphism(transport_operation(R), circ)
             if theta is None:
                 continue
@@ -136,9 +145,10 @@ def _enumerate_classes(circ: FiniteGroup, bound: int, enable_heavy: bool):
             orbit = frozenset(_transport_table(dot_tab, im)
                               for im in aut_images)
             rep = min(orbit)
-            stab = brace_automorphism_count(make_brace(rep, circ))
-            assert len(aut_images) % stab == 0
-            assert len(orbit) == len(aut_images) // stab
+            stab = brace_automorphism_count(
+                SkewBrace(_trusted_group(rep), circ))
+            require(len(orbit) * stab == len(aut_images),
+                    "orbit-stabilizer identity fails")
             classes.append((rep, orbit, stab))
             seen |= orbit
     classes.sort(key=lambda c: c[0])
@@ -151,10 +161,10 @@ def analyze(B: SkewBrace, *, iso_class_id: int = 0,
     of left ideals, read as subgroups of circ."""
     image = left_ideals(B)
     subs = subgroups(B.circ)
-    assert set(image) <= set(subs)
+    require(set(image) <= set(subs), "a left ideal is not a circ-subgroup")
     surjective = len(image) == len(subs)
     ratio = Fraction(len(image), len(subs))
-    assert surjective == (ratio == 1)
+    require(surjective == (ratio == 1), "surjectivity disagrees with ratio")
     if orbit_size is None:
         orbit_size = len(automorphisms(B.circ)) // brace_automorphism_count(B)
     return HgsReport(
@@ -189,18 +199,21 @@ def biskew_pair_report(B: SkewBrace) -> BiskewPairReport:
     back = gc_ratio(S)
     n_dot = len(subgroups(B.dot))
     n_circ = len(subgroups(B.circ))
-    assert len(left_ideals(B)) == len(left_ideals(S))
+    require(len(left_ideals(B)) == len(left_ideals(S)), "swap changes ideals")
     q = fwd / back
-    assert q == Fraction(n_dot, n_circ)
+    require(q == Fraction(n_dot, n_circ), "ratio quotient is not n_dot/n_circ")
     return BiskewPairReport(fwd, back, q, len(left_ideals(B)),
                             (n_dot, n_circ))
 
 
 def e_count(circG: FiniteGroup, N: FiniteGroup, *, bound: int | None = None,
             enable_heavy: bool = False) -> int:
-    """Structures on a circG-extension whose type is N."""
-    ops = enumerate_operations(circG, bound=bound, enable_heavy=enable_heavy)
-    return sum(1 for B in ops if are_isomorphic(B.dot, N))
+    """Structures on a circG-extension whose type is N, counted per class:
+    type is an orbit invariant, as orbits are relabelings by Aut(circG)."""
+    classes = _enumerate_classes(circG, bound or ENUM_DEFAULT_BOUND,
+                                 bool(enable_heavy))
+    return sum(len(orbit) for rep, orbit, _ in classes
+               if are_isomorphic(_trusted_group(rep), N))
 
 
 def f_count(circG: FiniteGroup, N: FiniteGroup, *,
@@ -209,14 +222,8 @@ def f_count(circG: FiniteGroup, N: FiniteGroup, *,
     isomorphism; counted on the holomorph side, independently of e_count."""
     if circG.order != N.order:
         return 0
-    if N.order > _FULL_ENUM_MAX and not enable_heavy:
-        if not circG.is_cyclic():
-            raise OrderTooLarge(
-                f"f_count at order {N.order} requires enable_heavy")
-        regs = cyclic_regular_subgroups_in_holomorph(N)
-    else:
-        regs = regular_subgroups_in_holomorph(N)
-    return sum(1 for R in regs
+    search = _regular_subgroup_search(circG, enable_heavy)
+    return sum(1 for R in search(N)
                if are_isomorphic(transport_operation(R), circG))
 
 
@@ -267,7 +274,7 @@ def childs_criterion(circ: FiniteGroup) -> bool:
 def kohl_obstruction(circ: FiniteGroup, N: FiniteGroup) -> int | None:
     """Least order m with more characteristic subgroups of N than
     subgroups of circ, or None.  A witness rules out structures of type N,
-    which is asserted against the census whenever that census is cheap."""
+    which is checked against the census whenever that census is cheap."""
     if circ.order != N.order:
         raise OrderTooLarge("groups must have equal order")
     char = distinguished_subgroups(N).characteristic
@@ -283,7 +290,7 @@ def kohl_obstruction(circ: FiniteGroup, N: FiniteGroup) -> int | None:
             break
     if witness is not None and circ.order in COMPLETE_ORDERS \
             and circ.order <= _FULL_ENUM_MAX:
-        assert e_count(circ, N) == 0
+        require(e_count(circ, N) == 0, "census contradicts the obstruction")
     return witness
 
 

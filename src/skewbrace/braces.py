@@ -20,6 +20,7 @@ from .errors import (
     NotALeftIdeal,
     NotBiSkew,
     NotBraceAutomorphismAction,
+    require,
 )
 from .groups import (
     FiniteGroup,
@@ -102,7 +103,9 @@ def almost_trivial_brace(G: FiniteGroup) -> SkewBrace:
 
 @functools.lru_cache(maxsize=None)
 def gamma(B: SkewBrace) -> GammaTable:
-    """The gamma table, with its three defining invariants asserted."""
+    """The gamma table, with its three defining invariants checked.  The
+    dot-endomorphism check is the brace law: s o (t.k) = s.gamma(s)(t.k)
+    and (s o t).s^-1.(s o k) = s.gamma(s)(t).gamma(s)(k)."""
     dot, circ = B.dot, B.circ
     n = B.order
     dt, ct = dot.table, circ.table
@@ -110,14 +113,15 @@ def gamma(B: SkewBrace) -> GammaTable:
     maps = tuple(tuple(dt[dinv[s]][ct[s][t]] for t in range(n))
                  for s in range(n))
     for m in maps:
-        assert sorted(m) == list(range(n))
-        assert all(m[dt[a][b]] == dt[m[a]][m[b]]
-                   for a in range(n) for b in range(n))
+        require(sorted(m) == list(range(n)), "gamma value is not a bijection")
+        require(all(m[dt[a][b]] == dt[m[a]][m[b]]
+                    for a in range(n) for b in range(n)),
+                "gamma value is not a dot-endomorphism")
     for s in range(n):
         for t in range(n):
             st = ct[s][t]
             composed = tuple(maps[s][maps[t][x]] for x in range(n))
-            assert maps[st] == composed
+            require(maps[st] == composed, "gamma is not a circ-homomorphism")
     return GammaTable(maps)
 
 
@@ -129,7 +133,7 @@ def opposite(B: SkewBrace) -> SkewBrace:
     n = B.order
     for s in range(n):
         twisted = tuple(dt[dt[s][g(s)[x]]][dinv[s]] for x in range(n))
-        assert go(s) == twisted
+        require(go(s) == twisted, "opposite gamma is not the inner twist")
     return out
 
 
@@ -137,7 +141,7 @@ def swap(B: SkewBrace) -> SkewBrace:
     """The brace with the two operations exchanged (bi-skew braces only)."""
     if not is_bi_skew(B):
         raise NotBiSkew("operations can only be swapped in a bi-skew brace")
-    return make_brace(B.circ, B.dot)
+    return SkewBrace(B.circ, B.dot)
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,7 +155,7 @@ def left_ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
     for s in subgroups(B.dot):
         members = frozenset(s)
         if all(frozenset(m[x] for x in s) == members for m in g.maps):
-            assert is_subgroup(B.circ, members)
+            require(is_subgroup(B.circ, members), "left ideal not circ-closed")
             out.append(s)
     return tuple(out)
 
@@ -170,7 +174,7 @@ def fix(B: SkewBrace) -> Subgroup:
     """Common fixed points of all gamma maps; always a left ideal."""
     g = gamma(B)
     out = tuple(t for t in range(B.order) if all(m[t] == t for m in g.maps))
-    assert out in left_ideals(B)
+    require(out in left_ideals(B), "fixed points are not a left ideal")
     return out
 
 
@@ -179,7 +183,7 @@ def is_bi_skew(B: SkewBrace) -> bool:
     """True iff every gamma value is an automorphism of circ.
 
     When true, the swapped pair is itself a valid brace whose gamma is the
-    pointwise inverse; both facts are asserted.
+    pointwise inverse; both facts are checked.
     """
     ct = B.circ.table
     n = B.order
@@ -188,15 +192,14 @@ def is_bi_skew(B: SkewBrace) -> bool:
         if not all(m[ct[a][b]] == ct[m[a]][m[b]]
                    for a in range(n) for b in range(n)):
             return False
-    swapped = make_brace(B.circ, B.dot)
-    gs = gamma(swapped)
+    gs = gamma(SkewBrace(B.circ, B.dot))
     cinv = B.circ.inverse
     for s in range(n):
         inv_map = [0] * n
         for x in range(n):
             inv_map[g(s)[x]] = x
-        assert gs(s) == tuple(inv_map)
-        assert gs(s) == g(cinv[s])
+        require(gs(s) == tuple(inv_map), "swapped gamma is not the inverse")
+        require(gs(s) == g(cinv[s]), "swapped gamma(s) != gamma(s^-1)")
     return True
 
 
@@ -241,8 +244,8 @@ def quotient_brace(B: SkewBrace, I) -> SkewBrace:
         raise NotAnIdeal(f"{I} is not an ideal")
     qdot, proj_dot = quotient(B.dot, I)
     qcirc, proj_circ = quotient(B.circ, I)
-    assert proj_dot.images == proj_circ.images
-    return make_brace(qdot, qcirc)
+    require(proj_dot.images == proj_circ.images, "ideal cosets differ")
+    return SkewBrace(qdot, qcirc)
 
 
 def sub_brace(B: SkewBrace, L) -> SkewBrace:
@@ -252,8 +255,8 @@ def sub_brace(B: SkewBrace, L) -> SkewBrace:
         raise NotALeftIdeal(f"{L} is not a left ideal")
     sdot, elems_d = subgroup_group(B.dot, L)
     scirc, elems_c = subgroup_group(B.circ, L)
-    assert elems_d == elems_c
-    return make_brace(sdot, scirc)
+    require(elems_d == elems_c, "sub-brace labelings differ")
+    return SkewBrace(sdot, scirc)
 
 
 def product_brace(B1: SkewBrace, B2: SkewBrace, action=None) -> SkewBrace:
@@ -275,13 +278,13 @@ def product_brace(B1: SkewBrace, B2: SkewBrace, action=None) -> SkewBrace:
                 f"action[{b}] is not a brace automorphism of the first factor")
     dot = direct_product(B1.dot, B2.dot)
     circ = semidirect_product(B1.circ, B2.circ, action)
-    B = make_brace(dot, circ)
+    B = SkewBrace(dot, circ)
     first_factor = tuple(a * n2 for a in range(B1.order))
     second_factor = tuple(range(n2))
-    assert first_factor in ideals(B)
-    assert second_factor in strong_left_ideals(B)
+    require(first_factor in ideals(B), "first factor is not an ideal")
+    require(second_factor in strong_left_ideals(B), "not a strong left ideal")
     if all(p == tuple(range(B1.order)) for p in action):
-        assert second_factor in ideals(B)
+        require(second_factor in ideals(B), "second factor is not an ideal")
     return B
 
 

@@ -11,7 +11,12 @@ import functools
 import hashlib
 import itertools
 
-from .errors import CatalogIncompleteForOrder, UnknownName, UnsupportedOrder
+from .errors import (
+    CatalogIncompleteForOrder,
+    UnknownName,
+    UnsupportedOrder,
+    require,
+)
 from .groups import (
     FiniteGroup,
     direct_product,
@@ -162,7 +167,7 @@ def _entries() -> dict[str, FiniteGroup]:
     ]
     table = {}
     for G in groups:
-        assert G.name not in table, f"duplicate catalog name {G.name}"
+        require(G.name not in table, f"duplicate catalog name {G.name}")
         table[G.name] = G
     return table
 
@@ -200,13 +205,6 @@ def groups_of_order(order: int, *, allow_partial: bool = False) \
         raise CatalogIncompleteForOrder(
             f"catalog is not complete for order {order}")
     raise UnsupportedOrder(f"no catalog groups of order {order}")
-
-
-def catalog(key) -> list[FiniteGroup]:
-    """Catalog lookup by order (complete list) or by name (singleton)."""
-    if isinstance(key, int):
-        return list(groups_of_order(key))
-    return [group_by_name(key)]
 
 
 def type_name(G: FiniteGroup) -> str:

@@ -113,7 +113,7 @@ def cmd_analyze(args) -> int:
 
 def _axiom_battery():
     """Braces exercising every construction; gamma/opposite identities are
-    asserted inside the library calls themselves."""
+    checked inside the library calls themselves."""
     battery = []
     for order in (1, 2, 3, 4, 6, 8, 9, 10, 12):
         for G in groups_of_order(order):
@@ -139,7 +139,8 @@ def _check_axioms(enable_heavy: bool):
     for B in _axiom_battery():
         make_brace(B.dot.table, B.circ.table)
         opp = opposite(B)
-        assert opposite(opp).dot.table == B.dot.table
+        if opposite(opp).dot.table != B.dot.table:
+            return False, f"opposite is not an involution at order {B.order}"
         strong = set(strong_left_ideals(B))
         inter = set(left_ideals(B)) & set(left_ideals(opp))
         if strong != inter:
@@ -152,20 +153,10 @@ def _check_axioms(enable_heavy: bool):
 
 
 def _check_bijection(enable_heavy: bool):
-    orders = range(1, 7)
+    orders = [*range(1, 7), *([8] if enable_heavy else [])]
     checked = 0
     for order in orders:
         for G in groups_of_order(order):
-            oracle = {operation_from_regular_subgroup(R, G).table
-                      for R in regular_subgroups_normalized_by(G)}
-            census = {B.dot.table for B in analysis.enumerate_operations(G)}
-            if oracle != census:
-                return False, json.dumps(
-                    {"group": G.name, "oracle": len(oracle),
-                     "census": len(census)})
-            checked += 1
-    if enable_heavy:
-        for G in groups_of_order(8):
             oracle = {operation_from_regular_subgroup(R, G).table
                       for R in regular_subgroups_normalized_by(G)}
             census = {B.dot.table for B in analysis.enumerate_operations(G)}

@@ -1,5 +1,5 @@
 """Explicit skew-brace constructions with their advertised properties
-asserted at build time.
+checked at build time.
 
 Each function returns a validated SkewBrace whose circ component is the
 input group's own table, so outputs are directly comparable with census
@@ -13,9 +13,10 @@ from .catalog import cyclic
 from .errors import (
     BadParameters,
     NotAbelian,
+    NotAHomomorphism,
     NotClassTwo,
-    NotHomomorphism,
     NotIntoNormModCenter,
+    require,
 )
 from .groups import (
     FiniteGroup,
@@ -52,7 +53,7 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
 
     psi maps G onto quotient labels and must be a homomorphism from
     (G, o); the result does not depend on the representative choice,
-    which is asserted by recomputing with the opposite choice.
+    which is checked by recomputing with the opposite choice.
     """
     Q, cosets = norm_mod_center(G)
     images = tuple(psi.images if isinstance(psi, GroupMap) else psi)
@@ -63,7 +64,7 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
     if images[0] != 0 or any(
             images[G.mul(a, b)] != Q.mul(images[a], images[b])
             for a in range(G.order) for b in range(G.order)):
-        raise NotHomomorphism("psi is not a homomorphism into the quotient")
+        raise NotAHomomorphism("psi is not a homomorphism into the quotient")
 
     if lift is None:
         lift = tuple(c[0] for c in cosets)
@@ -84,17 +85,18 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
 
     table = build(lift)
     other = build(tuple(c[-1] for c in cosets))
-    assert table == other, "construction must not depend on the lift"
+    require(table == other, "construction must not depend on the lift")
 
     B = make_brace(table, G)
-    assert is_bi_skew(B)
+    require(is_bi_skew(B), "psi brace is not bi-skew")
     g = gamma(B)
     for s in range(G.order):
         r = lift[images[s]]
         ri = G.inv(r)
         conj = tuple(G.mul(G.mul(ri, t), r) for t in range(G.order))
-        assert g(s) == conj
-        assert is_power_automorphism(G, GroupMap(G, G, g(s)))
+        require(g(s) == conj, "psi gamma is not conjugation by the lift")
+        require(is_power_automorphism(G, GroupMap(G, G, g(s))),
+                "psi gamma is not a power automorphism")
     return B
 
 
@@ -104,7 +106,7 @@ def all_psi_braces(G: FiniteGroup) -> list[SkewBrace]:
     Q, _ = norm_mod_center(G)
     braces = [psi_construction(G, f) for f in homomorphisms(G, Q)]
     tables = {B.dot.table for B in braces}
-    assert len(tables) == len(braces)
+    require(len(tables) == len(braces), "two psi give the same brace")
     return braces
 
 
@@ -119,12 +121,12 @@ def class2_construction(G: FiniteGroup) -> SkewBrace:
         si = G.inv(s)
         table.append(tuple(G.mul(G.mul(ss, t), si) for t in range(G.order)))
     B = make_brace(tuple(table), G)
-    assert is_bi_skew(B)
+    require(is_bi_skew(B), "class-2 brace is not bi-skew")
     g = gamma(B)
     for s in range(G.order):
         si = G.inv(s)
         conj = tuple(G.mul(G.mul(si, t), s) for t in range(G.order))
-        assert g(s) == conj
+        require(g(s) == conj, "class-2 gamma(s) is not conjugation by s")
     return B
 
 
@@ -137,9 +139,10 @@ def inversion_construction(A: FiniteGroup) -> SkewBrace:
     circ = direct_product(A, c2)
     dot = semidirect_product(A, c2, inversion_action(A))
     B = make_brace(dot, circ)
-    assert is_bi_skew(B)
+    require(is_bi_skew(B), "inversion brace is not bi-skew")
     for m in gamma(B).maps:
-        assert is_power_automorphism(circ, GroupMap(circ, circ, m))
+        require(is_power_automorphism(circ, GroupMap(circ, circ, m)),
+                "inversion gamma is not a power automorphism")
     return B
 
 
@@ -156,7 +159,7 @@ def semidirect_to_brace(A: FiniteGroup, B: FiniteGroup, action) -> SkewBrace:
         for d in range(nb):
             expected = tuple(action[d][a] * nb + b
                              for a in range(A.order) for b in range(nb))
-            assert g(c * nb + d) == expected
+            require(g(c * nb + d) == expected, "gamma not via the action")
     return out
 
 
@@ -184,6 +187,6 @@ def cpr_cps_brace(p: int, r: int, s: int) -> SkewBrace:
     first_factor = tuple(i * ps for i in range(pr))
     closed = all(B.dot.mul(a, b) in set(first_factor)
                  for a in first_factor for b in first_factor)
-    assert not closed
-    assert first_factor not in left_ideals(B)
+    require(not closed, "first factor is dot-closed")
+    require(first_factor not in left_ideals(B), "first factor is a left ideal")
     return B

@@ -81,10 +81,6 @@ class NotIntoNormModCenter(ValidationError):
     pass
 
 
-class NotHomomorphism(NotAHomomorphism):
-    pass
-
-
 class NotClassTwo(ValidationError):
     pass
 
@@ -109,6 +105,12 @@ class CatalogIncompleteForOrder(SkewbraceError):
 
 class InternalInconsistency(SkewbraceError):
     """Two independent computations of the same fact disagreed."""
+
+
+def require(ok: bool, what: str) -> None:
+    """Self-check that, unlike assert, still runs under python -O."""
+    if not ok:
+        raise InternalInconsistency(what)
 
 
 # -- catalog / io ---------------------------------------------------------

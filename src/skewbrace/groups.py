@@ -2,12 +2,16 @@
 
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
 is immutable; the heavy computations (subgroup lattice, automorphism
-group) are memoized per table.
+group) are memoized per table.  A table is validated once, where it
+enters, by make_group; a table derived from valid groups (a quotient, a
+subgroup, a semidirect product along a checked action, a relabeling along
+a bijection) is a group by construction and _trusted_group builds it as is.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -17,6 +21,7 @@ from .errors import (
     NotAutomorphism,
     NotLatinSquare,
     NotNormal,
+    require,
 )
 
 Subgroup = tuple[int, ...]   # strictly increasing element indices, contains 0
@@ -73,8 +78,7 @@ class FiniteGroup:
         e = 1
         for a in range(self.order):
             k = self.element_order(a)
-            g = _gcd(e, k)
-            e = e // g * k
+            e = e // math.gcd(e, k) * k
         return e
 
     def with_name(self, name: str) -> FiniteGroup:
@@ -83,12 +87,6 @@ class FiniteGroup:
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"
         return f"FiniteGroup({label})"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def make_group(table, name: str | None = None) -> FiniteGroup:
@@ -127,10 +125,14 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
             for c in range(n):
                 if rab[c] != ra[rb[c]]:
                     raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    inverse = [0] * n
-    for a in range(n):
-        inverse[a] = rows[a].index(0)
-    return FiniteGroup(rows, tuple(inverse), name)
+    return _trusted_group(rows, name)
+
+
+def _trusted_group(table, name: str | None = None) -> FiniteGroup:
+    """The group of a table already checked by make_group or derived from
+    valid groups: builds the inverse array and checks nothing."""
+    rows = tuple(map(tuple, table))
+    return FiniteGroup(rows, tuple(row.index(0) for row in rows), name)
 
 
 def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -139,9 +141,7 @@ def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
-    # inverses agree with those of G; no revalidation needed
-    return FiniteGroup(opposite_table(G), G.inverse,
-                       f"{G.name}^op" if G.name else None)
+    return _trusted_group(opposite_table(G), f"{G.name}^op" if G.name else None)
 
 
 def closure(G: FiniteGroup, seed) -> Subgroup:
@@ -371,7 +371,8 @@ def homomorphisms(G: FiniteGroup, H: FiniteGroup, *, bijective: bool = False,
 def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
     """The full automorphism group as explicit maps (identity included)."""
     auts = homomorphisms(G, G, bijective=True)
-    assert any(f.images == tuple(range(G.order)) for f in auts)
+    require(any(f.images == tuple(range(G.order)) for f in auts),
+            "identity is not an automorphism")
     return tuple(auts)
 
 
@@ -427,7 +428,7 @@ def is_power_automorphism(G: FiniteGroup, f: GroupMap) -> bool:
     elementwise = all(f(a) in set(cyclic_subgroup(G, a)) for a in range(G.order))
     subgroupwise = all(frozenset(f(a) for a in s) == frozenset(s)
                        for s in subgroups(G))
-    assert elementwise == subgroupwise
+    require(elementwise == subgroupwise, "power tests disagree")
     return elementwise
 
 
@@ -457,9 +458,9 @@ def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupMap]:
     for i, ci in enumerate(cosets):
         for j, cj in enumerate(cosets):
             table[i][j] = label_of[G.table[ci[0]][cj[0]]]
-    Q = make_group(table)
+    Q = _trusted_group(table)
     proj = GroupMap(G, Q, tuple(label_of))
-    assert is_homomorphism(proj)
+    require(is_homomorphism(proj), "coset projection is not a homomorphism")
     return Q, proj
 
 
@@ -471,7 +472,7 @@ def subgroup_group(G: FiniteGroup, sub) -> tuple[FiniteGroup, tuple[int, ...]]:
     elems = tuple(sorted(set(sub)))
     pos = {e: i for i, e in enumerate(elems)}
     table = [[pos[G.table[a][b]] for b in elems] for a in elems]
-    return make_group(table), elems
+    return _trusted_group(table), elems
 
 
 def _pair_index(a: int, b: int, nb: int) -> int:
@@ -508,7 +509,7 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
                 for d in range(nb):
                     row[_pair_index(c, d, nb)] = _pair_index(
                         A.table[a][action[b][c]], B.table[b][d], nb)
-    return make_group(table)
+    return _trusted_group(table)
 
 
 def trivial_action(A: FiniteGroup, B: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -10,10 +10,17 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import NotNormalized, NotRegular, OrderTooLargeForOracle
-from .groups import FiniteGroup, automorphisms, generating_set, make_group
+from .errors import NotNormalized, NotRegular, OrderTooLargeForOracle, require
+from .groups import (
+    FiniteGroup,
+    _trusted_group,
+    automorphisms,
+    generating_set,
+    make_group,
+)
 
 Perm = tuple[int, ...]
 
@@ -38,15 +45,8 @@ def perm_order(p: Perm) -> int:
             seen[j] = True
             j = p[j]
             length += 1
-        g = _gcd(order, length)
-        order = order // g * length
+        order = order // math.gcd(order, length) * length
     return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_fixed_point_free(p: Perm) -> bool:
@@ -105,7 +105,7 @@ def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
             row = N.table[a]
             perms.add(tuple(row[fi[t]] for t in range(n)))
     out = tuple(sorted(perms))
-    assert len(out) == n * len(automorphisms(N))
+    require(len(out) == n * len(automorphisms(N)), "repeated holomorph perm")
     return out
 
 
@@ -119,34 +119,35 @@ def transport_operation(R: RegularSubgroup) -> FiniteGroup:
     n = R.degree
     if len(by_start) != n:
         raise NotRegular("evaluation at 0 is not a bijection")
-    return make_group(tuple(by_start[a] for a in range(n)))
+    return _trusted_group(by_start[a] for a in range(n))
 
 
-def operation_from_regular_subgroup(R: RegularSubgroup, G: FiniteGroup,
-                                    *, check_normalized: bool = True) \
+def operation_from_regular_subgroup(R: RegularSubgroup, G: FiniteGroup) \
         -> FiniteGroup:
     """The opposite-transport operation a*b = nu(nu^-1(b) . nu^-1(a)).
 
     Together with G's own operation the result forms a skew brace; R must
-    be normalized by the left translations of G.
+    be normalized by the left translations of G.  The result is the
+    oracle's reference, so it is validated in full.
     """
     by_start = R.by_start()
     n = R.degree
     if len(by_start) != n or n != G.order:
         raise NotRegular("evaluation at 0 is not a bijection onto G")
-    if check_normalized:
-        elems = frozenset(R.elements)
-        lam = left_translations(G)
-        inv_lam = {s: tuple(lam[G.inverse[s]]) for s in generating_set(G)}
-        for s in generating_set(G):
-            ls = lam[s]
-            li = inv_lam[s]
-            for p in R.elements:
-                if compose(ls, compose(p, li)) not in elems:
-                    raise NotNormalized(
-                        "subgroup is not normalized by the left translations")
+    if not _normalized_by_translations(R.elements, G):
+        raise NotNormalized(
+            "subgroup is not normalized by the left translations")
     table = tuple(tuple(by_start[b][a] for b in range(n)) for a in range(n))
     return make_group(table)
+
+
+def _normalized_by_translations(elems, G: FiniteGroup) -> bool:
+    """Whether G's left translations normalize the permutation group with
+    these elements; conjugating by the generators of G suffices."""
+    members = frozenset(elems)
+    lam = left_translations(G)
+    return all(compose(lam[s], compose(p, lam[G.inverse[s]])) in members
+               for s in generating_set(G) for p in elems)
 
 
 def _grow_regular(candidates_by_start, n: int, id_perm: Perm,
@@ -274,19 +275,11 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
     for lst in pool.values():
         lst.sort()
 
-    lam = left_translations(G)
-    gens = generating_set(G)
-    conj_pairs = [(lam[s], tuple(lam[G.inverse[s]])) for s in gens]
-
     found: list[tuple[Perm, ...]] = []
 
     def accept(elems: tuple[Perm, ...]) -> None:
-        members = frozenset(elems)
-        for ls, li in conj_pairs:
-            for p in elems:
-                if compose(ls, compose(p, li)) not in members:
-                    return
-        found.append(elems)
+        if _normalized_by_translations(elems, G):
+            found.append(elems)
 
     _grow_regular(pool, n, id_perm, accept)
     return tuple(RegularSubgroup(f) for f in sorted(found))

@@ -65,8 +65,11 @@ class TestEnumerate:
             enumerate_operations(group_by_name("C16"))
 
     def test_heavy_gate_on_nonabelian_27(self):
+        heis = group_by_name("Heisenberg-27")
         with pytest.raises(OrderTooLarge):
-            enumerate_operations(group_by_name("Heisenberg-27"))
+            enumerate_operations(heis)
+        with pytest.raises(OrderTooLarge):
+            f_count(heis, group_by_name("C27"))
 
     def test_cyclic_27_allowed_by_default(self):
         reps = enumerate_reports(group_by_name("C27"))

@@ -1,13 +1,13 @@
 """Catalog completeness and the two file formats."""
 
 import json
+import sys
 
 import pytest
 
 from skewbrace.analysis import enumerate_reports
 from skewbrace.catalog import (
     GROUP_COUNTS,
-    catalog,
     catalog_names,
     group_by_name,
     groups_of_order,
@@ -49,11 +49,16 @@ class TestCatalog:
             make_group(G.table)  # revalidates from scratch
 
     def test_order_one(self):
-        assert len(catalog(1)) == 1
+        assert len(groups_of_order(1)) == 1
 
     def test_order_eight_names(self):
-        names = {G.name for G in catalog(8)}
+        names = {G.name for G in groups_of_order(8)}
         assert names == {"C8", "C4xC2", "C2xC2xC2", "D4", "Q8"}
+
+    def test_catalog_module_not_shadowed(self):
+        import skewbrace.catalog as m
+
+        assert m is sys.modules["skewbrace.catalog"]
 
     def test_heisenberg_name(self):
         G = group_by_name("Heisenberg-27")

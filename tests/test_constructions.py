@@ -23,8 +23,8 @@ from skewbrace.constructions import (
 from skewbrace.errors import (
     BadParameters,
     NotAbelian,
+    NotAHomomorphism,
     NotClassTwo,
-    NotHomomorphism,
     NotIntoNormModCenter,
 )
 from skewbrace.groups import (
@@ -67,7 +67,7 @@ class TestPsiConstruction:
 
     def test_rejects_non_homomorphism(self):
         G = group_by_name("Q8")
-        with pytest.raises(NotHomomorphism):
+        with pytest.raises(NotAHomomorphism):
             psi_construction(G, [0, 1, 0, 0, 0, 0, 0, 0])
 
     def test_rejects_out_of_range(self):
