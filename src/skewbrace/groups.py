@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -95,7 +96,8 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     Raises NoIdentityAtZero, NotLatinSquare or NotAssociative, naming the
     first offending element or triple.
     """
-    rows = tuple(tuple(int(x) for x in row) for row in table)
+    rows = tuple(tuple(_entry(a, x) for x in row)
+                 for a, row in enumerate(table))
     n = len(rows)
     if n == 0:
         raise NoIdentityAtZero("empty table has no identity")
@@ -126,6 +128,14 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
                 if rab[c] != ra[rb[c]]:
                     raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
     return _trusted_group(rows, name)
+
+
+def _entry(a: int, x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise NotLatinSquare(f"row {a} contains non-integer entry {x!r}") \
+            from None
 
 
 def _trusted_group(table, name: str | None = None) -> FiniteGroup:
@@ -281,89 +291,58 @@ def generating_set(G: FiniteGroup) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _try_extend(G: FiniteGroup, H: FiniteGroup, images: list[int],
-                defined: list[int], g: int, h: int):
-    """Set images[g] = h and close under products, checking consistency.
-
-    Returns the updated (images, defined) pair or None on conflict.  All
-    ordered pairs of defined elements end up checked, so a fully defined
-    result is a verified homomorphism on the closed set.
-    """
-    gt, ht = G.table, H.table
-    images = images[:]
-    defined = defined[:]
-    if images[g] != -1:
-        return (images, defined) if images[g] == h else None
-    images[g] = h
-    defined.append(g)
-    i = len(defined) - 1
-    while i < len(defined):
-        a = defined[i]
-        ia = images[a]
-        for j in range(len(defined)):
-            b = defined[j]
-            ib = images[b]
-            c = gt[a][b]
-            hc = ht[ia][ib]
-            ic = images[c]
-            if ic == -1:
-                images[c] = hc
-                defined.append(c)
-            elif ic != hc:
-                return None
-            c = gt[b][a]
-            hc = ht[ib][ia]
-            ic = images[c]
-            if ic == -1:
-                images[c] = hc
-                defined.append(c)
-            elif ic != hc:
-                return None
-        i += 1
-    return images, defined
-
-
 def homomorphisms(G: FiniteGroup, H: FiniteGroup, *, bijective: bool = False,
                   first_only: bool = False) -> list[GroupMap]:
     """All homomorphisms G -> H by backtracking over generator images.
 
     Candidate images are pruned by element-order divisibility (equality
-    when bijective).  Deterministic: candidates are tried in index order.
+    when bijective).  At level k the map is spread over <g_0..g_k> along
+    x -> x*g_j, checking f(x*g_j) == f(x)*f(g_j) for every reached x and
+    j <= k; with f(0) = 0 that makes it a homomorphism on the subgroup.
+    Deterministic: candidates are tried in index order.
     """
+    gt, ht = G.table, H.table
     gens = generating_set(G)
     gen_orders = [G.element_order(g) for g in gens]
     h_orders = [H.element_order(h) for h in range(H.order)]
     found: list[GroupMap] = []
 
-    start_images = [-1] * G.order
-    start_images[0] = 0
+    def spread(gen_images: list[int]):
+        images = [-1] * G.order
+        images[0] = 0
+        reached = [0]
+        for x in reached:
+            fx = ht[images[x]]
+            for g, h in zip(gens, gen_images):
+                y = gt[x][g]
+                if images[y] == -1:
+                    images[y] = fx[h]
+                    reached.append(y)
+                elif images[y] != fx[h]:
+                    return None
+        if bijective and len({images[x] for x in reached}) != len(reached):
+            return None
+        return images
 
-    def backtrack(level: int, images: list[int], defined: list[int]) -> bool:
+    def backtrack(gen_images: list[int], images: list[int]) -> bool:
+        level = len(gen_images)
         if level == len(gens):
-            f = GroupMap(G, H, tuple(images))
-            if bijective and not f.is_bijective():
-                return False
-            found.append(f)
+            found.append(GroupMap(G, H, tuple(images)))
             return True
-        g = gens[level]
         go = gen_orders[level]
         for h in range(H.order):
             ho = h_orders[h]
-            if bijective:
-                if ho != go:
-                    continue
-            elif go % ho != 0:
+            if go % ho != 0 or (bijective and ho != go):
                 continue
-            ext = _try_extend(G, H, images, defined, g, h)
-            if ext is None:
-                continue
-            if bijective and len({ext[0][d] for d in ext[1]}) != len(ext[1]):
-                continue
-            if backtrack(level + 1, ext[0], ext[1]) and first_only:
+            extended = gen_images + [h]
+            spread_images = spread(extended)
+            if spread_images is not None \
+                    and backtrack(extended, spread_images) \
+                    and first_only:
                 return True
         return False
 
-    backtrack(0, start_images, [0])
+    backtrack([], [0])
     return found
 
 

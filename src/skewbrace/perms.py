@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import NotNormalized, NotRegular, OrderTooLargeForOracle, require
@@ -81,8 +82,17 @@ class RegularSubgroup:
 
 def regular_subgroup(perms) -> RegularSubgroup:
     """Validate closure, inverses and regularity of a permutation set."""
-    elems = frozenset(tuple(p) for p in perms)
+    try:
+        elems = frozenset(tuple(map(operator.index, p)) for p in perms)
+    except TypeError as exc:
+        raise NotRegular(f"not a permutation: {exc}") from None
+    if not elems:
+        raise NotRegular("no permutations given")
     n = len(next(iter(elems)))
+    points = set(range(n))
+    for p in elems:
+        if len(p) != n or set(p) != points:
+            raise NotRegular(f"{p} is not a permutation of 0..{n - 1}")
     if len(elems) != n:
         raise NotRegular(f"got {len(elems)} permutations on {n} points")
     if sorted(p[0] for p in elems) != list(range(n)):
@@ -94,7 +104,6 @@ def regular_subgroup(perms) -> RegularSubgroup:
     return RegularSubgroup(tuple(sorted(elems)))
 
 
-@functools.lru_cache(maxsize=None)
 def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
     """The permutations tau -> a * phi(tau) for a in N, phi in Aut(N)."""
     n = N.order
@@ -228,26 +237,40 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
         -> tuple[RegularSubgroup, ...]:
     """The cyclic regular subgroups of Hol(N): one per n-cycle generator.
 
-    Equivalent to filtering the full enumeration down to cyclic subgroups,
-    but linear in |Hol(N)|, which keeps large holomorphs tractable.
+    Equivalent to filtering Hol(N) for n-cycles, without building it:
+    (a, phi)^m is a translation when phi has order m, so (a, phi) has
+    order m*k with k | exp(N), and only the phi with m | n and
+    (n/m) | exp(N) are scanned.  No element of Hol(C3xC3xC3) passes.
     """
     n = N.order
+    exp = N.exponent()
     found = set()
-    for p in holomorph(N):
-        # an n-cycle generates a cyclic regular subgroup, and conversely
-        length = 1
-        j = p[0]
-        while j != 0:
-            j = p[j]
-            length += 1
-        if length != n:
+    cycles = 0
+    for f in automorphisms(N):
+        fi = f.images
+        m = perm_order(fi)
+        if n % m != 0 or exp % (n // m) != 0:
             continue
-        elems = [tuple(range(n))]
-        q = p
-        while q != elems[0]:
-            elems.append(q)
-            q = compose(q, p)
-        found.add(tuple(sorted(elems)))
+        for row in N.table:
+            p = compose(row, fi)
+            # an n-cycle generates a cyclic regular subgroup, and conversely
+            length = 1
+            j = p[0]
+            while j != 0:
+                j = p[j]
+                length += 1
+            if length != n:
+                continue
+            cycles += 1
+            elems = [tuple(range(n))]
+            q = p
+            while q != elems[0]:
+                elems.append(q)
+                q = compose(q, p)
+            found.add(tuple(sorted(elems)))
+    totient = sum(math.gcd(k, n) == 1 for k in range(n))
+    require(cycles == totient * len(found),
+            "n-cycle count is not totient(n) per cyclic subgroup")
     return tuple(RegularSubgroup(f) for f in sorted(found))
 
 

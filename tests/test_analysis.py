@@ -76,6 +76,17 @@ class TestEnumerate:
         assert len(reps) == 9
         assert all(r.type_name == "C27" and r.is_surjective for r in reps)
 
+    def test_published_class_counts(self):
+        # skew braces of order n up to isomorphism (Guarnieri-Vendramin):
+        # the classes over each circ group, summed over the groups of order n
+        published = (1, 1, 1, 4, 1, 6, 1, 47, 4, 6, 1, 38, 1, 6, 1)
+        for n, expected in enumerate(published, start=1):
+            classes = sum(len({r.iso_class_id for r in enumerate_reports(G)})
+                          for G in groups_of_order(n))
+            assert classes == expected, n
+        reps = enumerate_reports(group_by_name("C27"))
+        assert (len({r.iso_class_id for r in reps}), len(reps)) == (3, 9)
+
     def test_reports_sorted_and_consistent(self):
         reps = enumerate_reports(group_by_name("Q8"))
         tables = [r.operation.table for r in reps]

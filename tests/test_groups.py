@@ -26,6 +26,7 @@ from skewbrace.groups import (
     direct_product,
     distinguished_subgroups,
     generating_set,
+    homomorphisms,
     inversion_action,
     is_homomorphism,
     is_normal,
@@ -88,6 +89,12 @@ class TestMakeGroup:
     def test_rectangular_rejected(self):
         with pytest.raises(NotLatinSquare):
             make_group([[0, 1], [1]])
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1, 0.5]], [["a"]],
+                                       [[0, 1], [1, None]]])
+    def test_non_integer_entry_rejected(self, table):
+        with pytest.raises(NotLatinSquare, match="row"):
+            make_group(table)
 
     def test_associativity_rejected(self):
         # rows/columns are permutations but (1*1)*2 != 1*(1*2)
@@ -172,11 +179,41 @@ class TestAutomorphisms:
             for g in auts:
                 assert f.compose(g).images in images
 
+    def test_matches_brute_force_up_to_order_8(self):
+        for order in range(1, 9):
+            for G in groups_of_order(order):
+                auts = [f.images for f in automorphisms(G)]
+                assert len(set(auts)) == len(auts)
+                assert sorted(auts) == sorted(brute_force_automorphisms(G))
+
     def test_order_divides_factorial(self):
         import math
         for order in range(2, 9):
             for G in groups_of_order(order):
                 assert math.factorial(G.order - 1) % len(automorphisms(G)) == 0
+
+
+class TestHomomorphisms:
+    def test_match_brute_force_up_to_order_6(self):
+        """Every map fixing 0 that respects the tables, for every pair of
+        catalog groups of order <= 6."""
+        small = [G for order in range(1, 7) for G in groups_of_order(order)]
+        for G in small:
+            n = G.order
+            for H in small:
+                candidates = ((0,) + rest for rest in
+                              itertools.product(range(H.order), repeat=n - 1))
+                brute = sorted(
+                    im for im in candidates
+                    if all(im[G.table[a][b]] == H.table[im[a]][im[b]]
+                           for a in range(n) for b in range(n)))
+                maps = [f.images for f in homomorphisms(G, H)]
+                assert len(set(maps)) == len(maps)
+                assert sorted(maps) == brute, (G.name, H.name)
+                # bijective=True keeps the injective ones
+                assert sorted(f.images for f in
+                              homomorphisms(G, H, bijective=True)) == \
+                    [m for m in brute if len(set(m)) == n]
 
 
 class TestIsomorphism:

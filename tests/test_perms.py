@@ -4,6 +4,7 @@ oracle for small orders."""
 import pytest
 
 from conftest import requires_heavy
+from skewbrace import perms
 from skewbrace.catalog import group_by_name, groups_of_order
 from skewbrace.errors import NotNormalized, NotRegular, OrderTooLargeForOracle
 from skewbrace.groups import automorphisms, isomorphism, opposite_table
@@ -74,9 +75,46 @@ class TestRegularSubgroups:
                     if transport_operation(R).is_cyclic()}
             assert scan == full
 
+    @pytest.mark.parametrize("order", list(range(1, 16)) + [27])
+    def test_cyclic_scan_matches_n_cycles_of_holomorph(self, order):
+        """The order-filtered scan finds the subgroups generated by the
+        n-cycles of the whole holomorph."""
+        for N in groups_of_order(order):
+            n = N.order
+            oracle = set()
+            for p in holomorph(N):
+                cycle = [0]
+                while p[cycle[-1]] != 0:
+                    cycle.append(p[cycle[-1]])
+                if len(cycle) == n:
+                    elems = [tuple(range(n))]
+                    while compose(elems[-1], p) != elems[0]:
+                        elems.append(compose(elems[-1], p))
+                    oracle.add(tuple(sorted(elems)))
+            scan = cyclic_regular_subgroups_in_holomorph(N)
+            assert [R.elements for R in scan] == sorted(oracle), N.name
+
+    def test_cyclic_scan_never_builds_holomorph(self, monkeypatch):
+        def refuse(N):
+            raise AssertionError("holomorph built")
+
+        monkeypatch.setattr(perms, "holomorph", refuse)
+        N = group_by_name("C3xC3xC3")
+        assert cyclic_regular_subgroups_in_holomorph.__wrapped__(N) == ()
+
     def test_rejects_irregular(self):
         with pytest.raises(NotRegular):
             regular_subgroup([(0, 1, 2), (1, 2, 0)])  # too few elements
+
+    @pytest.mark.parametrize("elems", [
+        [],                              # nothing to check
+        [(0, 1), (1, 1)],                # not a permutation
+        [(0, 1), (1, 0, 2)],             # unequal lengths
+        [(0, 1), (1, 0.5)],              # non-integer point
+    ])
+    def test_rejects_malformed(self, elems):
+        with pytest.raises(NotRegular):
+            regular_subgroup(elems)
 
 
 class TestTransport:
