@@ -6,11 +6,18 @@ group) are memoized per table.  A table is validated once, where it
 enters, by make_group; a table derived from valid groups (a quotient, a
 subgroup, a semidirect product along a checked action, a relabeling along
 a bijection) is a group by construction and _trusted_group builds it as is.
+
+Homomorphisms are found by backtracking over the images of
+generating_set(G).  Aut(G) is built from the stabilizer chain on those
+generators: one transversal per level, taken from the first extension the
+same backtracking finds, and the products of one element per level,
+sorted by their generator images.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -96,8 +103,12 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     Raises NoIdentityAtZero, NotLatinSquare or NotAssociative, naming the
     first offending element or triple.
     """
-    rows = tuple(tuple(_entry(a, x) for x in row)
-                 for a, row in enumerate(table))
+    try:
+        given = tuple(table)
+    except TypeError:
+        raise NotLatinSquare(f"table {table!r} is not a sequence of rows") \
+            from None
+    rows = tuple(_row(a, row) for a, row in enumerate(given))
     n = len(rows)
     if n == 0:
         raise NoIdentityAtZero("empty table has no identity")
@@ -128,6 +139,14 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
                 if rab[c] != ra[rb[c]]:
                     raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
     return _trusted_group(rows, name)
+
+
+def _row(a: int, row) -> tuple[int, ...]:
+    try:
+        entries = iter(row)
+    except TypeError:
+        raise NotLatinSquare(f"row {a} is not a sequence: {row!r}") from None
+    return tuple(_entry(a, x) for x in entries)
 
 
 def _entry(a: int, x) -> int:
@@ -299,8 +318,21 @@ def homomorphisms(G: FiniteGroup, H: FiniteGroup, *, bijective: bool = False,
     when bijective).  At level k the map is spread over <g_0..g_k> along
     x -> x*g_j, checking f(x*g_j) == f(x)*f(g_j) for every reached x and
     j <= k; with f(0) = 0 that makes it a homomorphism on the subgroup.
-    Deterministic: candidates are tried in index order.
+    Deterministic: candidates are tried in index order, so the maps come
+    in lexicographic order of their generator images.  With bijective=True
+    and |G| != |H| there are none.
     """
+    if bijective and G.order != H.order:
+        return []
+    return _extensions(G, H, (), bijective=bijective,
+                       first_only=first_only)
+
+
+def _extensions(G: FiniteGroup, H: FiniteGroup, prefix: tuple[int, ...], *,
+                bijective: bool, first_only: bool) -> list[GroupMap]:
+    """The homomorphisms G -> H (injective when bijective) whose images of
+    generating_set(G) begin with prefix, found by the backtracking that
+    homomorphisms describes."""
     gt, ht = G.table, H.table
     gens = generating_set(G)
     gen_orders = [G.element_order(g) for g in gens]
@@ -342,17 +374,43 @@ def homomorphisms(G: FiniteGroup, H: FiniteGroup, *, bijective: bool = False,
                 return True
         return False
 
-    backtrack([], [0])
+    start = spread(list(prefix))
+    if start is not None:
+        backtrack(list(prefix), start)
     return found
 
 
 @functools.lru_cache(maxsize=None)
 def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
-    """The full automorphism group as explicit maps (identity included)."""
-    auts = homomorphisms(G, G, bijective=True)
-    require(any(f.images == tuple(range(G.order)) for f in auts),
+    """The full automorphism group as explicit maps (identity included).
+
+    Built from the stabilizer chain on gens = generating_set(G).  Level k
+    is a transversal T_k: for each h of the order of g_k, the first
+    automorphism that fixes g_0..g_{k-1} and sends g_k to h, if there is
+    one.  Every automorphism is t_0∘t_1∘…∘t_{d-1} for exactly one choice
+    of t_k in T_k, so the search stops at Σ|T_k| first-found extensions
+    and the rest is composition.  The products are sorted by their
+    generator images, the order homomorphisms(G, G, bijective=True) gives.
+    """
+    gens = generating_set(G)
+    orders = [G.element_order(h) for h in range(G.order)]
+    transversals = [
+        [f.images for h in range(G.order) if orders[h] == orders[g]
+         for f in _extensions(G, G, gens[:k] + (h,), bijective=True,
+                              first_only=True)]
+        for k, g in enumerate(gens)]
+    products = [tuple(range(G.order))]
+    for level in reversed(transversals):
+        products = [tuple(map(t.__getitem__, p))
+                    for t in level for p in products]
+    if gens:
+        products.sort(key=operator.itemgetter(*gens))
+    require(tuple(range(G.order)) in products,
             "identity is not an automorphism")
-    return tuple(auts)
+    # there are prod |T_k| products; sorted, a repeated map would be adjacent
+    require(all(p != q for p, q in itertools.pairwise(products)),
+            "stabilizer chain products are not distinct")
+    return tuple(GroupMap(G, G, p) for p in products)
 
 
 def isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupMap | None:

@@ -50,6 +50,16 @@ def perm_order(p: Perm) -> int:
     return order
 
 
+def _cycle_length(p: Perm, i: int) -> int:
+    """Length of the cycle of p through the point i."""
+    length = 1
+    j = p[i]
+    while j != i:
+        j = p[j]
+        length += 1
+    return length
+
+
 def is_fixed_point_free(p: Perm) -> bool:
     return all(p[i] != i for i in range(len(p)))
 
@@ -241,25 +251,23 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
     (a, phi)^m is a translation when phi has order m, so (a, phi) has
     order m*k with k | exp(N), and only the phi with m | n and
     (n/m) | exp(N) are scanned.  No element of Hol(C3xC3xC3) passes.
+    phi^k is the identity iff it fixes every generator of N, so m is the
+    lcm of the phi-cycle lengths through the generators.
     """
     n = N.order
     exp = N.exponent()
+    gens = generating_set(N)
     found = set()
     cycles = 0
     for f in automorphisms(N):
         fi = f.images
-        m = perm_order(fi)
+        m = math.lcm(*(_cycle_length(fi, g) for g in gens))
         if n % m != 0 or exp % (n // m) != 0:
             continue
         for row in N.table:
             p = compose(row, fi)
             # an n-cycle generates a cyclic regular subgroup, and conversely
-            length = 1
-            j = p[0]
-            while j != 0:
-                j = p[j]
-                length += 1
-            if length != n:
+            if _cycle_length(p, 0) != n:
                 continue
             cycles += 1
             elems = [tuple(range(n))]

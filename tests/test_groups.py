@@ -91,7 +91,7 @@ class TestMakeGroup:
             make_group([[0, 1], [1]])
 
     @pytest.mark.parametrize("table", [[[0, 1], [1, 0.5]], [["a"]],
-                                       [[0, 1], [1, None]]])
+                                       [[0, 1], [1, None]], 5, None, [1]])
     def test_non_integer_entry_rejected(self, table):
         with pytest.raises(NotLatinSquare, match="row"):
             make_group(table)
@@ -166,7 +166,11 @@ class TestAutomorphisms:
         assert {f.images for f in auts} == set(brute_force_automorphisms(Q8))
 
     @pytest.mark.parametrize("name,count",
-                             [("C8", 4), ("D4", 8), ("C3xC3", 48)])
+                             [("C8", 4), ("D4", 8), ("C3xC3", 48),
+                              ("C27", 18), ("C9xC3", 108),
+                              ("C3xC3xC3", 11232),      # |GL(3,3)|
+                              ("Heisenberg-27", 432),   # 9 * |GL(2,3)|
+                              ("M27", 54)])
     def test_known_counts(self, name, count):
         assert len(automorphisms(group_by_name(name))) == count
 
@@ -185,6 +189,15 @@ class TestAutomorphisms:
                 auts = [f.images for f in automorphisms(G)]
                 assert len(set(auts)) == len(auts)
                 assert sorted(auts) == sorted(brute_force_automorphisms(G))
+
+    @pytest.mark.parametrize("order", [*range(1, 16), 27])
+    def test_matches_homomorphisms(self, order):
+        """The stabilizer-chain products are the bijective homomorphisms,
+        map for map and in the same order."""
+        for G in groups_of_order(order):
+            assert [f.images for f in automorphisms(G)] == \
+                [f.images for f in homomorphisms(G, G, bijective=True)], \
+                G.name
 
     def test_order_divides_factorial(self):
         import math
@@ -210,10 +223,15 @@ class TestHomomorphisms:
                 maps = [f.images for f in homomorphisms(G, H)]
                 assert len(set(maps)) == len(maps)
                 assert sorted(maps) == brute, (G.name, H.name)
-                # bijective=True keeps the injective ones
+                # bijective=True keeps the bijective ones
                 assert sorted(f.images for f in
                               homomorphisms(G, H, bijective=True)) == \
-                    [m for m in brute if len(set(m)) == n]
+                    [m for m in brute if len(set(m)) == n == H.order]
+
+    @pytest.mark.parametrize("pair", [("C1", "C2"), ("C2", "C4")])
+    def test_no_bijection_between_orders(self, pair):
+        G, H = group_by_name(pair[0]), group_by_name(pair[1])
+        assert homomorphisms(G, H, bijective=True) == []
 
 
 class TestIsomorphism:
