@@ -5,13 +5,15 @@ For a group (G, o) the engine lists every operation . on the same labels
 such that (G, ., o) is a skew brace: one operation per Hopf-Galois
 structure on a Galois extension with that Galois group.  Per operation it
 reports the structure type, the correspondence image (the left ideals),
-surjectivity, the exact image ratio and the grouplike set.
+surjectivity, the exact image ratio and the grouplike set.  Operations
+in one Aut(circ)-orbit are one brace relabeled, so each class is analyzed
+once and its report is carried to the other members along their phi.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .braces import (
@@ -78,26 +80,42 @@ def enumerate_operations(circ: FiniteGroup, *, bound: int | None = None,
                          enable_heavy: bool = False) -> tuple[SkewBrace, ...]:
     """All operations making a skew brace with the given circ, as braces
     sorted by operation table."""
-    classes = _enumerate_classes(circ, bound or ENUM_DEFAULT_BOUND,
-                                 bool(enable_heavy))
-    tables = sorted(t for _, orbit, _ in classes for t in orbit)
+    classes = _classes(circ, bound, enable_heavy)
+    tables = sorted(t for _, orbit in classes for t in orbit)
     return tuple(SkewBrace(_trusted_group(t), circ) for t in tables)
 
 
 def enumerate_reports(circ: FiniteGroup, *, bound: int | None = None,
                       enable_heavy: bool = False) -> tuple[HgsReport, ...]:
-    """Analyzed census, one report per operation, canonically sorted."""
-    classes = _enumerate_classes(circ, bound or ENUM_DEFAULT_BOUND,
-                                 bool(enable_heavy))
-    n_aut = len(automorphisms(circ))
+    """Analyzed census, one report per operation, canonically sorted.
+
+    Each class is analyzed once, on the operation the search found; every
+    other member is that brace relabeled along its automorphism phi of
+    circ, which carries left ideals and grouplikes to their phi-images and
+    keeps type, bi-skewness and the image ratio.
+    """
     out = []
-    for class_id, (rep, orbit, stab) in enumerate(classes):
-        for t in sorted(orbit):
-            out.append(analyze(SkewBrace(_trusted_group(t), circ),
-                               iso_class_id=class_id,
-                               orbit_size=n_aut // stab))
+    for class_id, (found, orbit) in enumerate(
+            _classes(circ, bound, enable_heavy)):
+        report = analyze(SkewBrace(_trusted_group(found), circ))
+        for t, phi in orbit.items():
+            out.append(replace(
+                report,
+                operation=_trusted_group(t),
+                image=tuple(sorted(tuple(sorted(phi[x] for x in s))
+                                   for s in report.image)),
+                grouplikes=tuple(sorted(phi[x] for x in report.grouplikes)),
+                iso_class_id=class_id,
+                orbit_size=len(orbit)))
     out.sort(key=lambda r: r.operation.table)
     return tuple(out)
+
+
+def _classes(circ: FiniteGroup, bound: int | None, enable_heavy: bool):
+    """The census classes; only bound=None means the default bound, and it
+    shares the cache entry of the default passed explicitly."""
+    bound =ENUM_DEFAULT_BOUND if bound is None else bound
+    return _enumerate_classes(circ, bound, bool(enable_heavy))
 
 
 def _regular_subgroup_search(circ: FiniteGroup, enable_heavy: bool):
@@ -117,13 +135,16 @@ def _regular_subgroup_search(circ: FiniteGroup, enable_heavy: bool):
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_classes(circ: FiniteGroup, bound: int, enable_heavy: bool):
-    """Isomorphism classes of braces over circ.
+    """Isomorphism classes of braces over circ, as (found, orbit) pairs
+    sorted by the least table of the orbit.
 
     Route: per catalog type N of the same order, list the regular
     subgroups of Hol(N); each one with transported structure isomorphic
     to circ is a brace on N, pulled back to circ's labels along one
-    isomorphism; the full operation set is the union of the orbits under
-    the automorphism action  s ._phi t = phi(phi^-1(s) . phi^-1(t)).
+    isomorphism; that is the found table.  The full operation set is the
+    union of the orbits under the automorphism action
+    s ._phi t = phi(phi^-1(s) . phi^-1(t)); orbit maps each member to the
+    images of the first phi that produces it from the found table.
     Every table is a relabeling of a valid one, so none is re-checked.
     """
     n = circ.order
@@ -142,31 +163,29 @@ def _enumerate_classes(circ: FiniteGroup, bound: int, enable_heavy: bool):
             dot_tab = _transport_table(N.table, theta.images)
             if dot_tab in seen:
                 continue
-            orbit = frozenset(_transport_table(dot_tab, im)
-                              for im in aut_images)
-            rep = min(orbit)
+            orbit = {}
+            for im in aut_images:
+                orbit.setdefault(_transport_table(dot_tab, im), im)
             stab = brace_automorphism_count(
-                SkewBrace(_trusted_group(rep), circ))
+                SkewBrace(_trusted_group(dot_tab), circ))
             require(len(orbit) * stab == len(aut_images),
                     "orbit-stabilizer identity fails")
-            classes.append((rep, orbit, stab))
-            seen |= orbit
-    classes.sort(key=lambda c: c[0])
+            classes.append((dot_tab, orbit))
+            seen |= orbit.keys()
+    classes.sort(key=lambda c: min(c[1]))
     return tuple(classes)
 
 
-def analyze(B: SkewBrace, *, iso_class_id: int = 0,
-            orbit_size: int | None = None) -> HgsReport:
+def analyze(B: SkewBrace) -> HgsReport:
     """Correspondence analysis of one brace: the image is exactly the set
-    of left ideals, read as subgroups of circ."""
+    of left ideals, read as subgroups of circ.  A lone brace is class 0,
+    with orbit size |Aut(circ)| / |brace automorphisms|."""
     image = left_ideals(B)
     subs = subgroups(B.circ)
     require(set(image) <= set(subs), "a left ideal is not a circ-subgroup")
     surjective = len(image) == len(subs)
     ratio = Fraction(len(image), len(subs))
     require(surjective == (ratio == 1), "surjectivity disagrees with ratio")
-    if orbit_size is None:
-        orbit_size = len(automorphisms(B.circ)) // brace_automorphism_count(B)
     return HgsReport(
         operation=B.dot,
         type_name=type_name(B.dot),
@@ -175,8 +194,8 @@ def analyze(B: SkewBrace, *, iso_class_id: int = 0,
         is_surjective=surjective,
         gc_ratio=ratio,
         grouplikes=fix(B),
-        iso_class_id=iso_class_id,
-        orbit_size=orbit_size,
+        iso_class_id=0,
+        orbit_size=len(automorphisms(B.circ)) // brace_automorphism_count(B),
     )
 
 
@@ -210,10 +229,9 @@ def e_count(circG: FiniteGroup, N: FiniteGroup, *, bound: int | None = None,
             enable_heavy: bool = False) -> int:
     """Structures on a circG-extension whose type is N, counted per class:
     type is an orbit invariant, as orbits are relabelings by Aut(circG)."""
-    classes = _enumerate_classes(circG, bound or ENUM_DEFAULT_BOUND,
-                                 bool(enable_heavy))
-    return sum(len(orbit) for rep, orbit, _ in classes
-               if are_isomorphic(_trusted_group(rep), N))
+    return sum(len(orbit)
+               for found, orbit in _classes(circG, bound, enable_heavy)
+               if are_isomorphic(_trusted_group(found), N))
 
 
 def f_count(circG: FiniteGroup, N: FiniteGroup, *,

@@ -130,39 +130,35 @@ def modular16() -> FiniteGroup:
     return semidirect_product(cyclic(8), cyclic(2), act).with_name("M16")
 
 
-def _named(G: FiniteGroup, name: str) -> FiniteGroup:
-    return G.with_name(name)
-
-
 @functools.lru_cache(maxsize=None)
 def _entries() -> dict[str, FiniteGroup]:
     c = cyclic
     groups = [
         c(1), c(2), c(3),
-        c(4), _named(direct_product(c(2), c(2)), "C2xC2"),
+        c(4), direct_product(c(2), c(2)).with_name("C2xC2"),
         c(5),
-        c(6), _named(dihedral(3), "D3"),
+        c(6), dihedral(3).with_name("D3"),
         c(7),
-        c(8), _named(direct_product(c(4), c(2)), "C4xC2"),
-        _named(direct_product(direct_product(c(2), c(2)), c(2)), "C2xC2xC2"),
+        c(8), direct_product(c(4), c(2)).with_name("C4xC2"),
+        direct_product(direct_product(c(2), c(2)), c(2)).with_name("C2xC2xC2"),
         dihedral(4), dicyclic(2),
-        c(9), _named(direct_product(c(3), c(3)), "C3xC3"),
+        c(9), direct_product(c(3), c(3)).with_name("C3xC3"),
         c(10), dihedral(5),
         c(11),
-        c(12), _named(direct_product(c(6), c(2)), "C6xC2"),
+        c(12), direct_product(c(6), c(2)).with_name("C6xC2"),
         dihedral(6), alternating4(), dicyclic(3),
         c(13),
         c(14), dihedral(7),
         c(15),
         # order 16 is deliberately partial (named access only)
-        c(16), _named(direct_product(c(8), c(2)), "C8xC2"),
-        _named(direct_product(c(4), c(4)), "C4xC4"),
-        _named(direct_product(direct_product(c(4), c(2)), c(2)), "C4xC2xC2"),
-        _named(direct_product(direct_product(
-            direct_product(c(2), c(2)), c(2)), c(2)), "C2xC2xC2xC2"),
-        dihedral(8), _named(dicyclic(4), "Q16"), semidihedral16(), modular16(),
-        c(27), _named(direct_product(c(9), c(3)), "C9xC3"),
-        _named(direct_product(direct_product(c(3), c(3)), c(3)), "C3xC3xC3"),
+        c(16), direct_product(c(8), c(2)).with_name("C8xC2"),
+        direct_product(c(4), c(4)).with_name("C4xC4"),
+        direct_product(direct_product(c(4), c(2)), c(2)).with_name("C4xC2xC2"),
+        direct_product(direct_product(
+            direct_product(c(2), c(2)), c(2)), c(2)).with_name("C2xC2xC2xC2"),
+        dihedral(8), dicyclic(4).with_name("Q16"), semidihedral16(), modular16(),
+        c(27), direct_product(c(9), c(3)).with_name("C9xC3"),
+        direct_product(direct_product(c(3), c(3)), c(3)).with_name("C3xC3xC3"),
         heisenberg(3), modular27(),
     ]
     table = {}

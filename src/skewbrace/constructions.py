@@ -70,7 +70,8 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
         lift = tuple(c[0] for c in cosets)
     else:
         lift = tuple(lift)
-        if any(lift[q] not in cosets[q] for q in range(Q.order)):
+        if len(lift) != Q.order or any(lift[q] not in cosets[q]
+                                       for q in range(Q.order)):
             raise NotIntoNormModCenter("lift picks non-representatives")
 
     def build(reps):

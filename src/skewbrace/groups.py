@@ -57,15 +57,6 @@ class FiniteGroup:
         """Conjugate of a by b:  b * a * b^-1."""
         return self.table[self.table[b][a]][self.inverse[b]]
 
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inverse[a], -k)
-        x = 0
-        while k:
-            x = self.table[x][a]
-            k -= 1
-        return x
-
     def element_order(self, a: int) -> int:
         x = a
         k = 1
@@ -174,25 +165,20 @@ def opposite_group(G: FiniteGroup) -> FiniteGroup:
 
 
 def closure(G: FiniteGroup, seed) -> Subgroup:
-    """Subgroup generated by the given elements (identity always included)."""
+    """Subgroup generated by the given elements (identity always included):
+    the products of seed elements, reached breadth-first from 0 along
+    x -> x*g; in a finite group they already form a subgroup."""
     table = G.table
+    gens = set(seed)
     members = {0}
     todo = [0]
-    for g in seed:
-        if g not in members:
-            members.add(g)
-            todo.append(g)
-    i = 0
-    elems = todo
-    while i < len(elems):
-        a = elems[i]
-        for j in range(len(elems)):
-            b = elems[j]
-            for c in (table[a][b], table[b][a]):
-                if c not in members:
-                    members.add(c)
-                    elems.append(c)
-        i += 1
+    for x in todo:
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            if y not in members:
+                members.add(y)
+                todo.append(y)
     return tuple(sorted(members))
 
 
@@ -526,8 +512,8 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     if len(action) != B.order:
         raise NotAHomomorphism("action must assign one map per element of B")
     for b, p in enumerate(action):
-        f = GroupMap(A, A, p)
-        if not (f.is_bijective() and is_homomorphism(f)):
+        if sorted(p) != list(range(A.order)) \
+                or not is_homomorphism(GroupMap(A, A, p)):
             raise NotAHomomorphism(f"action[{b}] is not an automorphism of A")
     for b1 in range(B.order):
         for b2 in range(B.order):

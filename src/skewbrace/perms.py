@@ -169,8 +169,20 @@ def _normalized_by_translations(elems, G: FiniteGroup) -> bool:
                for s in generating_set(G) for p in elems)
 
 
-def _grow_regular(candidates_by_start, n: int, id_perm: Perm,
-                  accept) -> None:
+def _candidate_pool(perms, n: int) -> dict[int, list[Perm]]:
+    """The perms that can be non-identity elements of a regular subgroup
+    of degree n (fixed-point-free, order dividing n), bucketed by the
+    image of 0 and sorted within each bucket."""
+    pool: dict[int, list[Perm]] = {}
+    for p in perms:
+        if is_fixed_point_free(p) and n % perm_order(p) == 0:
+            pool.setdefault(p[0], []).append(p)
+    for lst in pool.values():
+        lst.sort()
+    return pool
+
+
+def _grow_regular(candidates_by_start, n: int, accept) -> None:
     """Backtracking core shared by both enumerators.
 
     Grows a closed, fixed-point-free partial subgroup one candidate at a
@@ -216,7 +228,7 @@ def _grow_regular(candidates_by_start, n: int, id_perm: Perm,
             if grown is not None:
                 grow(grown)
 
-    grow({0: id_perm})
+    grow({0: tuple(range(n))})
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,21 +236,8 @@ def regular_subgroups_in_holomorph(N: FiniteGroup) \
         -> tuple[RegularSubgroup, ...]:
     """All regular subgroups of the holomorph of N, canonically sorted."""
     n = N.order
-    hol = holomorph(N)
-    id_perm = tuple(range(n))
-    pool: dict[int, list[Perm]] = {}
-    for p in hol:
-        if p == id_perm:
-            continue
-        if not is_fixed_point_free(p):
-            continue
-        if n % perm_order(p) != 0:
-            continue
-        pool.setdefault(p[0], []).append(p)
-    for lst in pool.values():
-        lst.sort()
     found: list[tuple[Perm, ...]] = []
-    _grow_regular(pool, n, id_perm, found.append)
+    _grow_regular(_candidate_pool(holomorph(N), n), n, found.append)
     return tuple(RegularSubgroup(f) for f in sorted(found))
 
 
@@ -295,22 +294,12 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
     if n > bound:
         raise OrderTooLargeForOracle(
             f"oracle bound is {bound}, got order {n}")
-    id_perm = tuple(range(n))
-    pool: dict[int, list[Perm]] = {}
-    for p in itertools.permutations(range(n)):
-        if p == id_perm or not is_fixed_point_free(p):
-            continue
-        if n % perm_order(p) != 0:
-            continue
-        pool.setdefault(p[0], []).append(p)
-    for lst in pool.values():
-        lst.sort()
-
+    pool = _candidate_pool(itertools.permutations(range(n)), n)
     found: list[tuple[Perm, ...]] = []
 
     def accept(elems: tuple[Perm, ...]) -> None:
         if _normalized_by_translations(elems, G):
             found.append(elems)
 
-    _grow_regular(pool, n, id_perm, accept)
+    _grow_regular(pool, n, accept)
     return tuple(RegularSubgroup(f) for f in sorted(found))

@@ -18,6 +18,7 @@ from skewbrace.analysis import (
     surjective_iff_power_auto,
 )
 from skewbrace.braces import (
+    SkewBrace,
     almost_trivial_brace,
     is_bi_skew,
     make_brace,
@@ -59,6 +60,13 @@ class TestEnumerate:
     def test_bound_enforced(self):
         with pytest.raises(OrderTooLarge):
             enumerate_operations(group_by_name("C12"), bound=8)
+        # bound=0 is a bound, not "use the default"
+        C3 = group_by_name("C3")
+        for census in (enumerate_operations, enumerate_reports):
+            with pytest.raises(OrderTooLarge):
+                census(C3, bound=0)
+        with pytest.raises(OrderTooLarge):
+            e_count(C3, C3, bound=0)
 
     def test_incomplete_order_refused(self):
         with pytest.raises(CatalogIncompleteForOrder):
@@ -94,6 +102,21 @@ class TestEnumerate:
         for r in reps:
             assert r.is_surjective == (r.gc_ratio == 1)
             assert set(r.image) <= set(subgroups(group_by_name("Q8")))
+
+    @pytest.mark.parametrize("order", [*range(1, 16), 27])
+    def test_class_reports_match_per_operation_analysis(self, order):
+        # each class is analyzed once and carried to its members along an
+        # automorphism of circ; the oracle analyzes every operation alone
+        circs = groups_of_order(order) if order <= 15 else \
+            [group_by_name("C27")]
+        for G in circs:
+            for r in enumerate_reports(G):
+                lone = analyze(SkewBrace(r.operation, G))
+                assert (r.type_name, r.is_bi_skew, r.image, r.is_surjective,
+                        r.gc_ratio, r.grouplikes, r.orbit_size) == \
+                    (lone.type_name, lone.is_bi_skew, lone.image,
+                     lone.is_surjective, lone.gc_ratio, lone.grouplikes,
+                     lone.orbit_size), (G.name, r.operation.table)
 
 
 class TestAnalyze:

@@ -50,6 +50,8 @@ class TestEnumerate:
     def test_bound_exit_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "C12", "--bound", "8")
         assert code == 2 and err
+        code, out, err = run(capsys, "enumerate", "C3", "--bound", "0")
+        assert code == 2 and err and not out
 
     def test_unknown_group_exit_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "NoSuchGroup")

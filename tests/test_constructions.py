@@ -75,6 +75,14 @@ class TestPsiConstruction:
         with pytest.raises(NotIntoNormModCenter):
             psi_construction(G, [0, 7, 0, 0, 0, 0, 0, 0])
 
+    def test_rejects_lift_of_wrong_length(self):
+        G = group_by_name("Q8")
+        _, cosets = norm_mod_center(G)
+        reps = tuple(c[0] for c in cosets)
+        for lift in ((), reps[:-1], reps + (0,)):
+            with pytest.raises(NotIntoNormModCenter):
+                psi_construction(G, [0] * 8, lift=lift)
+
     def test_lift_independence_explicit(self):
         G = group_by_name("Q8")
         Q, cosets = norm_mod_center(G)

@@ -31,6 +31,7 @@ from skewbrace.groups import (
     is_homomorphism,
     is_normal,
     is_power_automorphism,
+    is_subgroup,
     isomorphism,
     make_group,
     quotient,
@@ -41,12 +42,10 @@ from skewbrace.groups import (
 
 
 def brute_force_subgroups(G):
-    """Oracle: close every subset of the element set."""
-    found = set()
-    for r in range(G.order + 1):
-        for seed in itertools.combinations(range(G.order), r):
-            found.add(closure(G, seed))
-    return found
+    """Oracle: every subset of the element set that is a subgroup."""
+    return {s for r in range(1, G.order + 1)
+            for s in itertools.combinations(range(G.order), r)
+            if is_subgroup(G, s)}
 
 
 def brute_force_automorphisms(G):
@@ -372,6 +371,12 @@ class TestProducts:
         swap_two = (0, 2, 1, 3)  # not an automorphism of C4
         with pytest.raises(NotAHomomorphism):
             semidirect_product(C4, C2, (tuple(range(4)), swap_two))
+        # maps that are not permutations of A's elements: too short, or
+        # an entry outside 0..|A|-1
+        C3 = group_by_name("C3")
+        for action in ([(0, 1), (0, 1)], [(0, 1, 2), (0, 2, 5)]):
+            with pytest.raises(NotAHomomorphism, match=r"action\[\d\]"):
+                semidirect_product(C3, C2, action)
 
     def test_action_must_be_homomorphism(self):
         C4, V4 = group_by_name("C4"), group_by_name("C2xC2")
