@@ -46,9 +46,9 @@ from .perms import (
     transport_operation,
 )
 
-ENUM_DEFAULT_BOUND = 27
-# orders whose holomorphs we exhaust unconditionally; above this only
-# cyclic targets are served unless heavy enumeration is enabled
+# a non-cyclic target above this order is refused unless enable_heavy is
+# set, as the full search of Hol(N) gets expensive; a cyclic target is
+# served by the n-cycle scan at every order
 _FULL_ENUM_MAX = 15
 
 
@@ -76,16 +76,16 @@ def _transport_table(table, images):
                  for a in range(n))
 
 
-def enumerate_operations(circ: FiniteGroup, *, bound: int | None = None,
+def enumerate_operations(circ: FiniteGroup, *,
                          enable_heavy: bool = False) -> tuple[SkewBrace, ...]:
     """All operations making a skew brace with the given circ, as braces
     sorted by operation table."""
-    classes = _classes(circ, bound, enable_heavy)
+    classes = _classes(circ, enable_heavy)
     tables = sorted(t for _, orbit in classes for t in orbit)
     return tuple(SkewBrace(_trusted_group(t), circ) for t in tables)
 
 
-def enumerate_reports(circ: FiniteGroup, *, bound: int | None = None,
+def enumerate_reports(circ: FiniteGroup, *,
                       enable_heavy: bool = False) -> tuple[HgsReport, ...]:
     """Analyzed census, one report per operation, canonically sorted.
 
@@ -95,8 +95,7 @@ def enumerate_reports(circ: FiniteGroup, *, bound: int | None = None,
     keeps type, bi-skewness and the image ratio.
     """
     out = []
-    for class_id, (found, orbit) in enumerate(
-            _classes(circ, bound, enable_heavy)):
+    for class_id, (found, orbit) in enumerate(_classes(circ, enable_heavy)):
         report = analyze(SkewBrace(_trusted_group(found), circ))
         for t, phi in orbit.items():
             out.append(replace(
@@ -111,46 +110,43 @@ def enumerate_reports(circ: FiniteGroup, *, bound: int | None = None,
     return tuple(out)
 
 
-def _classes(circ: FiniteGroup, bound: int | None, enable_heavy: bool):
-    """The census classes; only bound=None means the default bound, and it
-    shares the cache entry of the default passed explicitly."""
-    bound =ENUM_DEFAULT_BOUND if bound is None else bound
-    return _enumerate_classes(circ, bound, bool(enable_heavy))
+def _classes(circ: FiniteGroup, enable_heavy: bool):
+    """The census classes of circ, refused as its search is; enable_heavy
+    only lifts the refusal, so the cache entry is circ's alone."""
+    _regular_subgroup_search(circ, enable_heavy)
+    return _enumerate_classes(circ)
 
 
 def _regular_subgroup_search(circ: FiniteGroup, enable_heavy: bool):
-    """The search listing the regular subgroups of Hol(N) for types N of
-    circ's order: the full one, or above _FULL_ENUM_MAX without
-    enable_heavy the cyclic scan, which is exhaustive only for a cyclic
-    circ, so any other circ is refused."""
-    n = circ.order
-    if n <= _FULL_ENUM_MAX or enable_heavy:
-        return regular_subgroups_in_holomorph
-    if not circ.is_cyclic():
+    """The search listing the regular subgroups of Hol(N) that may be
+    isomorphic to circ, for types N of circ's order: the n-cycle scan for
+    a cyclic circ, which is exhaustive for it at every order, and the full
+    search otherwise, refused above _FULL_ENUM_MAX without enable_heavy."""
+    if circ.is_cyclic():
+        return cyclic_regular_subgroups_in_holomorph
+    if circ.order > _FULL_ENUM_MAX and not enable_heavy:
         raise OrderTooLarge(
-            f"full enumeration at order {n} requires enable_heavy "
+            f"full enumeration at order {circ.order} requires enable_heavy "
             "(holomorph search over every type is expensive)")
-    return cyclic_regular_subgroups_in_holomorph
+    return regular_subgroups_in_holomorph
 
 
 @functools.lru_cache(maxsize=None)
-def _enumerate_classes(circ: FiniteGroup, bound: int, enable_heavy: bool):
+def _enumerate_classes(circ: FiniteGroup):
     """Isomorphism classes of braces over circ, as (found, orbit) pairs
     sorted by the least table of the orbit.
 
     Route: per catalog type N of the same order, list the regular
-    subgroups of Hol(N); each one with transported structure isomorphic
-    to circ is a brace on N, pulled back to circ's labels along one
-    isomorphism; that is the found table.  The full operation set is the
+    subgroups of Hol(N), only the cyclic ones for a cyclic circ; each one
+    with transported structure isomorphic to circ is a brace on N, pulled
+    back to circ's labels along one isomorphism; that is the found table.  The full operation set is the
     union of the orbits under the automorphism action
     s ._phi t = phi(phi^-1(s) . phi^-1(t)); orbit maps each member to the
     images of the first phi that produces it from the found table.
     Every table is a relabeling of a valid one, so none is re-checked.
     """
     n = circ.order
-    if n > bound:
-        raise OrderTooLarge(f"order {n} exceeds the enumeration bound {bound}")
-    search = _regular_subgroup_search(circ, enable_heavy)
+    search = _regular_subgroup_search(circ, enable_heavy=True)
     types = groups_of_order(n)  # raises if the catalog is not complete
     aut_images = [f.images for f in automorphisms(circ)]
     seen: set = set()
@@ -225,12 +221,12 @@ def biskew_pair_report(B: SkewBrace) -> BiskewPairReport:
                             (n_dot, n_circ))
 
 
-def e_count(circG: FiniteGroup, N: FiniteGroup, *, bound: int | None = None,
+def e_count(circG: FiniteGroup, N: FiniteGroup, *,
             enable_heavy: bool = False) -> int:
     """Structures on a circG-extension whose type is N, counted per class:
     type is an orbit invariant, as orbits are relabelings by Aut(circG)."""
     return sum(len(orbit)
-               for found, orbit in _classes(circG, bound, enable_heavy)
+               for found, orbit in _classes(circG, enable_heavy)
                if are_isomorphic(_trusted_group(found), N))
 
 
@@ -260,13 +256,11 @@ def byott_check(circG: FiniteGroup, N: FiniteGroup, *,
     return True
 
 
-def all_surjective(circ: FiniteGroup, *, bound: int | None = None,
-                   enable_heavy: bool = False) -> bool:
+def all_surjective(circ: FiniteGroup, *, enable_heavy: bool = False) -> bool:
     """Whether every structure on a circ-extension has surjective
     correspondence (computed by exhaustive census)."""
     return all(r.is_surjective
-               for r in enumerate_reports(circ, bound=bound,
-                                          enable_heavy=enable_heavy))
+               for r in enumerate_reports(circ, enable_heavy=enable_heavy))
 
 
 def childs_criterion(circ: FiniteGroup) -> bool:

@@ -220,6 +220,7 @@ def brace_isomorphism(B1: SkewBrace, B2: SkewBrace) -> GroupMap | None:
     return None
 
 
+@functools.lru_cache(maxsize=None)
 def brace_automorphisms(B: SkewBrace) -> tuple[GroupMap, ...]:
     """Automorphisms of circ that also preserve dot."""
     dt = B.dot.table

@@ -185,17 +185,14 @@ def group_by_name(name: str) -> FiniteGroup:
 
 
 @functools.lru_cache(maxsize=None)
-def groups_of_order(order: int, *, allow_partial: bool = False) \
-        -> tuple[FiniteGroup, ...]:
-    """All catalog groups of one order, complete unless allow_partial."""
+def groups_of_order(order: int) -> tuple[FiniteGroup, ...]:
+    """All groups of one order, refused unless the catalog is complete."""
     found = tuple(G for G in _entries().values() if G.order == order)
     if order in COMPLETE_ORDERS:
         if len(found) != GROUP_COUNTS[order]:
             raise CatalogIncompleteForOrder(
                 f"catalog stores {len(found)} groups of order {order}, "
                 f"expected {GROUP_COUNTS[order]}")
-        return found
-    if allow_partial:
         return found
     if found:
         raise CatalogIncompleteForOrder(
@@ -205,12 +202,8 @@ def groups_of_order(order: int, *, allow_partial: bool = False) \
 
 def type_name(G: FiniteGroup) -> str:
     """Catalog label of the isomorphism class, or a stable fallback."""
-    try:
-        candidates = groups_of_order(G.order, allow_partial=True)
-    except (UnsupportedOrder, CatalogIncompleteForOrder):
-        candidates = ()
-    for H in candidates:
-        if isomorphism(G, H) is not None:
+    for H in _entries().values():
+        if H.order == G.order and isomorphism(G, H) is not None:
             return H.name
     digest = hashlib.sha256(repr(_fingerprint(G)).encode()).hexdigest()[:8]
     return f"unknown-order-{G.order}-#{digest}"

@@ -76,7 +76,7 @@ def _format_table(reports) -> str:
 def cmd_enumerate(args) -> int:
     G = _resolve_group(args.group)
     reports = analysis.enumerate_reports(
-        G, bound=args.bound, enable_heavy=args.enable_heavy_orders)
+        G, enable_heavy=args.enable_heavy_orders)
     if args.format == "json":
         payload = serialize.reports_to_text(reports)
     else:
@@ -268,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--out", help="write the report list here")
     p_enum.add_argument("--format", choices=("json", "table"),
                         default="json")
-    p_enum.add_argument("--bound", type=int, default=None,
-                        help="largest order to enumerate")
-    p_enum.add_argument("--enable-heavy-orders", action="store_true")
+    p_enum.add_argument(
+        "--enable-heavy-orders", action="store_true",
+        help="serve a non-cyclic group above order 15 by the full holomorph "
+             "search instead of refusing it; never changes a result")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_an = sub.add_parser("analyze",
@@ -283,7 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", choices=sorted(_SUITES) + ["all"])
-    p_ver.add_argument("--enable-heavy-orders", action="store_true")
+    p_ver.add_argument(
+        "--enable-heavy-orders", action="store_true",
+        help="add the degree-8 symmetric-group oracle to the bijection suite")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

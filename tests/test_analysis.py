@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from conftest import refuse_searches
 
+from skewbrace import analysis
 from skewbrace.analysis import (
     all_surjective,
     analyze,
@@ -24,14 +26,19 @@ from skewbrace.braces import (
     make_brace,
     trivial_brace,
 )
-from skewbrace.catalog import group_by_name, groups_of_order
+from skewbrace.catalog import cyclic, dihedral, group_by_name, groups_of_order
 from skewbrace.constructions import inversion_construction
 from skewbrace.errors import (
     CatalogIncompleteForOrder,
     NotBiSkew,
     OrderTooLarge,
+    UnsupportedOrder,
 )
 from skewbrace.groups import automorphisms, distinguished_subgroups, subgroups
+
+# every catalog target the census serves without enable_heavy
+SERVED = [*(G for n in range(1, 16) for G in groups_of_order(n)),
+          group_by_name("C27")]
 
 
 class TestEnumerate:
@@ -57,16 +64,44 @@ class TestEnumerate:
         for name, expected in totals.items():
             assert len(enumerate_operations(group_by_name(name))) == expected
 
-    def test_bound_enforced(self):
-        with pytest.raises(OrderTooLarge):
-            enumerate_operations(group_by_name("C12"), bound=8)
-        # bound=0 is a bound, not "use the default"
-        C3 = group_by_name("C3")
-        for census in (enumerate_operations, enumerate_reports):
-            with pytest.raises(OrderTooLarge):
-                census(C3, bound=0)
-        with pytest.raises(OrderTooLarge):
-            e_count(C3, C3, bound=0)
+    def test_unservable_orders_refused(self):
+        # an order the catalog does not hold completely is refused on any
+        # route; a non-cyclic target above order 15 is refused first,
+        # unless enable_heavy is set
+        C30, D9, D8 = cyclic(30), dihedral(9), group_by_name("D8")
+        cases = [(C30, False, UnsupportedOrder), (C30, True, UnsupportedOrder),
+                 (D9, False, OrderTooLarge), (D9, True, UnsupportedOrder),
+                 (D8, False, OrderTooLarge),
+                 (D8, True, CatalogIncompleteForOrder)]
+        for G, heavy, error in cases:
+            for census in (enumerate_operations, enumerate_reports,
+                           lambda G, **kw: e_count(G, G, **kw)):
+                with pytest.raises(error):
+                    census(G, enable_heavy=heavy)
+
+    def test_cyclic_targets_never_search_full_holomorph(self, monkeypatch):
+        # the n-cycle scan serves every cyclic target, flag or not
+        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
+        analysis._enumerate_classes.cache_clear()
+        for G in SERVED:
+            if not G.is_cyclic():
+                continue
+            for heavy in (False, True):
+                ops = enumerate_operations(G, enable_heavy=heavy)
+                reports = enumerate_reports(G, enable_heavy=heavy)
+                assert len(ops) == len(reports) > 0
+                assert e_count(G, G, enable_heavy=heavy) > 0
+                assert f_count(G, G, enable_heavy=heavy) > 0
+
+    def test_enable_heavy_changes_no_result(self, monkeypatch):
+        # the flag only lifts a refusal: same classes, same cache entry
+        plain = {G: (enumerate_operations(G), enumerate_reports(G))
+                 for G in SERVED}
+        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph",
+                        "cyclic_regular_subgroups_in_holomorph")
+        for G, (ops, reports) in plain.items():
+            assert enumerate_operations(G, enable_heavy=True) == ops
+            assert enumerate_reports(G, enable_heavy=True) == reports
 
     def test_incomplete_order_refused(self):
         with pytest.raises(CatalogIncompleteForOrder):

@@ -5,7 +5,10 @@ import subprocess
 import sys
 
 
-from skewbrace.catalog import group_by_name
+from conftest import refuse_searches
+
+from skewbrace import analysis
+from skewbrace.catalog import cyclic, dihedral, group_by_name
 from skewbrace.cli import main
 from skewbrace.groups import opposite_group
 from skewbrace.serialize import write_group
@@ -47,11 +50,22 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "C16")
         assert code == 2 and err
 
-    def test_bound_exit_2(self, capsys):
-        code, _, err = run(capsys, "enumerate", "C12", "--bound", "8")
-        assert code == 2 and err
-        code, out, err = run(capsys, "enumerate", "C3", "--bound", "0")
-        assert code == 2 and err and not out
+    def test_unservable_order_exit_2(self, capsys, tmp_path):
+        for G in (cyclic(30), dihedral(9)):
+            path = tmp_path / f"{G.name}.json"
+            write_group(G, path)
+            for flags in ((), ("--enable-heavy-orders",)):
+                code, out, err = run(capsys, "enumerate", str(path), *flags)
+                assert code == 2 and err and not out, (G.name, flags)
+
+    def test_heavy_flag_changes_no_output(self, capsys, monkeypatch):
+        # C27 takes the n-cycle scan with or without the flag
+        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
+        analysis._enumerate_classes.cache_clear()
+        heavy = run(capsys, "enumerate", "C27", "--enable-heavy-orders")
+        assert heavy == run(capsys, "enumerate", "C27")
+        assert heavy[0] == 0 and heavy[1].endswith(
+            "total=9 cyclic_type=9 surjective=9\n")
 
     def test_unknown_group_exit_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "NoSuchGroup")

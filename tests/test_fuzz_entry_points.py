@@ -1,0 +1,108 @@
+"""Malformed input at the validating entry points fails with a named error.
+
+`group_from_text`, `make_group`, `regular_subgroup` and `make_brace` either
+return their object or raise a `SkewbraceError`; no bare `TypeError`,
+`IndexError` or `ValueError` may escape them.
+"""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from skewbrace.braces import SkewBrace, make_brace
+from skewbrace.catalog import groups_of_order
+from skewbrace.errors import SkewbraceError
+from skewbrace.groups import FiniteGroup, make_group, opposite_group
+from skewbrace.perms import RegularSubgroup, regular_subgroup
+from skewbrace.serialize import group_from_text
+
+SMALL = [G for n in range(1, 7) for G in groups_of_order(n)]
+FEW = settings(max_examples=60, deadline=None)
+
+scalars = (st.none() | st.booleans() | st.integers(-2, 7)
+           | st.floats(allow_nan=True) | st.text(max_size=2))
+junk = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=1), inner, max_size=2)),
+    max_leaves=12)
+
+
+@st.composite
+def near_tables(draw):
+    """A valid table of small order with one entry changed, most often to
+    an integer, which may be out of range."""
+    G = draw(st.sampled_from(SMALL))
+    n = G.order
+    rows = [list(row) for row in G.table]
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    rows[a][b] = draw(st.integers(-1, n) if draw(st.booleans()) else scalars)
+    return rows
+
+
+@st.composite
+def ragged_tables(draw):
+    """Rows of unequal length and entries of any kind."""
+    n = draw(st.integers(0, 4))
+    entry = st.integers(-1, n) | scalars
+    size = {"min_size": max(n - 1, 0), "max_size": n + 1}
+    return draw(st.lists(st.lists(entry, **size), **size))
+
+
+tables = near_tables() | ragged_tables() | junk
+groups = st.sampled_from(SMALL)
+
+
+def named_errors_only(call, *args, returns):
+    try:
+        result = call(*args)
+    except SkewbraceError:
+        return None
+    assert isinstance(result, returns)
+    return result
+
+
+@given(tables)
+@FEW
+def test_make_group(table):
+    named_errors_only(make_group, table, returns=FiniteGroup)
+
+
+@given(st.text(max_size=30)
+       | st.builds(lambda order, table: json.dumps(
+           {"order": order, "table": table}), junk, tables)
+       | st.builds(json.dumps, junk))
+@FEW
+def test_group_from_text(text):
+    named_errors_only(group_from_text, text, returns=FiniteGroup)
+
+
+# the rows of a Cayley table are its left translations, a regular subgroup;
+# also n short integer lists on about n points, and sets of permutations
+perm_sets = (near_tables() | junk
+             | st.integers(1, 4).flatmap(lambda n: st.lists(
+                 st.lists(st.integers(-1, n), min_size=n, max_size=n),
+                 min_size=n, max_size=n))
+             | st.integers(1, 4).flatmap(lambda n: st.lists(
+                 st.permutations(range(n)), max_size=n + 1)))
+
+
+@given(perm_sets)
+@FEW
+def test_regular_subgroup(perms):
+    R = named_errors_only(regular_subgroup, perms, returns=RegularSubgroup)
+    if R is not None:
+        points = list(range(len(R.elements)))
+        assert all(sorted(p) == points for p in R.elements)
+
+
+@given(st.one_of(
+    st.tuples(tables, tables),
+    st.tuples(groups, tables),
+    st.tuples(groups, groups),
+    st.tuples(groups, groups.map(opposite_group)),
+))
+@FEW
+def test_make_brace(pair):
+    named_errors_only(make_brace, *pair, returns=SkewBrace)
