@@ -27,7 +27,13 @@ from .braces import (
     swap,
 )
 from .catalog import COMPLETE_ORDERS, groups_of_order, type_name
-from .errors import InternalInconsistency, NotBiSkew, OrderTooLarge, require
+from .errors import (
+    BadParameters,
+    InternalInconsistency,
+    NotBiSkew,
+    OrderTooLarge,
+    require,
+)
 from .groups import (
     FiniteGroup,
     GroupMap,
@@ -288,7 +294,7 @@ def kohl_obstruction(circ: FiniteGroup, N: FiniteGroup) -> int | None:
     subgroups of circ, or None.  A witness rules out structures of type N,
     which is checked against the census whenever that census is cheap."""
     if circ.order != N.order:
-        raise OrderTooLarge("groups must have equal order")
+        raise BadParameters("groups must have equal order")
     char = distinguished_subgroups(N).characteristic
     subs = subgroups(circ)
     witness = None

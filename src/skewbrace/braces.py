@@ -5,6 +5,13 @@ Conventions follow the group layer: shared identity 0, immutable values,
 canonical sorted tuples for subgroup sets.  "dot" is the first operation
 (the one whose isomorphism class is the structure's type), "circ" the
 second (the ambient/Galois one).
+
+The law says that each gamma(s): t -> s^-1 . (s o t) is a dot-endomorphism,
+and gamma is then a circ-homomorphism into Aut(dot).  Like the group
+layer, every check here runs on generators: the brace law, gamma's
+invariants, bi-skewness, brace automorphisms and brace isomorphisms each
+test a map against multiplication by the generators of one operation,
+which decides it on every product.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Subgroup,
+    _respects_generators,
     automorphisms,
     direct_product,
+    generating_set,
     is_normal,
     is_subgroup,
     isomorphism,
@@ -80,13 +89,16 @@ def make_brace(dot, circ) -> SkewBrace:
         raise IdentityMismatch("identity rows differ")
     dt, ct = dot.table, circ.table
     dinv = dot.inverse
+    # the law at (s, t, k) says lambda_s(t.k) = lambda_s(t).lambda_s(k) for
+    # lambda_s(x) = s^-1.(s o x), which fixes 0: generators k suffice
+    gens = generating_set(dot)
     for s in range(n):
         cs = ct[s]
         si = dinv[s]
         for t in range(n):
             left_part = dt[cs[t]][si]
             dtt = dt[t]
-            for k in range(n):
+            for k in gens:
                 if cs[dtt[k]] != dt[left_part][cs[k]]:
                     raise BraceLawViolated(
                         f"law fails at (s, t, k) = ({s}, {t}, {k})")
@@ -105,23 +117,29 @@ def almost_trivial_brace(G: FiniteGroup) -> SkewBrace:
 def gamma(B: SkewBrace) -> GammaTable:
     """The gamma table, with its three defining invariants checked.  The
     dot-endomorphism check is the brace law: s o (t.k) = s.gamma(s)(t.k)
-    and (s o t).s^-1.(s o k) = s.gamma(s)(t).gamma(s)(k)."""
+    and (s o t).s^-1.(s o k) = s.gamma(s)(t).gamma(s)(k).  Both
+    homomorphism checks run on generators: gamma(s) fixes 0, and gamma(0)
+    is the identity, so respecting every generator means respecting every
+    product."""
     dot, circ = B.dot, B.circ
     n = B.order
     dt, ct = dot.table, circ.table
     dinv = dot.inverse
     maps = tuple(tuple(dt[dinv[s]][ct[s][t]] for t in range(n))
                  for s in range(n))
+    identity = tuple(range(n))
+    require(maps[0] == identity, "gamma(0) is not the identity")
+    dot_gens, circ_gens = generating_set(dot), generating_set(circ)
     for m in maps:
-        require(sorted(m) == list(range(n)), "gamma value is not a bijection")
-        require(all(m[dt[a][b]] == dt[m[a]][m[b]]
-                    for a in range(n) for b in range(n)),
+        require(sorted(m) == list(identity), "gamma value is not a bijection")
+        require(_respects_generators(m, dot, dot, dot_gens),
                 "gamma value is not a dot-endomorphism")
     for s in range(n):
-        for t in range(n):
-            st = ct[s][t]
-            composed = tuple(maps[s][maps[t][x]] for x in range(n))
-            require(maps[st] == composed, "gamma is not a circ-homomorphism")
+        ms = maps[s]
+        for t in circ_gens:
+            composed = tuple(ms[x] for x in maps[t])
+            require(maps[ct[s][t]] == composed,
+                    "gamma is not a circ-homomorphism")
     return GammaTable(maps)
 
 
@@ -185,13 +203,11 @@ def is_bi_skew(B: SkewBrace) -> bool:
     When true, the swapped pair is itself a valid brace whose gamma is the
     pointwise inverse; both facts are checked.
     """
-    ct = B.circ.table
     n = B.order
     g = gamma(B)
-    for m in g.maps:
-        if not all(m[ct[a][b]] == ct[m[a]][m[b]]
-                   for a in range(n) for b in range(n)):
-            return False
+    gens = generating_set(B.circ)
+    if not all(_respects_generators(m, B.circ, B.circ, gens) for m in g.maps):
+        return False
     gs = gamma(SkewBrace(B.circ, B.dot))
     cinv = B.circ.inverse
     for s in range(n):
@@ -210,12 +226,10 @@ def brace_isomorphism(B1: SkewBrace, B2: SkewBrace) -> GroupMap | None:
     f0 = isomorphism(B1.dot, B2.dot)
     if f0 is None:
         return None
-    ct1, ct2 = B1.circ.table, B2.circ.table
-    n = B1.order
+    gens = generating_set(B1.circ)
     for a in automorphisms(B1.dot):
         im = tuple(f0.images[x] for x in a.images)
-        if all(im[ct1[s][t]] == ct2[im[s]][im[t]]
-               for s in range(n) for t in range(n)):
+        if _respects_generators(im, B1.circ, B2.circ, gens):
             return GroupMap(B1.dot, B2.dot, im)
     return None
 
@@ -223,15 +237,9 @@ def brace_isomorphism(B1: SkewBrace, B2: SkewBrace) -> GroupMap | None:
 @functools.lru_cache(maxsize=None)
 def brace_automorphisms(B: SkewBrace) -> tuple[GroupMap, ...]:
     """Automorphisms of circ that also preserve dot."""
-    dt = B.dot.table
-    n = B.order
-    out = []
-    for f in automorphisms(B.circ):
-        im = f.images
-        if all(im[dt[a][b]] == dt[im[a]][im[b]]
-               for a in range(n) for b in range(n)):
-            out.append(f)
-    return tuple(out)
+    gens = generating_set(B.dot)
+    return tuple(f for f in automorphisms(B.circ)
+                 if _respects_generators(f.images, B.dot, B.dot, gens))
 
 
 def brace_automorphism_count(B: SkewBrace) -> int:

@@ -8,6 +8,8 @@ results for the same group.
 
 from __future__ import annotations
 
+import operator
+
 from .braces import SkewBrace, gamma, is_bi_skew, left_ideals, make_brace
 from .catalog import cyclic
 from .errors import (
@@ -27,6 +29,7 @@ from .groups import (
     distinguished_subgroups,
     homomorphisms,
     inversion_action,
+    is_homomorphism,
     is_power_automorphism,
     quotient,
     semidirect_product,
@@ -56,22 +59,21 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
     which is checked by recomputing with the opposite choice.
     """
     Q, cosets = norm_mod_center(G)
-    images = tuple(psi.images if isinstance(psi, GroupMap) else psi)
-    if len(images) != G.order or any(not 0 <= q < Q.order for q in images):
+    images = _indices(psi.images if isinstance(psi, GroupMap) else psi)
+    if images is None or len(images) != G.order \
+            or any(not 0 <= q < Q.order for q in images):
         raise NotIntoNormModCenter(
             f"psi must map all {G.order} elements into the "
             f"{Q.order}-element quotient of the norm by the centre")
-    if images[0] != 0 or any(
-            images[G.mul(a, b)] != Q.mul(images[a], images[b])
-            for a in range(G.order) for b in range(G.order)):
+    if not is_homomorphism(GroupMap(G, Q, images)):
         raise NotAHomomorphism("psi is not a homomorphism into the quotient")
 
     if lift is None:
         lift = tuple(c[0] for c in cosets)
     else:
-        lift = tuple(lift)
-        if len(lift) != Q.order or any(lift[q] not in cosets[q]
-                                       for q in range(Q.order)):
+        lift = _indices(lift)
+        if lift is None or len(lift) != Q.order \
+                or any(lift[q] not in cosets[q] for q in range(Q.order)):
             raise NotIntoNormModCenter("lift picks non-representatives")
 
     def build(reps):
@@ -99,6 +101,14 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
         require(is_power_automorphism(G, GroupMap(G, G, g(s))),
                 "psi gamma is not a power automorphism")
     return B
+
+
+def _indices(values) -> tuple[int, ...] | None:
+    """The values as a tuple of ints, or None when they are not."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        return None
 
 
 def all_psi_braces(G: FiniteGroup) -> list[SkewBrace]:
@@ -168,14 +178,21 @@ def cpr_cps_brace(p: int, r: int, s: int) -> SkewBrace:
     """Brace on C_{p^r} x C_{p^s} whose dot twists the second coordinate
     by the product of first-coordinate exponents; the first factor is not
     a left ideal (it is not even dot-closed)."""
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
-        raise BadParameters(f"p = {p} is not prime")
+    try:
+        p, r, s = map(operator.index, (p, r, s))
+    except TypeError:
+        raise BadParameters(
+            f"p, r, s must be integers, got {p!r}, {r!r}, {s!r}") from None
     if not 1 <= s <= r:
         raise BadParameters("need 1 <= s <= r")
+    # a prime p has p^7 > 64, so no power above p^6 is built, and the
+    # primality test only ever sees p <= 8
+    if r + s > 6 or p ** (r + s) > 64:
+        raise BadParameters(f"order {p}^{r + s} exceeds the desk bound of 64")
+    if p < 2 or any(p % d == 0 for d in range(2, p)):
+        raise BadParameters(f"p = {p} is not prime")
     pr, ps = p ** r, p ** s
     n = pr * ps
-    if n > 64:
-        raise BadParameters(f"order {n} exceeds the desk bound of 64")
     circ = direct_product(cyclic(pr), cyclic(ps))
     table = [[0] * n for _ in range(n)]
     for i in range(pr):

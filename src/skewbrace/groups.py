@@ -7,6 +7,14 @@ enters, by make_group; a table derived from valid groups (a quotient, a
 subgroup, a semidirect product along a checked action, a relabeling along
 a bijection) is a group by construction and _trusted_group builds it as is.
 
+Every law is checked on generators, by one argument: a map that respects
+multiplication by every generator (x -> x*g) respects every word in them,
+so every product.  is_homomorphism, center, is_normal and the action check
+of semidirect_product use generating_set(G); make_group uses Light's
+associativity test on the generators its checked Latin square reaches
+every element by.  Each check accepts exactly what the full pair or
+triple loop accepts, and names a pair or triple that really fails.
+
 Homomorphisms are found by backtracking over the images of
 generating_set(G).  Aut(G) is built from the stabilizer chain on those
 generators: one transversal per level, taken from the first extension the
@@ -67,7 +75,8 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         t = self.table
-        return all(row[b] == t[b][a] for a, row in enumerate(t) for b in range(a))
+        return all(t[a][b] == t[b][a]
+                   for a, b in itertools.combinations(generating_set(self), 2))
 
     def is_cyclic(self) -> bool:
         n = self.order
@@ -91,8 +100,9 @@ class FiniteGroup:
 def make_group(table, name: str | None = None) -> FiniteGroup:
     """Validate a Cayley table and return the group it defines.
 
-    Raises NoIdentityAtZero, NotLatinSquare or NotAssociative, naming the
-    first offending element or triple.
+    Raises NoIdentityAtZero, NotLatinSquare or NotAssociative, naming an
+    offending element or triple.  Associativity is Light's test on the
+    generators the square's own rows reach every element by.
     """
     try:
         given = tuple(table)
@@ -121,13 +131,13 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     for b in range(n):
         if len({rows[a][b] for a in range(n)}) != n:
             raise NotLatinSquare(f"column {b} is not a permutation of 0..{n - 1}")
-    for a in range(n):
-        ra = rows[a]
-        for b in range(n):
-            rab = rows[ra[b]]
-            rb = rows[b]
-            for c in range(n):
-                if rab[c] != ra[rb[c]]:
+    # Light's test: the c with (a*b)*c = a*(b*c) for all a, b are closed
+    # under products, so checking the c that reach every element suffices
+    for c in _greedy_generators(rows):
+        right_c = [row[c] for row in rows]
+        for a, ra in enumerate(rows):
+            for b in range(n):
+                if right_c[ra[b]] != ra[right_c[b]]:
                     raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
     return _trusted_group(rows, name)
 
@@ -227,7 +237,7 @@ def subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 def is_normal(G: FiniteGroup, sub) -> bool:
     s = set(sub)
-    return all(G.conj(a, g) in s for a in s for g in range(G.order))
+    return all(G.conj(a, g) in s for a in s for g in generating_set(G))
 
 
 def normalizer(G: FiniteGroup, sub) -> Subgroup:
@@ -238,8 +248,9 @@ def normalizer(G: FiniteGroup, sub) -> Subgroup:
 
 def center(G: FiniteGroup) -> Subgroup:
     t = G.table
-    n = G.order
-    return tuple(a for a in range(n) if all(t[a][b] == t[b][a] for b in range(n)))
+    gens = generating_set(G)
+    return tuple(a for a, row in enumerate(t)
+                 if all(row[g] == t[g][a] for g in gens))
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
@@ -277,22 +288,56 @@ class GroupMap:
 
 
 def is_homomorphism(f: GroupMap) -> bool:
-    s, t, im = f.source.table, f.target.table, f.images
-    n = len(im)
-    return im[0] == 0 and all(im[s[a][b]] == t[im[a]][im[b]]
-                              for a in range(n) for b in range(n))
+    return f.images[0] == 0 and _respects_generators(
+        f.images, f.source, f.target, generating_set(f.source))
+
+
+def _respects_generators(images, source: FiniteGroup, target: FiniteGroup,
+                         gens) -> bool:
+    """images[a*g] == images[a]*images[g] for every a and every g in gens.
+    The b with images[a*b] == images[a]*images[b] for all a are closed
+    under products, so when images[0] == 0 and gens generate the source
+    this is the same as the law for every pair."""
+    tt = target.table
+    return all(images[row[g]] == tt[images[a]][images[g]]
+               for a, row in enumerate(source.table) for g in gens)
 
 
 @functools.lru_cache(maxsize=None)
 def generating_set(G: FiniteGroup) -> tuple[int, ...]:
     """Deterministic generators: repeatedly adjoin the least element outside
     the closure of what we have."""
-    gens = []
-    have = {0}
-    while len(have) < G.order:
-        g = min(a for a in range(G.order) if a not in have)
+    return _greedy_generators(G.table)
+
+
+def _greedy_generators(table) -> tuple[int, ...]:
+    """Adjoin the least element not yet reached from 0 along x -> x*g,
+    until every element is reached.  Needs only a Latin square with
+    identity 0, so make_group can use it before associativity is known;
+    on a group the reached set is the subgroup generated."""
+    n = len(table)
+    gens: list[int] = []
+    seen = [True] + [False] * (n - 1)
+    reached = [0]
+    while len(reached) < n:
+        g = seen.index(False)
         gens.append(g)
-        have = set(closure(G, gens))
+        # old members are closed under the old generators; they need only
+        # g, and every newly reached element needs every generator
+        new = []
+        for x in reached:
+            y = table[x][g]
+            if not seen[y]:
+                seen[y] = True
+                new.append(y)
+        for x in new:
+            row = table[x]
+            for h in gens:
+                y = row[h]
+                if not seen[y]:
+                    seen[y] = True
+                    new.append(y)
+        reached += new
     return tuple(gens)
 
 
@@ -508,16 +553,24 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     action is a sequence of |B| permutations of A's elements; it must be a
     homomorphism from B into Aut(A).
     """
-    action = tuple(tuple(p) for p in action)
+    try:
+        action = tuple(tuple(map(operator.index, p)) for p in action)
+    except TypeError:
+        raise NotAHomomorphism(
+            f"action {action!r} is not a sequence of maps of A") from None
     if len(action) != B.order:
         raise NotAHomomorphism("action must assign one map per element of B")
+    ident = tuple(range(A.order))
     for b, p in enumerate(action):
-        if sorted(p) != list(range(A.order)) \
+        if sorted(p) != list(ident) \
                 or not is_homomorphism(GroupMap(A, A, p)):
             raise NotAHomomorphism(f"action[{b}] is not an automorphism of A")
+    # with action[0] the identity, products of generators of B suffice
+    if action[0] != ident:
+        raise NotAHomomorphism("action[0] is not the identity of A")
     for b1 in range(B.order):
-        for b2 in range(B.order):
-            composed = tuple(action[b1][action[b2][a]] for a in range(A.order))
+        for b2 in generating_set(B):
+            composed = tuple(action[b1][action[b2][a]] for a in ident)
             if composed != action[B.table[b1][b2]]:
                 raise NotAHomomorphism(
                     f"action[{b1}]*action[{b2}] != action[{b1}*{b2}]")

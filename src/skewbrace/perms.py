@@ -61,7 +61,7 @@ def _cycle_length(p: Perm, i: int) -> int:
 
 
 def is_fixed_point_free(p: Perm) -> bool:
-    return all(p[i] != i for i in range(len(p)))
+    return not any(map(operator.eq, p, range(len(p))))
 
 
 def left_translations(G: FiniteGroup) -> tuple[Perm, ...]:
@@ -187,48 +187,53 @@ def _grow_regular(candidates_by_start, n: int, accept) -> None:
 
     Grows a closed, fixed-point-free partial subgroup one candidate at a
     time; the candidate always sends 0 to the least uncovered point, so
-    every regular subgroup is reached along exactly one branch.
+    every regular subgroup is reached along exactly one branch.  The
+    candidates taken so far generate the partial subgroup.
     """
 
-    def close_with(members: dict[int, Perm], new: Perm):
-        # members maps value-at-0 to the unique element taking 0 there;
-        # pairs among old members were verified in the previous step
+    def close_with(members: dict[int, Perm], gens: tuple[Perm, ...]):
+        # members maps value-at-0 to the unique element taking 0 there and
+        # is closed under gens[:-1]; <members, c> for c = gens[-1] is reached
+        # breadth-first along x -> x*g: old members need only c, new ones
+        # every generator
+        c = gens[-1]
         out = dict(members)
-        out[new[0]] = new
-        work = list(out.values())
-        i = len(work) - 1
-        while i < len(work):
-            p = work[i]
-            for j in range(len(work)):
-                q = work[j]
-                for r in (compose(p, q), compose(q, p)):
-                    known = out.get(r[0])
-                    if known is not None:
-                        if known != r:
-                            return None
-                        continue
-                    if not is_fixed_point_free(r):
-                        return None
-                    if len(out) >= n:
-                        return None
-                    out[r[0]] = r
-                    work.append(r)
-            i += 1
+        out[c[0]] = c
+        new = [c]
+
+        def add(r: Perm) -> bool:
+            known = out.get(r[0])
+            if known is not None:
+                return known == r
+            if not is_fixed_point_free(r) or len(out) >= n:
+                return False
+            out[r[0]] = r
+            new.append(r)
+            return True
+
+        for x in members.values():
+            if not add(compose(x, c)):
+                return None
+        for x in new:
+            for g in gens:
+                if not add(compose(x, g)):
+                    return None
         if n % len(out) != 0:
             return None
         return out
 
-    def grow(members: dict[int, Perm]) -> None:
+    def grow(members: dict[int, Perm], gens: tuple[Perm, ...]) -> None:
         if len(members) == n:
             accept(tuple(sorted(members.values())))
             return
         g = min(x for x in range(n) if x not in members)
         for cand in candidates_by_start.get(g, ()):
-            grown = close_with(members, cand)
+            extended = gens + (cand,)
+            grown = close_with(members, extended)
             if grown is not None:
-                grow(grown)
+                grow(grown, extended)
 
-    grow({0: tuple(range(n))})
+    grow({0: tuple(range(n))}, ())
 
 
 @functools.lru_cache(maxsize=None)

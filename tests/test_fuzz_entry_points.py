@@ -1,18 +1,30 @@
 """Malformed input at the validating entry points fails with a named error.
 
-`group_from_text`, `make_group`, `regular_subgroup` and `make_brace` either
-return their object or raise a `SkewbraceError`; no bare `TypeError`,
-`IndexError` or `ValueError` may escape them.
+`group_from_text`, `make_group`, `regular_subgroup`, `make_brace`,
+`semidirect_product`, `psi_construction`, `cpr_cps_brace` and
+`kohl_obstruction` either return their result or raise a
+`SkewbraceError`; no bare `TypeError`, `IndexError` or `ValueError` may
+escape them.
 """
 
 import json
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
+from skewbrace.analysis import kohl_obstruction
 from skewbrace.braces import SkewBrace, make_brace
-from skewbrace.catalog import groups_of_order
-from skewbrace.errors import SkewbraceError
-from skewbrace.groups import FiniteGroup, make_group, opposite_group
+from skewbrace.catalog import group_by_name, groups_of_order
+from skewbrace.constructions import cpr_cps_brace, psi_construction
+from skewbrace.errors import BadParameters, SkewbraceError
+from skewbrace.groups import (
+    FiniteGroup,
+    automorphisms,
+    make_group,
+    opposite_group,
+    semidirect_product,
+)
 from skewbrace.perms import RegularSubgroup, regular_subgroup
 from skewbrace.serialize import group_from_text
 
@@ -106,3 +118,74 @@ def test_regular_subgroup(perms):
 @FEW
 def test_make_brace(pair):
     named_errors_only(make_brace, *pair, returns=SkewBrace)
+
+
+TINY = [G for n in range(1, 5) for G in groups_of_order(n)]
+
+
+@st.composite
+def actions(draw):
+    """One map per element of B: automorphisms of A, sometimes with one
+    entry changed or a map replaced by junk."""
+    A, B = draw(st.sampled_from(TINY)), draw(st.sampled_from(TINY))
+    auts = [list(f.images) for f in automorphisms(A)]
+    action = [list(draw(st.sampled_from(auts))) for _ in range(B.order)]
+    if draw(st.booleans()):
+        p = action[draw(st.integers(0, B.order - 1))]
+        p[draw(st.integers(0, A.order - 1))] = draw(
+            st.integers(-1, A.order) | scalars)
+    if draw(st.booleans()):
+        action[draw(st.integers(0, B.order - 1))] = draw(junk)
+    return A, B, draw(st.just(action) | junk)
+
+
+@given(actions())
+@FEW
+def test_semidirect_product(args):
+    named_errors_only(semidirect_product, *args, returns=FiniteGroup)
+
+
+# groups whose norm-mod-centre quotient is trivial, and Q8 and D4, whose
+# quotient is C2 x C2
+PSI_GROUPS = SMALL + [group_by_name("Q8"), group_by_name("D4")]
+index_lists = st.lists(st.integers(-1, 4) | scalars, min_size=0, max_size=9)
+
+
+@given(st.sampled_from(PSI_GROUPS),
+       index_lists | st.lists(st.floats(0, 3), min_size=8, max_size=8)
+       | junk,
+       st.none() | index_lists | junk)
+@FEW
+def test_psi_construction(G, psi, lift):
+    named_errors_only(psi_construction, G, psi, lift, returns=SkewBrace)
+
+
+def test_psi_construction_rejects_non_integer_images():
+    Q8 = group_by_name("Q8")
+    for psi in (["a"] * 8, [0.0] * 8, 5):
+        with pytest.raises(SkewbraceError):
+            psi_construction(Q8, psi)
+
+
+parameters = st.integers(-3, 9) | st.integers() | scalars
+
+
+@given(parameters, parameters, parameters)
+@FEW
+def test_cpr_cps_brace(p, r, s):
+    named_errors_only(cpr_cps_brace, p, r, s, returns=SkewBrace)
+
+
+def test_cpr_cps_brace_rejects_non_integers():
+    for args in ((2.5, 1, 1), (2, "1", 1), (2, 1, None)):
+        with pytest.raises(BadParameters):
+            cpr_cps_brace(*args)
+
+
+@given(groups, groups)
+@FEW
+def test_kohl_obstruction(circ, N):
+    try:
+        kohl_obstruction(circ, N)
+    except BadParameters:
+        assert circ.order != N.order

@@ -1,0 +1,411 @@
+"""Laws checked on generators agree with the full pair and triple loops.
+
+The package checks every group and brace law on a generating set: a map
+that respects multiplication by every generator respects every word, so
+every product.  Each test here keeps the full loop that the generator
+check replaced, as an oracle, and compares the two exhaustively on small
+inputs: all reduced Latin squares of order <= 6, all ordered pairs of the
+groups among them, and the regular-subgroup searches of small orders.
+"""
+
+import functools
+import itertools
+import re
+
+import pytest
+
+from skewbrace.braces import (
+    SkewBrace,
+    brace_automorphisms,
+    brace_isomorphism,
+    gamma,
+    is_bi_skew,
+    make_brace,
+)
+from skewbrace.catalog import group_by_name, groups_of_order
+from skewbrace.errors import (
+    BraceLawViolated,
+    InternalInconsistency,
+    NotAHomomorphism,
+    NotAssociative,
+)
+from skewbrace.groups import (
+    GroupMap,
+    automorphisms,
+    center,
+    closure,
+    generating_set,
+    is_homomorphism,
+    is_normal,
+    isomorphism,
+    make_group,
+    semidirect_product,
+    subgroups,
+)
+from skewbrace.perms import (
+    _candidate_pool,
+    _normalized_by_translations,
+    compose,
+    holomorph,
+    is_fixed_point_free,
+    regular_subgroups_in_holomorph,
+    regular_subgroups_normalized_by,
+)
+
+MAX_ORDER = 6
+# reduced Latin squares (first row and column in order) per order, and
+# the group tables among them
+SQUARE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 56, 6: 9408}
+GROUP_TABLE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 6, 6: 80}
+TRIPLE = re.compile(r"\D*(\d+)\D+(\d+)\D+(\d+)")
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square on 0..n-1 whose first row and first column
+    are 0..n-1 in order, filled cell by cell."""
+    square = [[0] * n for _ in range(n)]
+    in_row = [set() for _ in range(n)]
+    in_col = [set() for _ in range(n)]
+    for i in range(n):
+        for a, b in ((0, i), (i, 0)):
+            square[a][b] = i
+            in_row[a].add(i)
+            in_col[b].add(i)
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(map(tuple, square))
+            return
+        a, b = cells[k]
+        for x in range(n):
+            if x not in in_row[a] and x not in in_col[b]:
+                square[a][b] = x
+                in_row[a].add(x)
+                in_col[b].add(x)
+                yield from fill(k + 1)
+                in_row[a].discard(x)
+                in_col[b].discard(x)
+
+    yield from fill(0)
+
+
+@functools.lru_cache(maxsize=None)
+def squares(n):
+    return tuple(reduced_latin_squares(n))
+
+
+# -- the full loops the generator checks replaced ---------------------------
+
+def associative(t):
+    n = len(t)
+    return all(t[t[a][b]][c] == t[a][t[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def brace_law_holds(dot, circ):
+    dt, ct, dinv = dot.table, circ.table, dot.inverse
+    n = dot.order
+    return all(ct[s][dt[t][k]] == dt[dt[ct[s][t]][dinv[s]]][ct[s][k]]
+               for s in range(n) for t in range(n) for k in range(n))
+
+
+def first_failing_gamma_invariant(dot, circ):
+    """The first of the three invariants gamma checks that fails on some
+    pair, in gamma's order, or None."""
+    dt, ct, dinv = dot.table, circ.table, dot.inverse
+    n = dot.order
+    maps = [tuple(dt[dinv[s]][ct[s][t]] for t in range(n)) for s in range(n)]
+    if not all(sorted(m) == list(range(n)) for m in maps):
+        return "bijection"
+    for m in maps:
+        if not all(m[dt[a][b]] == dt[m[a]][m[b]]
+                   for a in range(n) for b in range(n)):
+            return "dot-endomorphism"
+    if not all(maps[ct[s][t]] == tuple(maps[s][x] for x in maps[t])
+               for s in range(n) for t in range(n)):
+        return "circ-homomorphism"
+    return None
+
+
+def preserves(im, source, target):
+    n = len(im)
+    s, t = source.table, target.table
+    return all(im[s[a][b]] == t[im[a]][im[b]]
+               for a in range(n) for b in range(n))
+
+
+def full_is_bi_skew(B):
+    return all(preserves(m, B.circ, B.circ) for m in gamma(B).maps)
+
+
+def full_brace_automorphisms(B):
+    return tuple(f for f in automorphisms(B.circ)
+                 if preserves(f.images, B.dot, B.dot))
+
+
+def full_brace_isomorphism(B1, B2):
+    f0 = isomorphism(B1.dot, B2.dot)
+    if f0 is None:
+        return None
+    for a in automorphisms(B1.dot):
+        im = tuple(f0.images[x] for x in a.images)
+        if preserves(im, B1.circ, B2.circ):
+            return im
+    return None
+
+
+def full_is_homomorphism(f):
+    return f.images[0] == 0 and preserves(f.images, f.source, f.target)
+
+
+def full_is_normal(G, sub):
+    s = set(sub)
+    return all(G.conj(a, g) in s for a in s for g in range(G.order))
+
+
+def full_center(G):
+    t = G.table
+    n = G.order
+    return tuple(a for a in range(n)
+                 if all(t[a][b] == t[b][a] for b in range(n)))
+
+
+def full_action_is_homomorphism(A, B, action):
+    return all(tuple(action[b1][action[b2][a]] for a in range(A.order))
+               == action[B.table[b1][b2]]
+               for b1 in range(B.order) for b2 in range(B.order))
+
+
+def pairwise_regular_search(candidates_by_start, n, accept):
+    """The regular-subgroup backtracking with the old closure step: every
+    product of a new element with every member, in both orders."""
+
+    def close_with(members, new):
+        out = dict(members)
+        out[new[0]] = new
+        work = list(out.values())
+        i = len(work) - 1
+        while i < len(work):
+            p = work[i]
+            for j in range(len(work)):
+                q = work[j]
+                for r in (compose(p, q), compose(q, p)):
+                    known = out.get(r[0])
+                    if known is not None:
+                        if known != r:
+                            return None
+                        continue
+                    if not is_fixed_point_free(r) or len(out) >= n:
+                        return None
+                    out[r[0]] = r
+                    work.append(r)
+            i += 1
+        return out if n % len(out) == 0 else None
+
+    def grow(members):
+        if len(members) == n:
+            accept(tuple(sorted(members.values())))
+            return
+        g = min(x for x in range(n) if x not in members)
+        for cand in candidates_by_start.get(g, ()):
+            grown = close_with(members, cand)
+            if grown is not None:
+                grow(grown)
+
+    grow({0: tuple(range(n))})
+
+
+def restart_generating_set(G):
+    """Least-first generators, recomputing the closure from scratch."""
+    gens = []
+    have = {0}
+    while len(have) < G.order:
+        gens.append(min(a for a in range(G.order) if a not in have))
+        have = set(closure(G, gens))
+    return tuple(gens)
+
+
+# -- the inputs ---------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def labeled_groups(n):
+    """The groups whose tables are reduced Latin squares of order n,
+    selected by the full associativity loop."""
+    return tuple(make_group(t) for t in squares(n) if associative(t))
+
+
+def small_catalog(max_order):
+    return [G for n in range(1, max_order + 1) for G in groups_of_order(n)]
+
+
+def named_triple(exc):
+    return tuple(map(int, TRIPLE.match(str(exc)).groups()))
+
+
+# -- groups ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_make_group_accepts_exactly_the_associative_squares(n):
+    assert len(squares(n)) == SQUARE_COUNTS[n]
+    accepted = 0
+    for t in squares(n):
+        try:
+            G = make_group(t)
+        except NotAssociative as exc:
+            assert not associative(t)
+            a, b, c = named_triple(exc)
+            assert t[t[a][b]][c] != t[a][t[b][c]]
+        else:
+            assert associative(t)
+            assert G.table == t
+            accepted += 1
+    assert accepted == GROUP_TABLE_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_generators_reach_every_element(n):
+    for G in labeled_groups(n):
+        gens = generating_set(G)
+        assert gens == restart_generating_set(G)
+        assert closure(G, gens) == tuple(range(n))
+
+
+def test_group_laws_on_generators_match_full_loops():
+    groups = [G for n in range(1, MAX_ORDER + 1) for G in labeled_groups(n)]
+    groups += small_catalog(8)
+    for G in groups:
+        n = G.order
+        assert center(G) == full_center(G)
+        assert G.is_abelian() == (len(full_center(G)) == n)
+        for rest in itertools.product((False, True), repeat=n - 1):
+            sub = [0] + [a for a, keep in zip(range(1, n), rest) if keep]
+            assert is_normal(G, sub) == full_is_normal(G, sub)
+
+
+def test_is_homomorphism_on_every_map_of_small_groups():
+    groups = small_catalog(4)
+    for G, H in itertools.product(groups, repeat=2):
+        for images in itertools.product(range(H.order), repeat=G.order):
+            f = GroupMap(G, H, images)
+            assert is_homomorphism(f) == full_is_homomorphism(f)
+
+
+@pytest.mark.parametrize("a_name,b_name", [("C3", "C2"), ("C3", "C3"),
+                                           ("C2xC2", "C2"), ("C4", "C2")])
+def test_semidirect_product_accepts_exactly_the_homomorphic_actions(
+        a_name, b_name):
+    A, B = group_by_name(a_name), group_by_name(b_name)
+    auts = [f.images for f in automorphisms(A)]
+    accepted = 0
+    for action in itertools.product(auts, repeat=B.order):
+        try:
+            semidirect_product(A, B, action)
+        except NotAHomomorphism as exc:
+            assert not full_action_is_homomorphism(A, B, action)
+            pair = re.match(r"action\[(\d+)\]\*action\[(\d+)\]", str(exc))
+            if pair:
+                b1, b2 = map(int, pair.groups())
+                assert tuple(action[b1][x] for x in action[b2]) \
+                    != action[B.table[b1][b2]]
+        else:
+            assert full_action_is_homomorphism(A, B, action)
+            accepted += 1
+    assert accepted >= 1
+
+
+# -- braces ---------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def accepted_braces(n):
+    """make_brace on every ordered pair of labeled groups of order n,
+    checked against the full law as it goes."""
+    out = []
+    for dot, circ in itertools.product(labeled_groups(n), repeat=2):
+        full = brace_law_holds(dot, circ)
+        try:
+            B = make_brace(dot, circ)
+        except BraceLawViolated as exc:
+            assert not full
+            s, t, k = named_triple(exc)
+            dt, ct = dot.table, circ.table
+            assert ct[s][dt[t][k]] != dt[dt[ct[s][t]][dot.inverse[s]]][ct[s][k]]
+        else:
+            assert full
+            out.append(B)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_make_brace_accepts_exactly_the_lawful_pairs(n):
+    braces = accepted_braces(n)
+    assert braces
+    for B in braces:
+        assert is_bi_skew(B) == full_is_bi_skew(B)
+        assert brace_automorphisms(B) == full_brace_automorphisms(B)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_gamma_checks_match_full_invariants(n):
+    # on unvalidated pairs each of gamma's checks fails exactly when its
+    # full-loop invariant is the first to fail; the circ-homomorphism
+    # invariant follows from the other two, so it never fails first
+    for dot, circ in itertools.product(labeled_groups(n), repeat=2):
+        failing = first_failing_gamma_invariant(dot, circ)
+        assert failing != "circ-homomorphism"
+        try:
+            gamma(SkewBrace(dot, circ))
+        except InternalInconsistency as exc:
+            assert failing is not None and failing in str(exc)
+        else:
+            assert failing is None
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_brace_isomorphism_matches_full_loop(n):
+    braces = accepted_braces(n)
+    for B1, B2 in itertools.product(braces, repeat=2):
+        f = brace_isomorphism(B1, B2)
+        assert (None if f is None else f.images) \
+            == full_brace_isomorphism(B1, B2)
+
+
+def test_brace_isomorphism_matches_full_loop_order6_classes():
+    # one brace per circ table, against every brace on its circ
+    by_circ = {}
+    for B in accepted_braces(6):
+        by_circ.setdefault(B.circ, []).append(B)
+    for group in by_circ.values():
+        for B2 in group:
+            f = brace_isomorphism(group[0], B2)
+            assert (None if f is None else f.images) \
+                == full_brace_isomorphism(group[0], B2)
+
+
+# -- regular subgroups ----------------------------------------------------------
+
+@pytest.mark.parametrize("N", small_catalog(12), ids=lambda G: G.name)
+def test_holomorph_search_matches_pairwise_closure(N):
+    n = N.order
+    found = []
+    pairwise_regular_search(_candidate_pool(holomorph(N), n), n, found.append)
+    assert [R.elements for R in regular_subgroups_in_holomorph(N)] \
+        == sorted(found)
+
+
+@pytest.mark.parametrize("G", small_catalog(6), ids=lambda G: G.name)
+def test_oracle_search_matches_pairwise_closure(G):
+    n = G.order
+    found = []
+    pairwise_regular_search(
+        _candidate_pool(itertools.permutations(range(n)), n), n,
+        lambda elems: _normalized_by_translations(elems, G)
+        and found.append(elems))
+    assert [R.elements for R in regular_subgroups_normalized_by(G)] \
+        == sorted(found)
+
+
+def test_subgroups_are_normal_exactly_when_full_loop_says():
+    for G in small_catalog(12):
+        for s in subgroups(G):
+            assert is_normal(G, s) == full_is_normal(G, s)
