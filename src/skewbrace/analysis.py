@@ -31,7 +31,6 @@ from .errors import (
     BadParameters,
     InternalInconsistency,
     NotBiSkew,
-    OrderTooLarge,
     require,
 )
 from .groups import (
@@ -39,7 +38,6 @@ from .groups import (
     GroupMap,
     Subgroup,
     _trusted_group,
-    are_isomorphic,
     automorphisms,
     distinguished_subgroups,
     is_power_automorphism,
@@ -52,9 +50,9 @@ from .perms import (
     transport_operation,
 )
 
-# a non-cyclic target above this order is refused unless enable_heavy is
-# set, as the full search of Hol(N) gets expensive; a cyclic target is
-# served by the n-cycle scan at every order
+# above this order the full search of Hol(N) that a non-cyclic target
+# takes gets expensive: `skewbrace enumerate` asks for
+# --enable-heavy-orders there, and kohl_obstruction runs no census
 _FULL_ENUM_MAX = 15
 
 
@@ -82,17 +80,15 @@ def _transport_table(table, images):
                  for a in range(n))
 
 
-def enumerate_operations(circ: FiniteGroup, *,
-                         enable_heavy: bool = False) -> tuple[SkewBrace, ...]:
+def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
     """All operations making a skew brace with the given circ, as braces
     sorted by operation table."""
-    classes = _classes(circ, enable_heavy)
+    classes = _enumerate_classes(circ)
     tables = sorted(t for _, orbit in classes for t in orbit)
     return tuple(SkewBrace(_trusted_group(t), circ) for t in tables)
 
 
-def enumerate_reports(circ: FiniteGroup, *,
-                      enable_heavy: bool = False) -> tuple[HgsReport, ...]:
+def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
     """Analyzed census, one report per operation, canonically sorted.
 
     Each class is analyzed once, on the operation the search found; every
@@ -101,7 +97,7 @@ def enumerate_reports(circ: FiniteGroup, *,
     keeps type, bi-skewness and the image ratio.
     """
     out = []
-    for class_id, (found, orbit) in enumerate(_classes(circ, enable_heavy)):
+    for class_id, (found, orbit) in enumerate(_enumerate_classes(circ)):
         report = analyze(SkewBrace(_trusted_group(found), circ))
         for t, phi in orbit.items():
             out.append(replace(
@@ -116,24 +112,13 @@ def enumerate_reports(circ: FiniteGroup, *,
     return tuple(out)
 
 
-def _classes(circ: FiniteGroup, enable_heavy: bool):
-    """The census classes of circ, refused as its search is; enable_heavy
-    only lifts the refusal, so the cache entry is circ's alone."""
-    _regular_subgroup_search(circ, enable_heavy)
-    return _enumerate_classes(circ)
-
-
-def _regular_subgroup_search(circ: FiniteGroup, enable_heavy: bool):
+def _regular_subgroup_search(circ: FiniteGroup):
     """The search listing the regular subgroups of Hol(N) that may be
     isomorphic to circ, for types N of circ's order: the n-cycle scan for
     a cyclic circ, which is exhaustive for it at every order, and the full
-    search otherwise, refused above _FULL_ENUM_MAX without enable_heavy."""
+    search otherwise."""
     if circ.is_cyclic():
         return cyclic_regular_subgroups_in_holomorph
-    if circ.order > _FULL_ENUM_MAX and not enable_heavy:
-        raise OrderTooLarge(
-            f"full enumeration at order {circ.order} requires enable_heavy "
-            "(holomorph search over every type is expensive)")
     return regular_subgroups_in_holomorph
 
 
@@ -152,7 +137,7 @@ def _enumerate_classes(circ: FiniteGroup):
     Every table is a relabeling of a valid one, so none is re-checked.
     """
     n = circ.order
-    search = _regular_subgroup_search(circ, enable_heavy=True)
+    search = _regular_subgroup_search(circ)
     types = groups_of_order(n)  # raises if the catalog is not complete
     aut_images = [f.images for f in automorphisms(circ)]
     seen: set = set()
@@ -227,31 +212,28 @@ def biskew_pair_report(B: SkewBrace) -> BiskewPairReport:
                             (n_dot, n_circ))
 
 
-def e_count(circG: FiniteGroup, N: FiniteGroup, *,
-            enable_heavy: bool = False) -> int:
+def e_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     """Structures on a circG-extension whose type is N, counted per class:
     type is an orbit invariant, as orbits are relabelings by Aut(circG)."""
     return sum(len(orbit)
-               for found, orbit in _classes(circG, enable_heavy)
-               if are_isomorphic(_trusted_group(found), N))
+               for found, orbit in _enumerate_classes(circG)
+               if isomorphism(_trusted_group(found), N) is not None)
 
 
-def f_count(circG: FiniteGroup, N: FiniteGroup, *,
-            enable_heavy: bool = False) -> int:
+def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     """Operations o on N with (N, ., o) a brace and (N, o) = circG up to
-    isomorphism; counted on the holomorph side, independently of e_count."""
+    isomorphism; counted on the holomorph side, independently of e_count.
+    Any order is served; f_count(D8, C2xC2xC2xC2) takes minutes."""
     if circG.order != N.order:
         return 0
-    search = _regular_subgroup_search(circG, enable_heavy)
-    return sum(1 for R in search(N)
-               if are_isomorphic(transport_operation(R), circG))
+    return sum(1 for R in _regular_subgroup_search(circG)(N)
+               if isomorphism(transport_operation(R), circG) is not None)
 
 
-def byott_check(circG: FiniteGroup, N: FiniteGroup, *,
-                enable_heavy: bool = False) -> bool:
+def byott_check(circG: FiniteGroup, N: FiniteGroup) -> bool:
     """Exact integer identity e(G,N) * |Aut(N)| == f(G,N) * |Aut(G)|."""
-    e = e_count(circG, N, enable_heavy=enable_heavy)
-    f = f_count(circG, N, enable_heavy=enable_heavy)
+    e = e_count(circG, N)
+    f = f_count(circG, N)
     lhs = e * len(automorphisms(N))
     rhs = f * len(automorphisms(circG))
     if lhs != rhs:
@@ -262,11 +244,10 @@ def byott_check(circG: FiniteGroup, N: FiniteGroup, *,
     return True
 
 
-def all_surjective(circ: FiniteGroup, *, enable_heavy: bool = False) -> bool:
+def all_surjective(circ: FiniteGroup) -> bool:
     """Whether every structure on a circ-extension has surjective
     correspondence (computed by exhaustive census)."""
-    return all(r.is_surjective
-               for r in enumerate_reports(circ, enable_heavy=enable_heavy))
+    return all(r.is_surjective for r in enumerate_reports(circ))
 
 
 def childs_criterion(circ: FiniteGroup) -> bool:

@@ -33,6 +33,7 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Subgroup,
+    _action_maps,
     _respects_generators,
     automorphisms,
     direct_product,
@@ -276,7 +277,7 @@ def product_brace(B1: SkewBrace, B2: SkewBrace, action=None) -> SkewBrace:
     n2 = B2.order
     if action is None:
         action = tuple(tuple(range(B1.order)) for _ in range(n2))
-    action = tuple(tuple(p) for p in action)
+    action = _action_maps(action, NotBraceAutomorphismAction)
     if len(action) != n2:
         raise NotBraceAutomorphismAction(
             "action must assign one map per element of the second brace")

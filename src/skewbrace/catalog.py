@@ -20,6 +20,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     direct_product,
+    fingerprint,
     inversion_action,
     isomorphism,
     make_group,
@@ -205,10 +206,5 @@ def type_name(G: FiniteGroup) -> str:
     for H in _entries().values():
         if H.order == G.order and isomorphism(G, H) is not None:
             return H.name
-    digest = hashlib.sha256(repr(_fingerprint(G)).encode()).hexdigest()[:8]
+    digest = hashlib.sha256(repr(fingerprint(G)).encode()).hexdigest()[:8]
     return f"unknown-order-{G.order}-#{digest}"
-
-
-def _fingerprint(G: FiniteGroup):
-    orders = sorted(G.element_order(a) for a in range(G.order))
-    return (G.order, G.is_abelian(), orders)

@@ -75,8 +75,13 @@ def _format_table(reports) -> str:
 
 def cmd_enumerate(args) -> int:
     G = _resolve_group(args.group)
-    reports = analysis.enumerate_reports(
-        G, enable_heavy=args.enable_heavy_orders)
+    if G.order > analysis._FULL_ENUM_MAX and not G.is_cyclic() \
+            and not args.enable_heavy_orders:
+        raise OrderTooLarge(
+            f"full enumeration at order {G.order} requires "
+            "--enable-heavy-orders (the holomorph search over every type "
+            "is expensive)")
+    reports = analysis.enumerate_reports(G)
     if args.format == "json":
         payload = serialize.reports_to_text(reports)
     else:

@@ -23,6 +23,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupMap,
+    _action_maps,
     center,
     commutator_subgroup,
     direct_product,
@@ -160,7 +161,7 @@ def inversion_construction(A: FiniteGroup) -> SkewBrace:
 def semidirect_to_brace(A: FiniteGroup, B: FiniteGroup, action) -> SkewBrace:
     """circ = A x| B along the action, dot = A x B; gamma acts on the
     first coordinate only, through the action of the second."""
-    action = tuple(tuple(p) for p in action)
+    action = _action_maps(action)
     circ = semidirect_product(A, B, action)
     dot = direct_product(A, B)
     out = make_brace(dot, circ)

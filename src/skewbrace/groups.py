@@ -444,19 +444,27 @@ def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
     return tuple(GroupMap(G, G, p) for p in products)
 
 
+def _invariants(G: FiniteGroup):
+    """The parts of fingerprint(G), cheapest first, computed on demand."""
+    yield G.order
+    yield sorted(map(G.element_order, range(G.order)))
+    yield G.is_abelian()
+
+
+def fingerprint(G: FiniteGroup) -> tuple:
+    """(order, abelian, sorted element orders): an isomorphism invariant
+    that tells every two catalog groups apart."""
+    order, orders, abelian = _invariants(G)
+    return (order, abelian, orders)
+
+
 def isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupMap | None:
-    """Some isomorphism G -> H (the first in backtracking order), or None."""
-    if G.order != H.order:
-        return None
-    if sorted(G.element_order(a) for a in range(G.order)) != \
-            sorted(H.element_order(a) for a in range(H.order)):
+    """Some isomorphism G -> H (the first in backtracking order), or None;
+    the fingerprints are compared part by part before any search."""
+    if any(a != b for a, b in zip(_invariants(G), _invariants(H))):
         return None
     maps = homomorphisms(G, H, bijective=True, first_only=True)
     return maps[0] if maps else None
-
-
-def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    return isomorphism(G, H) is not None
 
 
 @dataclass(frozen=True)
@@ -553,11 +561,7 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     action is a sequence of |B| permutations of A's elements; it must be a
     homomorphism from B into Aut(A).
     """
-    try:
-        action = tuple(tuple(map(operator.index, p)) for p in action)
-    except TypeError:
-        raise NotAHomomorphism(
-            f"action {action!r} is not a sequence of maps of A") from None
+    action = _action_maps(action)
     if len(action) != B.order:
         raise NotAHomomorphism("action must assign one map per element of B")
     ident = tuple(range(A.order))
@@ -586,6 +590,15 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
                     row[_pair_index(c, d, nb)] = _pair_index(
                         A.table[a][action[b][c]], B.table[b][d], nb)
     return _trusted_group(table)
+
+
+def _action_maps(action, error=NotAHomomorphism):
+    """An action as a tuple of integer tuples, or error if it is not one."""
+    try:
+        return tuple(tuple(map(operator.index, p)) for p in action)
+    except TypeError:
+        raise error(
+            f"action {action!r} is not a sequence of integer maps") from None
 
 
 def trivial_action(A: FiniteGroup, B: FiniteGroup) -> tuple[tuple[int, ...], ...]:

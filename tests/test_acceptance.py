@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 pass/fail lines.  Set SKEWBRACE_HEAVY=1 to include the degree-8
-symmetric-group oracle in criterion 4 (adds a few seconds).
+symmetric-group oracle in criterion 4 (adds a few seconds) and the
+order-27 census of criterion 11 (about a minute).
 """
 
 import time
@@ -235,3 +236,20 @@ def test_criterion_10_order8_quaternion_witness():
         q8 = group_by_name("Q8")
         assert e_count(c8, q8) * len(automorphisms(q8)) == \
             f_count(c8, q8) * len(automorphisms(c8))
+
+
+@requires_heavy
+def test_criterion_11_order_27_census():
+    with criterion("11 order-27 census: 101 skew braces up to isomorphism, "
+                   "and the translation identity on all 25 pairs"):
+        # Guarnieri-Vendramin: classes over each circ group of order 27
+        published = {"C27": 3, "C9xC3": 22, "C3xC3xC3": 12,
+                     "Heisenberg-27": 25, "M27": 39}
+        gs = groups_of_order(27)
+        classes = {G.name: len({r.iso_class_id for r in enumerate_reports(G)})
+                   for G in gs}
+        assert classes == published
+        assert sum(classes.values()) == 101
+        for G in gs:
+            for N in gs:
+                assert byott_check(G, N)

@@ -31,12 +31,12 @@ from skewbrace.constructions import inversion_construction
 from skewbrace.errors import (
     CatalogIncompleteForOrder,
     NotBiSkew,
-    OrderTooLarge,
     UnsupportedOrder,
 )
 from skewbrace.groups import automorphisms, distinguished_subgroups, subgroups
 
-# every catalog target the census serves without enable_heavy
+# every catalog target whose census is cheap: orders 1-15 and C27 (a
+# non-cyclic order-27 census takes minutes and is heavy-tier only)
 SERVED = [*(G for n in range(1, 16) for G in groups_of_order(n)),
           group_by_name("C27")]
 
@@ -64,55 +64,36 @@ class TestEnumerate:
         for name, expected in totals.items():
             assert len(enumerate_operations(group_by_name(name))) == expected
 
-    def test_unservable_orders_refused(self):
+    def test_unservable_orders_refused(self, monkeypatch):
         # an order the catalog does not hold completely is refused on any
-        # route; a non-cyclic target above order 15 is refused first,
-        # unless enable_heavy is set
-        C30, D9, D8 = cyclic(30), dihedral(9), group_by_name("D8")
-        cases = [(C30, False, UnsupportedOrder), (C30, True, UnsupportedOrder),
-                 (D9, False, OrderTooLarge), (D9, True, UnsupportedOrder),
-                 (D8, False, OrderTooLarge),
-                 (D8, True, CatalogIncompleteForOrder)]
-        for G, heavy, error in cases:
+        # route, before any search
+        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph",
+                        "cyclic_regular_subgroups_in_holomorph")
+        cases = [(cyclic(30), UnsupportedOrder),
+                 (dihedral(9), UnsupportedOrder),
+                 (group_by_name("D8"), CatalogIncompleteForOrder)]
+        for G, error in cases:
             for census in (enumerate_operations, enumerate_reports,
-                           lambda G, **kw: e_count(G, G, **kw)):
+                           lambda G: e_count(G, G)):
                 with pytest.raises(error):
-                    census(G, enable_heavy=heavy)
+                    census(G)
 
     def test_cyclic_targets_never_search_full_holomorph(self, monkeypatch):
-        # the n-cycle scan serves every cyclic target, flag or not
+        # the n-cycle scan serves every cyclic target
         refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
         analysis._enumerate_classes.cache_clear()
         for G in SERVED:
             if not G.is_cyclic():
                 continue
-            for heavy in (False, True):
-                ops = enumerate_operations(G, enable_heavy=heavy)
-                reports = enumerate_reports(G, enable_heavy=heavy)
-                assert len(ops) == len(reports) > 0
-                assert e_count(G, G, enable_heavy=heavy) > 0
-                assert f_count(G, G, enable_heavy=heavy) > 0
-
-    def test_enable_heavy_changes_no_result(self, monkeypatch):
-        # the flag only lifts a refusal: same classes, same cache entry
-        plain = {G: (enumerate_operations(G), enumerate_reports(G))
-                 for G in SERVED}
-        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph",
-                        "cyclic_regular_subgroups_in_holomorph")
-        for G, (ops, reports) in plain.items():
-            assert enumerate_operations(G, enable_heavy=True) == ops
-            assert enumerate_reports(G, enable_heavy=True) == reports
+            ops = enumerate_operations(G)
+            reports = enumerate_reports(G)
+            assert len(ops) == len(reports) > 0
+            assert e_count(G, G) > 0
+            assert f_count(G, G) > 0
 
     def test_incomplete_order_refused(self):
         with pytest.raises(CatalogIncompleteForOrder):
             enumerate_operations(group_by_name("C16"))
-
-    def test_heavy_gate_on_nonabelian_27(self):
-        heis = group_by_name("Heisenberg-27")
-        with pytest.raises(OrderTooLarge):
-            enumerate_operations(heis)
-        with pytest.raises(OrderTooLarge):
-            f_count(heis, group_by_name("C27"))
 
     def test_cyclic_27_allowed_by_default(self):
         reps = enumerate_reports(group_by_name("C27"))

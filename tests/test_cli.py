@@ -67,6 +67,22 @@ class TestEnumerate:
         assert heavy[0] == 0 and heavy[1].endswith(
             "total=9 cyclic_type=9 surjective=9\n")
 
+    def test_enable_heavy_changes_no_result(self, capsys):
+        # D4 is below the gate: the flag changes no byte and no exit code
+        plain = run(capsys, "enumerate", "D4")
+        assert plain[0] == 0
+        assert run(capsys, "enumerate", "D4", "--enable-heavy-orders") == plain
+
+    def test_heavy_gate_on_nonabelian_27(self, capsys, monkeypatch):
+        # refused before any search; the message names the flag that
+        # lifts the refusal
+        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph",
+                        "cyclic_regular_subgroups_in_holomorph")
+        analysis._enumerate_classes.cache_clear()
+        code, out, err = run(capsys, "enumerate", "Heisenberg-27")
+        assert code == 2 and out == ""
+        assert "--enable-heavy-orders" in err
+
     def test_unknown_group_exit_2(self, capsys):
         code, _, err = run(capsys, "enumerate", "NoSuchGroup")
         assert code == 2 and err

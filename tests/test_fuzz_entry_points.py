@@ -1,8 +1,9 @@
 """Malformed input at the validating entry points fails with a named error.
 
 `group_from_text`, `make_group`, `regular_subgroup`, `make_brace`,
-`semidirect_product`, `psi_construction`, `cpr_cps_brace` and
-`kohl_obstruction` either return their result or raise a
+`semidirect_product`, `product_brace`, `semidirect_to_brace`,
+`psi_construction`, `cpr_cps_brace` and `kohl_obstruction` either
+return their result or raise a
 `SkewbraceError`; no bare `TypeError`, `IndexError` or `ValueError` may
 escape them.
 """
@@ -14,10 +15,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skewbrace.analysis import kohl_obstruction
-from skewbrace.braces import SkewBrace, make_brace
+from skewbrace.braces import (
+    SkewBrace,
+    make_brace,
+    product_brace,
+    trivial_brace,
+)
 from skewbrace.catalog import group_by_name, groups_of_order
-from skewbrace.constructions import cpr_cps_brace, psi_construction
-from skewbrace.errors import BadParameters, SkewbraceError
+from skewbrace.constructions import (
+    cpr_cps_brace,
+    psi_construction,
+    semidirect_to_brace,
+)
+from skewbrace.errors import (
+    BadParameters,
+    NotAHomomorphism,
+    NotBraceAutomorphismAction,
+    SkewbraceError,
+)
 from skewbrace.groups import (
     FiniteGroup,
     automorphisms,
@@ -143,6 +158,29 @@ def actions(draw):
 @FEW
 def test_semidirect_product(args):
     named_errors_only(semidirect_product, *args, returns=FiniteGroup)
+
+
+@given(actions())
+@FEW
+def test_product_brace(args):
+    # the brace automorphisms of a trivial brace are the automorphisms of A
+    A, B, action = args
+    named_errors_only(product_brace, trivial_brace(A), trivial_brace(B),
+                      action, returns=SkewBrace)
+
+
+@given(actions())
+@FEW
+def test_semidirect_to_brace(args):
+    named_errors_only(semidirect_to_brace, *args, returns=SkewBrace)
+
+
+def test_non_iterable_actions_rejected():
+    C3, C2 = group_by_name("C3"), group_by_name("C2")
+    with pytest.raises(NotBraceAutomorphismAction):
+        product_brace(trivial_brace(C3), trivial_brace(C2), 5)
+    with pytest.raises(NotAHomomorphism):
+        semidirect_to_brace(C3, C2, 5)
 
 
 # groups whose norm-mod-centre quotient is trivial, and Q8 and D4, whose

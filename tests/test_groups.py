@@ -9,7 +9,8 @@ import itertools
 
 import pytest
 
-from skewbrace.catalog import group_by_name, groups_of_order
+from skewbrace import groups
+from skewbrace.catalog import catalog_names, group_by_name, groups_of_order
 from skewbrace.errors import (
     NoIdentityAtZero,
     NotAHomomorphism,
@@ -25,6 +26,7 @@ from skewbrace.groups import (
     cyclic_subgroup,
     direct_product,
     distinguished_subgroups,
+    fingerprint,
     generating_set,
     homomorphisms,
     inversion_action,
@@ -265,6 +267,22 @@ class TestIsomorphism:
         G, H = group_by_name(pair[0]), group_by_name(pair[1])
         assert isomorphism(G, H) is None
         assert not brute_force_isomorphism_exists(G, H)
+
+    def test_fingerprint_tells_catalog_groups_apart(self):
+        prints = [fingerprint(group_by_name(name)) for name in catalog_names()]
+        assert len(set(map(repr, prints))) == len(prints)
+
+    @pytest.mark.parametrize("pair", [("C3xC3xC3", "Heisenberg-27"),
+                                      ("C9xC3", "M27"), ("C8xC2", "M16")])
+    def test_abelian_flag_refutes_without_search(self, pair, monkeypatch):
+        # equal element orders; only the abelian flag tells them apart
+        G, H = group_by_name(pair[0]), group_by_name(pair[1])
+        assert fingerprint(G)[2] == fingerprint(H)[2]
+
+        def refuse(*args, **kwargs):
+            pytest.fail("isomorphism searched for homomorphisms")
+        monkeypatch.setattr(groups, "homomorphisms", refuse)
+        assert isomorphism(G, H) is None and isomorphism(H, G) is None
 
 
 class TestDistinguished:
