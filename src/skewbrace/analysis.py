@@ -40,11 +40,13 @@ from .groups import (
     _trusted_group,
     automorphisms,
     distinguished_subgroups,
+    fingerprint,
     is_power_automorphism,
     isomorphism,
     subgroups,
 )
 from .perms import (
+    compose,
     cyclic_regular_subgroups_in_holomorph,
     regular_subgroups_in_holomorph,
     transport_operation,
@@ -84,7 +86,7 @@ def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
     """All operations making a skew brace with the given circ, as braces
     sorted by operation table."""
     classes = _enumerate_classes(circ)
-    tables = sorted(t for _, orbit in classes for t in orbit)
+    tables = sorted(t for _, orbit, _ in classes for t in orbit)
     return tuple(SkewBrace(_trusted_group(t), circ) for t in tables)
 
 
@@ -97,7 +99,7 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
     keeps type, bi-skewness and the image ratio.
     """
     out = []
-    for class_id, (found, orbit) in enumerate(_enumerate_classes(circ)):
+    for class_id, (found, orbit, _) in enumerate(_enumerate_classes(circ)):
         report = analyze(SkewBrace(_trusted_group(found), circ))
         for t, phi in orbit.items():
             out.append(replace(
@@ -122,42 +124,139 @@ def _regular_subgroup_search(circ: FiniteGroup):
     return regular_subgroups_in_holomorph
 
 
+class _Classification:
+    """The regular subgroups R one search lists in Hol(N), sorted by the
+    isomorphism type of their transported group T_R.
+
+    reps holds the first T_R of each type; members holds, per R in search
+    order, (k, theta) with theta the images of an isomorphism
+    T_R -> reps[k].  onto(circ) maps each representative to circ once.
+    """
+
+    def __init__(self, reps, members):
+        self.reps = reps
+        self.members = members
+        self._onto: dict = {}
+
+    def onto(self, circ: FiniteGroup) -> tuple[GroupMap | None, ...]:
+        """Per representative type, an isomorphism onto circ or None."""
+        if circ not in self._onto:
+            self._onto[circ] = tuple(isomorphism(T, circ) for T in self.reps)
+        return self._onto[circ]
+
+
+@functools.lru_cache(maxsize=None)
+def _classify(search, N: FiniteGroup) -> _Classification:
+    """Classify the regular subgroups that search lists in Hol(N), without
+    the catalog: each R is transported once and bucketed by fingerprint,
+    and one isomorphism call per bucket member tried decides its type.
+    Keyed on the search as well as N, so every census and count of one
+    order that takes the same route shares it.
+    """
+    reps: list[FiniteGroup] = []
+    buckets: dict[tuple, list[int]] = {}
+    members = []
+    for R in search(N):
+        T = transport_operation(R)
+        bucket = buckets.setdefault(fingerprint(T), [])
+        for k in bucket:
+            theta = isomorphism(T, reps[k])
+            if theta is not None:
+                members.append((k, theta.images))
+                break
+        else:
+            bucket.append(len(reps))
+            members.append((len(reps), tuple(range(N.order))))
+            reps.append(T)
+    return _Classification(tuple(reps), tuple(members))
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """A small generating set of Aut(G), as image tuples: walking
+    automorphisms(G) in order, each map not yet generated is adjoined and
+    the generated subgroup is grown along x -> x∘g, as _greedy_generators
+    does for group elements."""
+    gens = []
+    reached = {tuple(range(G.order))}
+    for f in (a.images for a in automorphisms(G)):
+        if f in reached:
+            continue
+        gens.append(f)
+        # the reached subgroup H is closed under the old generators, and
+        # H∘f is a new coset; every newly reached map needs every generator
+        new = [compose(x, f) for x in reached]
+        reached.update(new)
+        for x in new:
+            for g in gens:
+                y = compose(x, g)
+                if y not in reached:
+                    reached.add(y)
+                    new.append(y)
+    require(len(reached) == len(automorphisms(G)),
+            "automorphism generators do not reach all of Aut(G)")
+    return tuple(gens)
+
+
+def _orbit(found, gens) -> dict:
+    """The Aut(circ)-orbit of the table found, as {table: phi images} with
+    phi an automorphism carrying found to the table, reached breadth-first
+    along the generators gens of Aut(circ); phi is composed along the
+    path, since relabeling by g after phi is relabeling by g∘phi."""
+    orbit = {found: tuple(range(len(found)))}
+    todo = [found]
+    for t in todo:
+        phi = orbit[t]
+        for g in gens:
+            u = _transport_table(t, g)
+            if u not in orbit:
+                orbit[u] = compose(g, phi)
+                todo.append(u)
+    return orbit
+
+
 @functools.lru_cache(maxsize=None)
 def _enumerate_classes(circ: FiniteGroup):
-    """Isomorphism classes of braces over circ, as (found, orbit) pairs
-    sorted by the least table of the orbit.
+    """Isomorphism classes of braces over circ, as (found, orbit, N)
+    triples sorted by the least table of the orbit; N is the catalog type
+    of the operations in the class.
 
-    Route: per catalog type N of the same order, list the regular
-    subgroups of Hol(N), only the cyclic ones for a cyclic circ; each one
-    with transported structure isomorphic to circ is a brace on N, pulled
-    back to circ's labels along one isomorphism; that is the found table.  The full operation set is the
-    union of the orbits under the automorphism action
-    s ._phi t = phi(phi^-1(s) . phi^-1(t)); orbit maps each member to the
-    images of the first phi that produces it from the found table.
-    Every table is a relabeling of a valid one, so none is re-checked.
+    Route: per catalog type N of the same order, the regular subgroups of
+    Hol(N) are those of _classify(search, N), only the cyclic ones for a
+    cyclic circ.  Each representative type is mapped to circ once, by an
+    isomorphism iota; every R of a type isomorphic to circ is a brace on
+    N, pulled back to circ's labels along iota∘theta; that is the found
+    table.  The full operation set is the union of the orbits under the
+    automorphism action s ._phi t = phi(phi^-1(s) . phi^-1(t)), each
+    built from generators of Aut(circ); orbit maps each member to the
+    images of an automorphism phi that produces it from the found table.
+    Any two such phi differ by a brace automorphism of the found brace,
+    so the reports carried along them agree.  Every table is a relabeling
+    of a valid one, so none is re-checked.
     """
     n = circ.order
     search = _regular_subgroup_search(circ)
     types = groups_of_order(n)  # raises if the catalog is not complete
-    aut_images = [f.images for f in automorphisms(circ)]
+    gens = _automorphism_generators(circ)
+    aut_count = len(automorphisms(circ))
     seen: set = set()
     classes = []
     for N in types:
-        for R in search(N):
-            theta = isomorphism(transport_operation(R), circ)
-            if theta is None:
+        classified = _classify(search, N)
+        to_circ = classified.onto(circ)
+        for k, theta in classified.members:
+            iota = to_circ[k]
+            if iota is None:
                 continue
-            dot_tab = _transport_table(N.table, theta.images)
+            dot_tab = _transport_table(N.table, compose(iota.images, theta))
             if dot_tab in seen:
                 continue
-            orbit = {}
-            for im in aut_images:
-                orbit.setdefault(_transport_table(dot_tab, im), im)
+            orbit = _orbit(dot_tab, gens)
             stab = brace_automorphism_count(
                 SkewBrace(_trusted_group(dot_tab), circ))
-            require(len(orbit) * stab == len(aut_images),
+            require(len(orbit) * stab == aut_count,
                     "orbit-stabilizer identity fails")
-            classes.append((dot_tab, orbit))
+            classes.append((dot_tab, orbit, N))
             seen |= orbit.keys()
     classes.sort(key=lambda c: min(c[1]))
     return tuple(classes)
@@ -214,20 +313,24 @@ def biskew_pair_report(B: SkewBrace) -> BiskewPairReport:
 
 def e_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     """Structures on a circG-extension whose type is N, counted per class:
-    type is an orbit invariant, as orbits are relabelings by Aut(circG)."""
-    return sum(len(orbit)
-               for found, orbit in _enumerate_classes(circG)
-               if isomorphism(_trusted_group(found), N) is not None)
+    each class carries its catalog type, an orbit invariant, as orbits are
+    relabelings by Aut(circG); one isomorphism test per distinct type."""
+    classes = _enumerate_classes(circG)
+    is_n = {T: isomorphism(T, N) is not None for T in {c[2] for c in classes}}
+    return sum(len(orbit) for _, orbit, T in classes if is_n[T])
 
 
 def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     """Operations o on N with (N, ., o) a brace and (N, o) = circG up to
-    isomorphism; counted on the holomorph side, independently of e_count.
-    Any order is served; f_count(D8, C2xC2xC2xC2) takes minutes."""
+    isomorphism; counted on the holomorph side, independently of e_count:
+    the regular subgroups of Hol(N) whose transported type is circG's,
+    one isomorphism test per type.  Any order is served, as _classify
+    never reads the catalog; f_count(D8, C2xC2xC2xC2) takes minutes."""
     if circG.order != N.order:
         return 0
-    return sum(1 for R in _regular_subgroup_search(circG)(N)
-               if isomorphism(transport_operation(R), circG) is not None)
+    classified = _classify(_regular_subgroup_search(circG), N)
+    to_circ = classified.onto(circG)
+    return sum(1 for k, _ in classified.members if to_circ[k] is not None)
 
 
 def byott_check(circG: FiniteGroup, N: FiniteGroup) -> bool:

@@ -206,5 +206,8 @@ def type_name(G: FiniteGroup) -> str:
     for H in _entries().values():
         if H.order == G.order and isomorphism(G, H) is not None:
             return H.name
-    digest = hashlib.sha256(repr(fingerprint(G)).encode()).hexdigest()[:8]
+    # element orders in list form, so recorded fallback names keep their bytes
+    order, abelian, orders = fingerprint(G)
+    text = repr((order, abelian, list(orders)))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:8]
     return f"unknown-order-{G.order}-#{digest}"

@@ -447,13 +447,13 @@ def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
 def _invariants(G: FiniteGroup):
     """The parts of fingerprint(G), cheapest first, computed on demand."""
     yield G.order
-    yield sorted(map(G.element_order, range(G.order)))
+    yield tuple(sorted(map(G.element_order, range(G.order))))
     yield G.is_abelian()
 
 
 def fingerprint(G: FiniteGroup) -> tuple:
-    """(order, abelian, sorted element orders): an isomorphism invariant
-    that tells every two catalog groups apart."""
+    """(order, abelian, sorted element orders): a hashable isomorphism
+    invariant that tells every two catalog groups apart."""
     order, orders, abelian = _invariants(G)
     return (order, abelian, orders)
 

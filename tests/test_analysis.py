@@ -1,5 +1,6 @@
 """Census engine, counting identities, classification criteria."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,18 @@ from skewbrace.errors import (
     NotBiSkew,
     UnsupportedOrder,
 )
-from skewbrace.groups import automorphisms, distinguished_subgroups, subgroups
+from skewbrace.groups import (
+    _trusted_group,
+    automorphisms,
+    distinguished_subgroups,
+    isomorphism,
+    subgroups,
+)
+from skewbrace.perms import (
+    cyclic_regular_subgroups_in_holomorph,
+    regular_subgroups_in_holomorph,
+    transport_operation,
+)
 
 # every catalog target whose census is cheap: orders 1-15 and C27 (a
 # non-cyclic order-27 census takes minutes and is heavy-tier only)
@@ -82,6 +94,7 @@ class TestEnumerate:
         # the n-cycle scan serves every cyclic target
         refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
         analysis._enumerate_classes.cache_clear()
+        analysis._classify.cache_clear()
         for G in SERVED:
             if not G.is_cyclic():
                 continue
@@ -203,6 +216,72 @@ class TestCounting:
 
     def test_mixed_orders_give_zero(self):
         assert f_count(group_by_name("C2"), group_by_name("C4")) == 0
+
+
+class TestSharedClassification:
+    """The census classifies each regular subgroup once per route and N,
+    and builds orbits from generators of Aut(circ); each test keeps the
+    definition it replaced as its oracle."""
+
+    def test_orbits_from_generators_match_full_sweep(self):
+        for G in SERVED:
+            auts = automorphisms(G)
+            for found, orbit, _ in analysis._enumerate_classes(G):
+                sweep = {analysis._transport_table(found, f.images)
+                         for f in auts}
+                assert set(orbit) == sweep, G.name
+                for t, phi in orbit.items():
+                    assert analysis._transport_table(found, phi) == t
+
+    def test_counts_match_per_class_and_per_subgroup_definitions(self):
+        def old_e(G, N):
+            return sum(len(orbit)
+                       for found, orbit, _ in analysis._enumerate_classes(G)
+                       if isomorphism(_trusted_group(found), N) is not None)
+
+        def old_f(G, N):
+            search = analysis._regular_subgroup_search(G)
+            return sum(1 for R in search(N)
+                       if isomorphism(transport_operation(R), G) is not None)
+
+        C27 = group_by_name("C27")
+        pairs = [(G, N) for n in range(1, 13) for G in groups_of_order(n)
+                 for N in groups_of_order(n)]
+        pairs += [(C27, N) for N in groups_of_order(27)]
+        for G, N in pairs:
+            assert (e_count(G, N), f_count(G, N)) == \
+                (old_e(G, N), old_f(G, N)), (G.name, N.name)
+
+    def test_one_transport_per_route_type_and_subgroup(self, monkeypatch):
+        calls = Counter()
+
+        def counting(R):
+            calls[R] += 1
+            return transport_operation(R)
+
+        monkeypatch.setattr(analysis, "transport_operation", counting)
+        analysis._enumerate_classes.cache_clear()
+        analysis._classify.cache_clear()
+        gs = groups_of_order(8)
+        for G in gs:
+            enumerate_reports(G)
+        for G in gs:
+            for N in gs:
+                assert byott_check(G, N)
+        expected = Counter(R for search in (regular_subgroups_in_holomorph,
+                                            cyclic_regular_subgroups_in_holomorph)
+                           for N in gs for R in search(N))
+        assert calls == expected
+
+    def test_f_count_at_incomplete_order_16(self, monkeypatch):
+        # the n-cycle route serves a cyclic target at order 16, which the
+        # catalog does not hold completely; the values are pinned as found
+        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
+        C16 = group_by_name("C16")
+        expected = {"C16": 4, "C8xC2": 0, "D8": 16, "Q16": 16, "M16": 0,
+                    "C4xC4": 0}
+        assert {name: f_count(C16, group_by_name(name))
+                for name in expected} == expected
 
 
 class TestCriteria:

@@ -62,6 +62,7 @@ class TestEnumerate:
         # C27 takes the n-cycle scan with or without the flag
         refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
         analysis._enumerate_classes.cache_clear()
+        analysis._classify.cache_clear()
         heavy = run(capsys, "enumerate", "C27", "--enable-heavy-orders")
         assert heavy == run(capsys, "enumerate", "C27")
         assert heavy[0] == 0 and heavy[1].endswith(
@@ -79,6 +80,7 @@ class TestEnumerate:
         refuse_searches(monkeypatch, "regular_subgroups_in_holomorph",
                         "cyclic_regular_subgroups_in_holomorph")
         analysis._enumerate_classes.cache_clear()
+        analysis._classify.cache_clear()
         code, out, err = run(capsys, "enumerate", "Heisenberg-27")
         assert code == 2 and out == ""
         assert "--enable-heavy-orders" in err
