@@ -13,6 +13,7 @@ once and its report is carried to the other members along their phi.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -37,10 +38,12 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Subgroup,
+    _automorphism_generators,
     _trusted_group,
     automorphisms,
     distinguished_subgroups,
     fingerprint,
+    generating_set,
     is_power_automorphism,
     isomorphism,
     subgroups,
@@ -74,12 +77,18 @@ class HgsReport:
 
 
 def _transport_table(table, images):
-    n = len(images)
-    inv = [0] * n
+    """The table relabeled along images: out[images[a]][images[b]] =
+    images[table[a][b]], each row built by two C-level itemgetters.  An
+    itemgetter of one index returns an item, not a tuple, so order 1,
+    whose one table only the identity relabels, is answered directly."""
+    if len(images) == 1:
+        return ((0,),)
+    inv = [0] * len(images)
     for a, b in enumerate(images):
         inv[b] = a
-    return tuple(tuple(images[table[inv[a]][inv[b]]] for b in range(n))
-                 for a in range(n))
+    columns = operator.itemgetter(*inv)
+    return tuple(operator.itemgetter(*columns(table[a]))(images)
+                 for a in inv)
 
 
 def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
@@ -169,33 +178,6 @@ def _classify(search, N: FiniteGroup) -> _Classification:
             members.append((len(reps), tuple(range(N.order))))
             reps.append(T)
     return _Classification(tuple(reps), tuple(members))
-
-
-@functools.lru_cache(maxsize=None)
-def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """A small generating set of Aut(G), as image tuples: walking
-    automorphisms(G) in order, each map not yet generated is adjoined and
-    the generated subgroup is grown along x -> x∘g, as _greedy_generators
-    does for group elements."""
-    gens = []
-    reached = {tuple(range(G.order))}
-    for f in (a.images for a in automorphisms(G)):
-        if f in reached:
-            continue
-        gens.append(f)
-        # the reached subgroup H is closed under the old generators, and
-        # H∘f is a new coset; every newly reached map needs every generator
-        new = [compose(x, f) for x in reached]
-        reached.update(new)
-        for x in new:
-            for g in gens:
-                y = compose(x, g)
-                if y not in reached:
-                    reached.add(y)
-                    new.append(y)
-    require(len(reached) == len(automorphisms(G)),
-            "automorphism generators do not reach all of Aut(G)")
-    return tuple(gens)
 
 
 def _orbit(found, gens) -> dict:
@@ -399,13 +381,16 @@ def kohl_obstruction(circ: FiniteGroup, N: FiniteGroup) -> int | None:
 def surjective_iff_power_auto(B: SkewBrace) -> bool:
     """Evaluate surjectivity (left-ideal scan) and the power-automorphism
     property of the gamma values (on circ) independently; they must agree
-    for bi-skew braces."""
+    for bi-skew braces.  Power automorphisms form a subgroup of Aut(circ)
+    and gamma is a circ-homomorphism, so gamma(s) for s in the generators
+    of circ decide it."""
     if not is_bi_skew(B):
         raise NotBiSkew("the equivalence only applies to bi-skew braces")
     by_ideals = set(left_ideals(B)) == set(subgroups(B.circ))
+    g = gamma(B)
     by_power = all(
-        is_power_automorphism(B.circ, GroupMap(B.circ, B.circ, m))
-        for m in gamma(B).maps)
+        is_power_automorphism(B.circ, GroupMap(B.circ, B.circ, g(s)))
+        for s in generating_set(B.circ))
     if by_ideals != by_power:
         raise InternalInconsistency(
             f"ideal scan says {by_ideals}, power scan says {by_power}")

@@ -11,7 +11,11 @@ and gamma is then a circ-homomorphism into Aut(dot).  Like the group
 layer, every check here runs on generators: the brace law, gamma's
 invariants, bi-skewness, brace automorphisms and brace isomorphisms each
 test a map against multiplication by the generators of one operation,
-which decides it on every product.
+which decides it on every product.  As gamma is a circ-homomorphism, a
+property of gamma values that composition keeps (keeping a subgroup,
+fixing a point, respecting circ) holds for every gamma(s) once it holds
+for s in the generators of circ: left_ideals, fix and is_bi_skew test
+only those.
 """
 
 from __future__ import annotations
@@ -163,17 +167,28 @@ def swap(B: SkewBrace) -> SkewBrace:
     return SkewBrace(B.circ, B.dot)
 
 
+def _gamma_of_generators(B: SkewBrace) -> list[tuple[int, ...]]:
+    """gamma(s) for s in the generators of circ.  gamma is a
+    circ-homomorphism, so the s whose gamma(s) keeps a subgroup, fixes a
+    point or respects circ form a circ-subgroup: these maps decide such a
+    property for every gamma value."""
+    g = gamma(B)
+    return [g(s) for s in generating_set(B.circ)]
+
+
 @functools.lru_cache(maxsize=None)
 def left_ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
-    """Subgroups of dot invariant under every gamma(sigma).
+    """Subgroups of dot invariant under every gamma(sigma), tested on the
+    gamma values of the generators of circ.
 
     Each one is verified to be a subgroup of circ as well.
     """
-    g = gamma(B)
+    maps = _gamma_of_generators(B)
     out = []
     for s in subgroups(B.dot):
         members = frozenset(s)
-        if all(frozenset(m[x] for x in s) == members for m in g.maps):
+        # a gamma value is a bijection, so keeping s into s keeps it
+        if all(members.issuperset(map(m.__getitem__, s)) for m in maps):
             require(is_subgroup(B.circ, members), "left ideal not circ-closed")
             out.append(s)
     return tuple(out)
@@ -190,24 +205,27 @@ def ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
 
 
 def fix(B: SkewBrace) -> Subgroup:
-    """Common fixed points of all gamma maps; always a left ideal."""
-    g = gamma(B)
-    out = tuple(t for t in range(B.order) if all(m[t] == t for m in g.maps))
+    """Common fixed points of all gamma maps, which are those of the
+    gamma values of the generators of circ; always a left ideal."""
+    maps = _gamma_of_generators(B)
+    out = tuple(t for t in range(B.order) if all(m[t] == t for m in maps))
     require(out in left_ideals(B), "fixed points are not a left ideal")
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def is_bi_skew(B: SkewBrace) -> bool:
-    """True iff every gamma value is an automorphism of circ.
+    """True iff every gamma value is an automorphism of circ, tested on
+    the gamma values of the generators of circ.
 
     When true, the swapped pair is itself a valid brace whose gamma is the
-    pointwise inverse; both facts are checked.
+    pointwise inverse; both facts are checked for every s.
     """
     n = B.order
     g = gamma(B)
     gens = generating_set(B.circ)
-    if not all(_respects_generators(m, B.circ, B.circ, gens) for m in g.maps):
+    if not all(_respects_generators(m, B.circ, B.circ, gens)
+               for m in _gamma_of_generators(B)):
         return False
     gs = gamma(SkewBrace(B.circ, B.dot))
     cinv = B.circ.inverse

@@ -201,13 +201,27 @@ def groups_of_order(order: int) -> tuple[FiniteGroup, ...]:
     raise UnsupportedOrder(f"no catalog groups of order {order}")
 
 
-def type_name(G: FiniteGroup) -> str:
-    """Catalog label of the isomorphism class, or a stable fallback."""
+@functools.lru_cache(maxsize=None)
+def _by_fingerprint() -> dict[tuple, FiniteGroup]:
+    """Every catalog group under its fingerprint, which tells them apart."""
+    out: dict[tuple, FiniteGroup] = {}
     for H in _entries().values():
-        if H.order == G.order and isomorphism(G, H) is not None:
-            return H.name
+        first = out.setdefault(fingerprint(H), H)
+        require(first is H,
+                f"catalog groups {first.name} and {H.name} share a fingerprint")
+    return out
+
+
+def type_name(G: FiniteGroup) -> str:
+    """Catalog label of the isomorphism class, or a stable fallback.  Only
+    the catalog group with G's fingerprint can be isomorphic to G; one
+    isomorphism call confirms it."""
+    key = fingerprint(G)
+    H = _by_fingerprint().get(key)
+    if H is not None and isomorphism(G, H) is not None:
+        return H.name
     # element orders in list form, so recorded fallback names keep their bytes
-    order, abelian, orders = fingerprint(G)
+    order, abelian, orders = key
     text = repr((order, abelian, list(orders)))
     digest = hashlib.sha256(text.encode()).hexdigest()[:8]
     return f"unknown-order-{G.order}-#{digest}"

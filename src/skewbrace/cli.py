@@ -83,13 +83,14 @@ def cmd_enumerate(args) -> int:
             "is expensive)")
     reports = analysis.enumerate_reports(G)
     if args.format == "json":
-        payload = serialize.reports_to_text(reports)
+        chunks = serialize.report_chunks(reports)
     else:
-        payload = _format_table(reports)
+        chunks = [_format_table(reports)]
     if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
     total = len(reports)
     cyclic = sum(1 for r in reports if r.operation.is_cyclic())
     surjective = sum(1 for r in reports if r.is_surjective)

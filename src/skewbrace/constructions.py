@@ -28,6 +28,7 @@ from .groups import (
     commutator_subgroup,
     direct_product,
     distinguished_subgroups,
+    generating_set,
     homomorphisms,
     inversion_action,
     is_homomorphism,
@@ -99,6 +100,9 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
         ri = G.inv(r)
         conj = tuple(G.mul(G.mul(ri, t), r) for t in range(G.order))
         require(g(s) == conj, "psi gamma is not conjugation by the lift")
+    # power automorphisms form a subgroup and gamma is a homomorphism
+    # from G, so the gamma values of its generators decide them all
+    for s in generating_set(G):
         require(is_power_automorphism(G, GroupMap(G, G, g(s))),
                 "psi gamma is not a power automorphism")
     return B
@@ -152,8 +156,10 @@ def inversion_construction(A: FiniteGroup) -> SkewBrace:
     dot = semidirect_product(A, c2, inversion_action(A))
     B = make_brace(dot, circ)
     require(is_bi_skew(B), "inversion brace is not bi-skew")
-    for m in gamma(B).maps:
-        require(is_power_automorphism(circ, GroupMap(circ, circ, m)),
+    # as in psi_construction, the generators of circ decide every gamma value
+    g = gamma(B)
+    for s in generating_set(circ):
+        require(is_power_automorphism(circ, GroupMap(circ, circ, g(s))),
                 "inversion gamma is not a power automorphism")
     return B
 

@@ -18,8 +18,12 @@ triple loop accepts, and names a pair or triple that really fails.
 Homomorphisms are found by backtracking over the images of
 generating_set(G).  Aut(G) is built from the stabilizer chain on those
 generators: one transversal per level, taken from the first extension the
-same backtracking finds, and the products of one element per level,
-sorted by their generator images.
+same backtracking finds among images of the same order and centrality,
+and the products of one element per level, sorted by their generator
+images.  _automorphism_generators(G) is a small generating set of Aut(G);
+a subgroup is characteristic when those maps keep it.  The subgroup
+lattice is grown from the cyclic subgroups by joining each subgroup found
+with one generator per cyclic subgroup, closed along the generators.
 """
 
 from __future__ import annotations
@@ -212,27 +216,32 @@ def is_subgroup(G: FiniteGroup, elems) -> bool:
 def subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """All subgroups, as canonically sorted element tuples.
 
-    Seeds with the cyclic subgroups and closes under pairwise join until
-    a fixpoint; correct for any finite group at this scale.
+    Every subgroup is generated by its cyclic subgroups, so the lattice is
+    grown from them: each subgroup found is joined with one generator c
+    of every cyclic subgroup it misses.  <S, c> is reached from S along
+    x -> x*g, keeping the generators S was reached by, as
+    _greedy_generators does.
     """
     n = G.order
-    subs = {(0,)}
-    subs.update(cyclic_subgroup(G, a) for a in range(n))
-    frontier = list(subs)
-    while frontier:
-        new = []
-        pool = list(subs)
-        for A in frontier:
-            sa = set(A)
-            for B in pool:
-                if sa.issuperset(B):
-                    continue
-                J = closure(G, A + B)
-                if J not in subs:
-                    subs.add(J)
-                    new.append(J)
-        frontier = new
-    return tuple(sorted(subs))
+    cyclic: dict[Subgroup, int] = {}
+    for a in range(n):
+        cyclic.setdefault(cyclic_subgroup(G, a), a)
+    found = {C: (a,) for C, a in cyclic.items()}
+    todo = list(found)
+    for S in todo:
+        members = [False] * n
+        for x in S:
+            members[x] = True
+        for c in cyclic.values():
+            if members[c]:
+                continue
+            gens = found[S] + (c,)
+            J = tuple(sorted(S + tuple(_adjoin(G.table, S, members.copy(),
+                                               gens))))
+            if J not in found:
+                found[J] = gens
+                todo.append(J)
+    return tuple(sorted(found))
 
 
 def is_normal(G: FiniteGroup, sub) -> bool:
@@ -320,25 +329,31 @@ def _greedy_generators(table) -> tuple[int, ...]:
     seen = [True] + [False] * (n - 1)
     reached = [0]
     while len(reached) < n:
-        g = seen.index(False)
-        gens.append(g)
-        # old members are closed under the old generators; they need only
-        # g, and every newly reached element needs every generator
-        new = []
-        for x in reached:
-            y = table[x][g]
+        gens.append(seen.index(False))
+        reached += _adjoin(table, reached, seen, gens)
+    return tuple(gens)
+
+
+def _adjoin(table, reached, seen: list[bool], gens) -> list[int]:
+    """The elements newly reached from 0 along x -> x*g once gens[-1] is
+    adjoined, where reached (flagged in seen) is closed under gens[:-1]:
+    old members need only the new generator, and every newly reached
+    element needs every generator.  Flags them in seen as it goes."""
+    g = gens[-1]
+    new = []
+    for x in reached:
+        y = table[x][g]
+        if not seen[y]:
+            seen[y] = True
+            new.append(y)
+    for x in new:
+        row = table[x]
+        for h in gens:
+            y = row[h]
             if not seen[y]:
                 seen[y] = True
                 new.append(y)
-        for x in new:
-            row = table[x]
-            for h in gens:
-                y = row[h]
-                if not seen[y]:
-                    seen[y] = True
-                    new.append(y)
-        reached += new
-    return tuple(gens)
+    return new
 
 
 def homomorphisms(G: FiniteGroup, H: FiniteGroup, *, bijective: bool = False,
@@ -416,24 +431,32 @@ def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
     """The full automorphism group as explicit maps (identity included).
 
     Built from the stabilizer chain on gens = generating_set(G).  Level k
-    is a transversal T_k: for each h of the order of g_k, the first
-    automorphism that fixes g_0..g_{k-1} and sends g_k to h, if there is
-    one.  Every automorphism is t_0∘t_1∘…∘t_{d-1} for exactly one choice
-    of t_k in T_k, so the search stops at Σ|T_k| first-found extensions
-    and the rest is composition.  The products are sorted by their
+    is a transversal T_k: for each h of the order of g_k, and central
+    exactly when g_k is, the first automorphism that fixes g_0..g_{k-1}
+    and sends g_k to h, if there is one.  Every automorphism is
+    t_0∘t_1∘…∘t_{d-1} for exactly one choice of t_k in T_k, so the
+    search stops at Σ|T_k| first-found extensions and the rest is
+    composition.  The products are sorted by their
     generator images, the order homomorphisms(G, G, bijective=True) gives.
     """
     gens = generating_set(G)
     orders = [G.element_order(h) for h in range(G.order)]
+    # an automorphism keeps element orders and the centre
+    central = [False] * G.order
+    for z in center(G):
+        central[z] = True
     transversals = [
-        [f.images for h in range(G.order) if orders[h] == orders[g]
+        [f.images for h in range(G.order)
+         if orders[h] == orders[g] and central[h] == central[g]
          for f in _extensions(G, G, gens[:k] + (h,), bijective=True,
                               first_only=True)]
         for k, g in enumerate(gens)]
+    # t∘p is itemgetter(*p)(t); a level exists only at order >= 2, where
+    # the getter returns a tuple
     products = [tuple(range(G.order))]
     for level in reversed(transversals):
-        products = [tuple(map(t.__getitem__, p))
-                    for t in level for p in products]
+        getters = [operator.itemgetter(*p) for p in products]
+        products = [get(t) for t in level for get in getters]
     if gens:
         products.sort(key=operator.itemgetter(*gens))
     require(tuple(range(G.order)) in products,
@@ -442,6 +465,37 @@ def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
     require(all(p != q for p, q in itertools.pairwise(products)),
             "stabilizer chain products are not distinct")
     return tuple(GroupMap(G, G, p) for p in products)
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """A small generating set of Aut(G), as image tuples: walking
+    automorphisms(G) in order, each map not yet generated is adjoined and
+    the generated subgroup is grown along x -> x∘g, as _greedy_generators
+    does for group elements."""
+    gens = []
+    # x∘g is right(x) for right = itemgetter(*g); a map other than the
+    # identity needs order >= 3, where the getter returns a tuple
+    rights = []
+    reached = {tuple(range(G.order))}
+    for f in (a.images for a in automorphisms(G)):
+        if f in reached:
+            continue
+        gens.append(f)
+        rights.append(operator.itemgetter(*f))
+        # the reached subgroup H is closed under the old generators, and
+        # H∘f is a new coset; every newly reached map needs every generator
+        new = list(map(rights[-1], reached))
+        reached.update(new)
+        for x in new:
+            for right in rights:
+                y = right(x)
+                if y not in reached:
+                    reached.add(y)
+                    new.append(y)
+    require(len(reached) == len(automorphisms(G)),
+            "automorphism generators do not reach all of Aut(G)")
+    return tuple(gens)
 
 
 def _invariants(G: FiniteGroup):
@@ -478,15 +532,18 @@ class DistinguishedSubgroups:
 @functools.lru_cache(maxsize=None)
 def distinguished_subgroups(G: FiniteGroup) -> DistinguishedSubgroups:
     """Center, norm (intersection of all subgroup normalizers),
-    characteristic subgroups and normal subgroups."""
+    characteristic subgroups and normal subgroups.  The automorphisms
+    that keep a subgroup form a subgroup of Aut(G), so a subgroup is
+    characteristic when every map of _automorphism_generators(G) keeps
+    it."""
     subs = subgroups(G)
     norm: set[int] = set(range(G.order))
     for s in subs:
         norm &= set(normalizer(G, s))
-    auts = automorphisms(G)
+    auts = _automorphism_generators(G)
     characteristic = tuple(s for s in subs
-                           if all(frozenset(f(a) for a in s) == frozenset(s)
-                                  for f in auts))
+                           if all(frozenset(map(f.__getitem__, s))
+                                  == frozenset(s) for f in auts))
     normal = tuple(s for s in subs if is_normal(G, s))
     return DistinguishedSubgroups(center(G), tuple(sorted(norm)),
                                   characteristic, normal)

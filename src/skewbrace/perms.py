@@ -256,7 +256,9 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
     order m*k with k | exp(N), and only the phi with m | n and
     (n/m) | exp(N) are scanned.  No element of Hol(C3xC3xC3) passes.
     phi^k is the identity iff it fixes every generator of N, so m is the
-    lcm of the phi-cycle lengths through the generators.
+    lcm of the phi-cycle lengths through the generators; the lcm only
+    grows, so phi is dropped at the first generator that takes it off the
+    divisors of n.
     """
     n = N.order
     exp = N.exponent()
@@ -265,7 +267,11 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
     cycles = 0
     for f in automorphisms(N):
         fi = f.images
-        m = math.lcm(*(_cycle_length(fi, g) for g in gens))
+        m = 1
+        for g in gens:
+            m = math.lcm(m, _cycle_length(fi, g))
+            if n % m != 0:
+                break
         if n % m != 0 or exp % (n // m) != 0:
             continue
         for row in N.table:

@@ -72,15 +72,38 @@ def report_to_record(r: HgsReport) -> dict:
     }
 
 
+def report_chunks(reports):
+    """The text of reports_to_text, one record at a time: reports (or
+    records) sorted by operation table, each encoded as json.dumps of the
+    whole list would place it, so no more than one record is ever held as
+    text."""
+    items = sorted(reports, key=_operation_table)
+    if not items:
+        yield "[]\n"
+        return
+    sep = "[\n  "
+    for r in items:
+        rec = report_to_record(r) if isinstance(r, HgsReport) else r
+        # JSON strings escape newlines, so every newline is layout
+        yield sep + json.dumps(rec, indent=2, sort_keys=True) \
+            .replace("\n", "\n  ")
+        sep = ",\n  "
+    yield "\n]\n"
+
+
+def _operation_table(r) -> tuple:
+    if isinstance(r, HgsReport):
+        return r.operation.table
+    return tuple(map(tuple, r["operation_table"]))
+
+
 def reports_to_text(reports) -> str:
-    records = [report_to_record(r) if isinstance(r, HgsReport) else r
-               for r in reports]
-    records.sort(key=lambda rec: rec["operation_table"])
-    return json.dumps(records, indent=2, sort_keys=True) + "\n"
+    return "".join(report_chunks(reports))
 
 
 def write_reports(reports, path) -> None:
-    Path(path).write_text(reports_to_text(reports), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(report_chunks(reports))
 
 
 def read_reports(path) -> list[dict]:

@@ -25,6 +25,8 @@ from skewbrace.groups import isomorphism, make_group
 from skewbrace.serialize import (
     read_group,
     read_reports,
+    report_chunks,
+    report_to_record,
     reports_to_text,
     write_group,
     write_reports,
@@ -161,6 +163,26 @@ class TestReportFiles:
         write_reports(reports, p1)
         write_reports(read_reports(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("name", ["C1", "C6", "Q8", "C3xC3"])
+    def test_chunks_match_whole_list_encoding(self, name, tmp_path):
+        # the encoding of the sorted record list in one json.dumps call,
+        # which the streamed chunks replace, byte for byte
+        reports = enumerate_reports(group_by_name(name))
+        records = sorted((report_to_record(r) for r in reports),
+                         key=lambda rec: rec["operation_table"])
+        whole = json.dumps(records, indent=2, sort_keys=True) + "\n"
+        assert "".join(report_chunks(reversed(reports))) == whole
+        path = tmp_path / "out.json"
+        write_reports(json.loads(whole)[::-1], path)
+        assert path.read_text(encoding="utf-8") == whole
+
+    def test_empty_report_list(self, tmp_path):
+        assert reports_to_text([]) == json.dumps([], indent=2) + "\n" \
+            == "[]\n"
+        path = tmp_path / "empty.json"
+        write_reports(iter(()), path)
+        assert path.read_bytes() == b"[]\n"
 
     def test_records_sorted_by_operation(self, tmp_path):
         reports = enumerate_reports(group_by_name("D3"))

@@ -2,27 +2,39 @@
 
 The package checks every group and brace law on a generating set: a map
 that respects multiplication by every generator respects every word, so
-every product.  Each test here keeps the full loop that the generator
-check replaced, as an oracle, and compares the two exhaustively on small
-inputs: all reduced Latin squares of order <= 6, all ordered pairs of the
-groups among them, and the regular-subgroup searches of small orders.
+every product.  Properties of the gamma values that are closed under
+composition (keeping a subgroup, fixing a point, respecting circ, being a
+power automorphism) are tested on gamma(s) for s in the generators of
+circ, as gamma is a circ-homomorphism, and characteristic subgroups on
+generators of Aut(G).  Each test here keeps the full loop that the
+generator check replaced, as an oracle, and compares the two
+exhaustively on small inputs: all reduced Latin squares of order <= 6,
+all ordered pairs of the groups among them, the regular-subgroup searches
+of small orders, the census braces of order <= 8, the `verify axioms`
+battery, and the catalog groups with relabeled copies.
 """
 
 import functools
 import itertools
+import random
 import re
 
 import pytest
 
+from skewbrace import constructions
+from skewbrace.analysis import enumerate_operations, surjective_iff_power_auto
 from skewbrace.braces import (
     SkewBrace,
     brace_automorphisms,
     brace_isomorphism,
+    fix,
     gamma,
     is_bi_skew,
+    left_ideals,
     make_brace,
 )
-from skewbrace.catalog import group_by_name, groups_of_order
+from skewbrace.catalog import catalog_names, group_by_name, groups_of_order
+from skewbrace.cli import _axiom_battery
 from skewbrace.errors import (
     BraceLawViolated,
     InternalInconsistency,
@@ -34,9 +46,13 @@ from skewbrace.groups import (
     automorphisms,
     center,
     closure,
+    cyclic_subgroup,
+    distinguished_subgroups,
     generating_set,
+    homomorphisms,
     is_homomorphism,
     is_normal,
+    is_power_automorphism,
     isomorphism,
     make_group,
     semidirect_product,
@@ -216,6 +232,65 @@ def pairwise_regular_search(candidates_by_start, n, accept):
     grow({0: tuple(range(n))})
 
 
+def pairwise_join_subgroups(G):
+    """The subgroup lattice by joining every pair of subgroups, closed
+    over all their elements, until a fixpoint."""
+    subs = {(0,)}
+    subs.update(cyclic_subgroup(G, a) for a in range(G.order))
+    frontier = list(subs)
+    while frontier:
+        new = []
+        pool = list(subs)
+        for A in frontier:
+            sa = set(A)
+            for B in pool:
+                if sa.issuperset(B):
+                    continue
+                J = closure(G, A + B)
+                if J not in subs:
+                    subs.add(J)
+                    new.append(J)
+        frontier = new
+    return tuple(sorted(subs))
+
+
+def full_characteristic(G):
+    auts = automorphisms(G)
+    return tuple(s for s in subgroups(G)
+                 if all(frozenset(f(a) for a in s) == frozenset(s)
+                        for f in auts))
+
+
+def all_gamma_left_ideals(B):
+    maps = gamma(B).maps
+    return tuple(s for s in subgroups(B.dot)
+                 if all(frozenset(m[x] for x in s) == frozenset(s)
+                        for m in maps))
+
+
+def all_gamma_fix(B):
+    maps = gamma(B).maps
+    return tuple(t for t in range(B.order) if all(m[t] == t for m in maps))
+
+
+def all_gamma_power(B):
+    return all(is_power_automorphism(B.circ, GroupMap(B.circ, B.circ, m))
+               for m in gamma(B).maps)
+
+
+def generated_maps(maps, n):
+    """Every composite of the maps, the identity included."""
+    reached = {tuple(range(n))}
+    todo = list(reached)
+    for x in todo:
+        for m in maps:
+            y = tuple(x[i] for i in m)
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return reached
+
+
 def restart_generating_set(G):
     """Least-first generators, recomputing the closure from scratch."""
     gens = []
@@ -237,6 +312,32 @@ def labeled_groups(n):
 
 def small_catalog(max_order):
     return [G for n in range(1, max_order + 1) for G in groups_of_order(n)]
+
+
+def catalog_up_to(max_order):
+    """Every catalog group of order <= max_order, partial orders too."""
+    return [G for G in map(group_by_name, catalog_names())
+            if G.order <= max_order]
+
+
+def relabeled(G, seed):
+    """G relabeled along a bijection of 0..n-1 that fixes 0, drawn from
+    seed: out[pi(a)][pi(b)] = pi(a*b)."""
+    n = G.order
+    rest = list(range(1, n))
+    random.Random(seed).shuffle(rest)
+    pi = [0] + rest
+    table = [[0] * n for _ in range(n)]
+    for a, row in enumerate(G.table):
+        for b, ab in enumerate(row):
+            table[pi[a]][pi[b]] = pi[ab]
+    return make_group(table, f"{G.name}~{seed}")
+
+
+@functools.lru_cache(maxsize=None)
+def census_braces(max_order):
+    return tuple(B for G in small_catalog(max_order)
+                 for B in enumerate_operations(G))
 
 
 def named_triple(exc):
@@ -409,3 +510,74 @@ def test_subgroups_are_normal_exactly_when_full_loop_says():
     for G in small_catalog(12):
         for s in subgroups(G):
             assert is_normal(G, s) == full_is_normal(G, s)
+
+
+# -- the group core from generators ---------------------------------------------
+
+@pytest.mark.parametrize("G", catalog_up_to(16), ids=lambda G: G.name)
+def test_subgroups_match_pairwise_join(G):
+    for H in (G, relabeled(G, 1), relabeled(G, 2)):
+        assert subgroups(H) == pairwise_join_subgroups(H), H.name
+
+
+def test_automorphisms_match_bijective_homomorphisms_when_relabeled():
+    # relabeling changes which generators generating_set picks and which
+    # of them are central; the labeled groups of order <= 6 add more
+    groups = [relabeled(G, seed) for G in [*small_catalog(15),
+                                           *groups_of_order(27)]
+              for seed in (1, 2)]
+    groups += [G for n in range(1, MAX_ORDER + 1) for G in labeled_groups(n)]
+    for G in groups:
+        assert [f.images for f in automorphisms(G)] == \
+            [f.images for f in homomorphisms(G, G, bijective=True)], G.name
+
+
+def test_characteristic_subgroups_match_full_aut_loop():
+    groups = catalog_up_to(27)
+    groups += [relabeled(G, 1) for G in catalog_up_to(12)]
+    for G in groups:
+        assert distinguished_subgroups(G).characteristic \
+            == full_characteristic(G), G.name
+
+
+# -- gamma values of circ generators --------------------------------------------
+
+@pytest.mark.parametrize("source", ["census-up-to-8", "axiom-battery"])
+def test_gamma_on_circ_generators_matches_every_gamma(source):
+    braces = census_braces(8) if source == "census-up-to-8" \
+        else _axiom_battery()
+    bi_skew = 0
+    for B in braces:
+        assert left_ideals(B) == all_gamma_left_ideals(B)
+        assert fix(B) == all_gamma_fix(B)
+        assert is_bi_skew(B) == full_is_bi_skew(B)
+        if full_is_bi_skew(B):
+            bi_skew += 1
+            assert surjective_iff_power_auto(B) == all_gamma_power(B)
+    assert bi_skew
+
+
+def test_constructions_check_power_on_gamma_generating_set(monkeypatch):
+    # the maps psi_construction and inversion_construction test for being
+    # power automorphisms generate every gamma value, which all are
+    checked = []
+
+    def spy(G, f):
+        checked.append(f.images)
+        return is_power_automorphism(G, f)
+
+    monkeypatch.setattr(constructions, "is_power_automorphism", spy)
+    builds = []
+    for name in ("Q8", "D4", "Heisenberg-27"):
+        G = group_by_name(name)
+        Q, _ = constructions.norm_mod_center(G)
+        builds += [functools.partial(constructions.psi_construction, G, f)
+                   for f in homomorphisms(G, Q)]
+    builds += [functools.partial(constructions.inversion_construction,
+                                 group_by_name(name))
+               for name in ("C3", "C4", "C5", "C2xC2", "C3xC3")]
+    for build in builds:
+        checked.clear()
+        B = build()
+        assert generated_maps(checked, B.order) == set(gamma(B).maps)
+        assert all_gamma_power(B)
