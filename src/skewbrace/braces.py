@@ -27,6 +27,7 @@ from fractions import Fraction
 from .errors import (
     BraceLawViolated,
     IdentityMismatch,
+    InternalInconsistency,
     NotAnIdeal,
     NotALeftIdeal,
     NotBiSkew,
@@ -52,6 +53,7 @@ from .groups import (
     subgroup_group,
     subgroups,
 )
+from .perms import compose
 
 
 @dataclass(frozen=True)
@@ -125,26 +127,33 @@ def gamma(B: SkewBrace) -> GammaTable:
     and (s o t).s^-1.(s o k) = s.gamma(s)(t).gamma(s)(k).  Both
     homomorphism checks run on generators: gamma(s) fixes 0, and gamma(0)
     is the identity, so respecting every generator means respecting every
-    product."""
+    product.  Once gamma is a circ-homomorphism every gamma value is a
+    product of those of the circ generators, so being a bijection and a
+    dot-endomorphism, which products keep, is checked on those alone.  On
+    a failure every value is checked in order, so the error names the
+    first failing invariant that checking each value would name."""
     dot, circ = B.dot, B.circ
     n = B.order
     dt, ct = dot.table, circ.table
     dinv = dot.inverse
     maps = tuple(tuple(dt[dinv[s]][ct[s][t]] for t in range(n))
                  for s in range(n))
-    identity = tuple(range(n))
-    require(maps[0] == identity, "gamma(0) is not the identity")
+    identity = list(range(n))
+    require(maps[0] == tuple(identity), "gamma(0) is not the identity")
     dot_gens, circ_gens = generating_set(dot), generating_set(circ)
-    for m in maps:
-        require(sorted(m) == list(identity), "gamma value is not a bijection")
-        require(_respects_generators(m, dot, dot, dot_gens),
-                "gamma value is not a dot-endomorphism")
-    for s in range(n):
-        ms = maps[s]
-        for t in circ_gens:
-            composed = tuple(ms[x] for x in maps[t])
-            require(maps[ct[s][t]] == composed,
-                    "gamma is not a circ-homomorphism")
+
+    def failure(m) -> str | None:
+        if sorted(m) != identity:
+            return "gamma value is not a bijection"
+        if not _respects_generators(m, dot, dot, dot_gens):
+            return "gamma value is not a dot-endomorphism"
+        return None
+
+    if any(failure(maps[s]) for s in circ_gens) \
+            or not all(maps[ct[s][t]] == compose(ms, maps[t])
+                       for s, ms in enumerate(maps) for t in circ_gens):
+        raise InternalInconsistency(next(filter(None, map(failure, maps)),
+                                         "gamma is not a circ-homomorphism"))
     return GammaTable(maps)
 
 

@@ -75,6 +75,8 @@ def _format_table(reports) -> str:
 
 def cmd_enumerate(args) -> int:
     G = _resolve_group(args.group)
+    # an order the catalog does not serve is refused as such, flag or not
+    groups_of_order(G.order)
     if G.order > analysis._FULL_ENUM_MAX and not G.is_cyclic() \
             and not args.enable_heavy_orders:
         raise OrderTooLarge(

@@ -2,10 +2,12 @@
 
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
 is immutable; the heavy computations (subgroup lattice, automorphism
-group) are memoized per table.  A table is validated once, where it
-enters, by make_group; a table derived from valid groups (a quotient, a
-subgroup, a semidirect product along a checked action, a relabeling along
-a bijection) is a group by construction and _trusted_group builds it as is.
+group) are memoized per table, and each FiniteGroup computes its hash,
+element orders and centre flags once.  A table is validated once, where
+it enters, by make_group; a table derived from valid groups (a quotient,
+a subgroup, a semidirect product along a checked action, a relabeling
+along a bijection) is a group by construction and _trusted_group builds
+it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -15,13 +17,18 @@ associativity test on the generators its checked Latin square reaches
 every element by.  Each check accepts exactly what the full pair or
 triple loop accepts, and names a pair or triple that really fails.
 
-Homomorphisms are found by backtracking over the images of
-generating_set(G).  Aut(G) is built from the stabilizer chain on those
-generators: one transversal per level, taken from the first extension the
-same backtracking finds among images of the same order and centrality,
-and the products of one element per level, sorted by their generator
-images.  _automorphism_generators(G) is a small generating set of Aut(G);
-a subgroup is characteristic when those maps keep it.  The subgroup
+Homomorphisms, isomorphisms and automorphisms come from one backtracking
+search, _extensions, over the images of generating_set(G).  Each level
+spreads the map known on <g_0..g_{k-1}> to <g_0..g_k> incrementally, as
+_adjoin closes a subgroup, and is undone in place when it fails.  A
+bijective search tries for g_k only the images of its order that are
+central exactly when it is, and isomorphism compares the fingerprints
+and the centre sizes before it searches.  Aut(G) is built from the
+stabilizer chain on the generators: one transversal per level, taken
+from the first extensions the search finds, and the products of one
+element per level, sorted by their generator images.
+_automorphism_generators(G) is a small generating set of Aut(G); a
+subgroup is characteristic when those maps keep it.  The subgroup
 lattice is grown from the cyclic subgroups by joining each subgroup found
 with one generator per cyclic subgroup, closed along the generators.
 """
@@ -49,11 +56,52 @@ Subgroup = tuple[int, ...]   # strictly increasing element indices, contains 0
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as a Cayley table; table[a][b] = a*b, identity 0."""
+    """A finite group as a Cayley table; table[a][b] = a*b, identity 0.
+
+    Equality and hash are those of the table.  The hash, the element
+    orders and the centre flags are computed once per instance, on first
+    use.
+    """
 
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...] = field(compare=False)
     name: str | None = field(default=None, compare=False)
+
+    def __hash__(self) -> int:
+        return self._table_hash
+
+    @functools.cached_property
+    def _table_hash(self) -> int:
+        return hash(self.table)
+
+    @functools.cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        """element_orders[a] is the order of a.  Each cyclic subgroup is
+        walked once: the k-th power of an element of order m has order
+        m / gcd(m, k)."""
+        t = self.table
+        orders = [0] * len(t)
+        for a, known in enumerate(orders):
+            if known:
+                continue
+            powers = [0]
+            x = a
+            while x != 0:
+                powers.append(x)
+                x = t[x][a]
+            m = len(powers)
+            for k, x in enumerate(powers):
+                orders[x] = m // math.gcd(m, k)
+        return tuple(orders)
+
+    @functools.cached_property
+    def central(self) -> tuple[bool, ...]:
+        """central[a] is whether a commutes with every element; commuting
+        with every generator suffices."""
+        t = self.table
+        gens = generating_set(self)
+        return tuple(all(row[g] == t[g][a] for g in gens)
+                     for a, row in enumerate(t))
 
     @property
     def order(self) -> int:
@@ -70,12 +118,7 @@ class FiniteGroup:
         return self.table[self.table[b][a]][self.inverse[b]]
 
     def element_order(self, a: int) -> int:
-        x = a
-        k = 1
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
+        return self.element_orders[a]
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -83,15 +126,10 @@ class FiniteGroup:
                    for a, b in itertools.combinations(generating_set(self), 2))
 
     def is_cyclic(self) -> bool:
-        n = self.order
-        return any(self.element_order(a) == n for a in range(n))
+        return self.order in self.element_orders
 
     def exponent(self) -> int:
-        e = 1
-        for a in range(self.order):
-            k = self.element_order(a)
-            e = e // math.gcd(e, k) * k
-        return e
+        return math.lcm(*self.element_orders)
 
     def with_name(self, name: str) -> FiniteGroup:
         return FiniteGroup(self.table, self.inverse, name)
@@ -256,10 +294,7 @@ def normalizer(G: FiniteGroup, sub) -> Subgroup:
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    t = G.table
-    gens = generating_set(G)
-    return tuple(a for a, row in enumerate(t)
-                 if all(row[g] == t[g][a] for g in gens))
+    return tuple(a for a, z in enumerate(G.central) if z)
 
 
 def commutator_subgroup(G: FiniteGroup) -> Subgroup:
@@ -360,8 +395,9 @@ def homomorphisms(G: FiniteGroup, H: FiniteGroup, *, bijective: bool = False,
                   first_only: bool = False) -> list[GroupMap]:
     """All homomorphisms G -> H by backtracking over generator images.
 
-    Candidate images are pruned by element-order divisibility (equality
-    when bijective).  At level k the map is spread over <g_0..g_k> along
+    A generator's image has order dividing its order; when bijective, the
+    same order, and it is central exactly when the generator is.  At
+    level k the map known on <g_0..g_{k-1}> is spread to <g_0..g_k> along
     x -> x*g_j, checking f(x*g_j) == f(x)*f(g_j) for every reached x and
     j <= k; with f(0) = 0 that makes it a homomorphism on the subgroup.
     Deterministic: candidates are tried in index order, so the maps come
@@ -378,51 +414,92 @@ def _extensions(G: FiniteGroup, H: FiniteGroup, prefix: tuple[int, ...], *,
                 bijective: bool, first_only: bool) -> list[GroupMap]:
     """The homomorphisms G -> H (injective when bijective) whose images of
     generating_set(G) begin with prefix, found by the backtracking that
-    homomorphisms describes."""
+    homomorphisms describes.
+
+    The candidate images of each generator are fixed first, and a prefix
+    that leaves them gives no maps: a bijective map keeps element orders
+    and sends the centre onto the centre, so its candidates for g are the
+    h of g's order that are central exactly when g is.  The spread adjoins
+    one generator at a time, as _adjoin does: members of <g_0..g_{k-1}>
+    need only g_k, and each newly reached member needs every generator up
+    to g_k.  A level is undone before the next candidate is tried.
+    """
     gt, ht = G.table, H.table
     gens = generating_set(G)
-    gen_orders = [G.element_order(g) for g in gens]
-    h_orders = [H.element_order(h) for h in range(H.order)]
+    g_orders, h_orders = G.element_orders, H.element_orders
+    if bijective:
+        g_central, h_central = G.central, H.central
+        candidates = [[h for h in range(H.order)
+                       if h_orders[h] == g_orders[g]
+                       and h_central[h] == g_central[g]] for g in gens]
+    else:
+        candidates = [[h for h in range(H.order)
+                       if g_orders[g] % h_orders[h] == 0] for g in gens]
+    if any(h not in level for h, level in zip(prefix, candidates)):
+        return []
+    images = [-1] * G.order
+    images[0] = 0
+    # used[y]: y is the image of a reached element (read only if bijective)
+    used = [False] * H.order
+    used[0] = True
+    reached = [0]
+    gen_images: list[int] = []
     found: list[GroupMap] = []
 
-    def spread(gen_images: list[int]):
-        images = [-1] * G.order
-        images[0] = 0
-        reached = [0]
-        for x in reached:
-            fx = ht[images[x]]
-            for g, h in zip(gens, gen_images):
-                y = gt[x][g]
-                if images[y] == -1:
-                    images[y] = fx[h]
-                    reached.append(y)
-                elif images[y] != fx[h]:
-                    return None
-        if bijective and len({images[x] for x in reached}) != len(reached):
-            return None
-        return images
+    def spread(members, steps, new: list[int]) -> bool:
+        """Set f(x*g) = f(x)*h for x in members and (g, h) in steps,
+        appending each element first reached to new (members may be
+        new); False at a clash or, when bijective, a repeated image."""
+        for x in members:
+            row, fx = gt[x], ht[images[x]]
+            for g, h in steps:
+                y, fy = row[g], fx[h]
+                if images[y] == -1 and not (bijective and used[fy]):
+                    images[y] = fy
+                    used[fy] = True
+                    new.append(y)
+                elif images[y] != fy:
+                    return False
+        return True
 
-    def backtrack(gen_images: list[int], images: list[int]) -> bool:
+    def undo(new: list[int]) -> None:
+        for y in new:
+            used[images[y]] = False
+            images[y] = -1
+
+    def advance(h: int) -> list[int] | None:
+        """Spread f from <g_0..g_{k-1}> to <g_0..g_k> with f(g_k) = h, for
+        k the next level: the members it reaches, or None, with nothing
+        changed, when no homomorphism does that."""
+        g = gens[len(gen_images)]
+        new: list[int] = []
+        if spread(reached, ((g, h),), new) \
+                and spread(new, tuple(zip(gens, gen_images + [h])), new):
+            gen_images.append(h)
+            reached.extend(new)
+            return new
+        undo(new)
+        return None
+
+    def backtrack() -> bool:
         level = len(gen_images)
         if level == len(gens):
             found.append(GroupMap(G, H, tuple(images)))
             return True
-        go = gen_orders[level]
-        for h in range(H.order):
-            ho = h_orders[h]
-            if go % ho != 0 or (bijective and ho != go):
+        for h in candidates[level]:
+            new = advance(h)
+            if new is None:
                 continue
-            extended = gen_images + [h]
-            spread_images = spread(extended)
-            if spread_images is not None \
-                    and backtrack(extended, spread_images) \
-                    and first_only:
+            done = backtrack() and first_only
+            gen_images.pop()
+            del reached[len(reached) - len(new):]
+            undo(new)
+            if done:
                 return True
         return False
 
-    start = spread(list(prefix))
-    if start is not None:
-        backtrack(list(prefix), start)
+    if all(advance(h) is not None for h in prefix):
+        backtrack()
     return found
 
 
@@ -431,26 +508,20 @@ def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
     """The full automorphism group as explicit maps (identity included).
 
     Built from the stabilizer chain on gens = generating_set(G).  Level k
-    is a transversal T_k: for each h of the order of g_k, and central
-    exactly when g_k is, the first automorphism that fixes g_0..g_{k-1}
-    and sends g_k to h, if there is one.  Every automorphism is
-    t_0∘t_1∘…∘t_{d-1} for exactly one choice of t_k in T_k, so the
-    search stops at Σ|T_k| first-found extensions and the rest is
-    composition.  The products are sorted by their
-    generator images, the order homomorphisms(G, G, bijective=True) gives.
+    is a transversal T_k: for each h, the first automorphism that fixes
+    g_0..g_{k-1} and sends g_k to h, if there is one (_extensions tries
+    only the h of g_k's order that are central exactly when g_k is).
+    Every automorphism is t_0∘t_1∘…∘t_{d-1} for exactly one choice of t_k
+    in T_k, so the search stops at Σ|T_k| first-found extensions and the
+    rest is composition.  The products are sorted by their generator
+    images, the order homomorphisms(G, G, bijective=True) gives.
     """
     gens = generating_set(G)
-    orders = [G.element_order(h) for h in range(G.order)]
-    # an automorphism keeps element orders and the centre
-    central = [False] * G.order
-    for z in center(G):
-        central[z] = True
     transversals = [
         [f.images for h in range(G.order)
-         if orders[h] == orders[g] and central[h] == central[g]
          for f in _extensions(G, G, gens[:k] + (h,), bijective=True,
                               first_only=True)]
-        for k, g in enumerate(gens)]
+        for k in range(len(gens))]
     # t∘p is itemgetter(*p)(t); a level exists only at order >= 2, where
     # the getter returns a tuple
     products = [tuple(range(G.order))]
@@ -499,22 +570,25 @@ def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def _invariants(G: FiniteGroup):
-    """The parts of fingerprint(G), cheapest first, computed on demand."""
+    """Isomorphism invariants, cheapest first, computed on demand: the
+    parts of fingerprint(G), then |Z(G)|."""
     yield G.order
-    yield tuple(sorted(map(G.element_order, range(G.order))))
+    yield tuple(sorted(G.element_orders))
     yield G.is_abelian()
+    yield sum(G.central)
 
 
 def fingerprint(G: FiniteGroup) -> tuple:
     """(order, abelian, sorted element orders): a hashable isomorphism
     invariant that tells every two catalog groups apart."""
-    order, orders, abelian = _invariants(G)
+    order, orders, abelian = itertools.islice(_invariants(G), 3)
     return (order, abelian, orders)
 
 
 def isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupMap | None:
     """Some isomorphism G -> H (the first in backtracking order), or None;
-    the fingerprints are compared part by part before any search."""
+    the fingerprints and the centre sizes are compared part by part
+    before any search."""
     if any(a != b for a, b in zip(_invariants(G), _invariants(H))):
         return None
     maps = homomorphisms(G, H, bijective=True, first_only=True)

@@ -29,8 +29,11 @@ ORACLE_DEFAULT_BOUND = 8
 
 
 def compose(p: Perm, q: Perm) -> Perm:
-    """p after q."""
-    return tuple(map(p.__getitem__, q))
+    """p after q.  An itemgetter of one index returns an item, not a
+    tuple, so degree 1 is answered directly."""
+    if len(q) == 1:
+        return (p[q[0]],)
+    return operator.itemgetter(*q)(p)
 
 
 def perm_order(p: Perm) -> int:
@@ -119,10 +122,8 @@ def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
     n = N.order
     perms = set()
     for f in automorphisms(N):
-        fi = f.images
-        for a in range(n):
-            row = N.table[a]
-            perms.add(tuple(row[fi[t]] for t in range(n)))
+        for row in N.table:
+            perms.add(compose(row, f.images))
     out = tuple(sorted(perms))
     require(len(out) == n * len(automorphisms(N)), "repeated holomorph perm")
     return out

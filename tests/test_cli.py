@@ -58,6 +58,16 @@ class TestEnumerate:
                 code, out, err = run(capsys, "enumerate", str(path), *flags)
                 assert code == 2 and err and not out, (G.name, flags)
 
+    def test_unserved_order_refusal_names_no_flag(self, capsys, tmp_path):
+        # order 16 is partly catalogued and order 18 not at all: the flag
+        # cannot lift either refusal, so the message does not offer it
+        path = tmp_path / "D9.json"
+        write_group(dihedral(9), path)
+        for spec in ("C4xC4", str(path)):
+            code, out, err = run(capsys, "enumerate", spec)
+            assert code == 2 and err and not out, spec
+            assert "--enable-heavy-orders" not in err, spec
+
     def test_heavy_flag_changes_no_output(self, capsys, monkeypatch):
         # C27 takes the n-cycle scan with or without the flag
         refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")

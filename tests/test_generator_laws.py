@@ -11,7 +11,10 @@ generator check replaced, as an oracle, and compares the two
 exhaustively on small inputs: all reduced Latin squares of order <= 6,
 all ordered pairs of the groups among them, the regular-subgroup searches
 of small orders, the census braces of order <= 8, the `verify axioms`
-battery, and the catalog groups with relabeled copies.
+battery, and the catalog groups with relabeled copies.  The kernels that
+do the same work faster (the incremental, centre-filtered homomorphism
+search, the itemgetter compose and holomorph) are compared the same way
+with the code they replaced.
 """
 
 import functools
@@ -43,6 +46,7 @@ from skewbrace.errors import (
 )
 from skewbrace.groups import (
     GroupMap,
+    _extensions,
     automorphisms,
     center,
     closure,
@@ -299,6 +303,93 @@ def restart_generating_set(G):
         gens.append(min(a for a in range(G.order) if a not in have))
         have = set(closure(G, gens))
     return tuple(gens)
+
+
+def walked_order(G, a):
+    """The order of a, by walking its powers."""
+    x, k = a, 1
+    while x != 0:
+        x = G.table[x][a]
+        k += 1
+    return k
+
+
+def scratch_extensions(G, H, prefix, *, bijective, first_only):
+    """The homomorphism backtracking before the spread was incremental:
+    every level spreads the map over <g_0..g_k> again from the identity,
+    and a bijective map's candidates are pruned by element order alone."""
+    gt, ht = G.table, H.table
+    gens = generating_set(G)
+    gen_orders = [walked_order(G, g) for g in gens]
+    h_orders = [walked_order(H, h) for h in range(H.order)]
+    found = []
+
+    def spread(gen_images):
+        images = [-1] * G.order
+        images[0] = 0
+        reached = [0]
+        for x in reached:
+            fx = ht[images[x]]
+            for g, h in zip(gens, gen_images):
+                y = gt[x][g]
+                if images[y] == -1:
+                    images[y] = fx[h]
+                    reached.append(y)
+                elif images[y] != fx[h]:
+                    return None
+        if bijective and len({images[x] for x in reached}) != len(reached):
+            return None
+        return images
+
+    def backtrack(gen_images, images):
+        level = len(gen_images)
+        if level == len(gens):
+            found.append(tuple(images))
+            return True
+        go = gen_orders[level]
+        for h in range(H.order):
+            ho = h_orders[h]
+            if go % ho != 0 or (bijective and ho != go):
+                continue
+            extended = gen_images + [h]
+            spread_images = spread(extended)
+            if spread_images is not None \
+                    and backtrack(extended, spread_images) \
+                    and first_only:
+                return True
+        return False
+
+    start = spread(list(prefix))
+    if start is not None:
+        backtrack(list(prefix), start)
+    return found
+
+
+def unfiltered_isomorphism(G, H):
+    """The first isomorphism G -> H of the order-pruned backtracking, or
+    None; refuted first by order, element orders and the abelian flag."""
+    def invariants(X):
+        orders = sorted(walked_order(X, a) for a in range(X.order))
+        return X.order, orders, X.is_abelian()
+    if invariants(G) != invariants(H):
+        return None
+    maps = scratch_extensions(G, H, (), bijective=True, first_only=True)
+    return maps[0] if maps else None
+
+
+def map_compose(p, q):
+    return tuple(map(p.__getitem__, q))
+
+
+def generator_holomorph(N):
+    n = N.order
+    perms = set()
+    for f in automorphisms(N):
+        fi = f.images
+        for a in range(n):
+            row = N.table[a]
+            perms.add(tuple(row[fi[t]] for t in range(n)))
+    return tuple(sorted(perms))
 
 
 # -- the inputs ---------------------------------------------------------------
@@ -581,3 +672,62 @@ def test_constructions_check_power_on_gamma_generating_set(monkeypatch):
         B = build()
         assert generated_maps(checked, B.order) == set(gamma(B).maps)
         assert all_gamma_power(B)
+
+
+# -- the kernels against the code they replaced ---------------------------------
+
+def test_homomorphisms_match_scratch_spread_on_small_labeled_groups():
+    groups = [G for n in range(1, MAX_ORDER + 1) for G in labeled_groups(n)]
+    for G, H in itertools.product(groups, repeat=2):
+        assert [f.images for f in homomorphisms(G, H)] == scratch_extensions(
+            G, H, (), bijective=False, first_only=False)
+
+
+def test_bijective_homomorphisms_match_scratch_spread_on_catalog_pairs():
+    for n in range(1, 16):
+        for G, H in itertools.product(groups_of_order(n), repeat=2):
+            for A in (G, relabeled(G, 1)):
+                assert [f.images for f in homomorphisms(
+                    A, H, bijective=True)] == scratch_extensions(
+                    A, H, (), bijective=True, first_only=False)
+
+
+def test_prefixed_extensions_match_scratch_spread():
+    # every prefix the stabilizer chain of automorphisms asks for; a
+    # prefix whose last image breaks the order or centre rule gives none
+    groups = small_catalog(15)
+    groups += [relabeled(G, 2) for G in groups]
+    for G in groups:
+        gens = generating_set(G)
+        for k, h in itertools.product(range(len(gens)), range(G.order)):
+            prefix = gens[:k] + (h,)
+            assert [f.images for f in _extensions(
+                G, G, prefix, bijective=True, first_only=True)] \
+                == scratch_extensions(G, G, prefix, bijective=True,
+                                      first_only=True), (G.name, prefix)
+
+
+@pytest.mark.parametrize("n", [*range(1, 16), 27])
+def test_isomorphism_matches_unfiltered_search(n):
+    gs = groups_of_order(n)
+    for (i, G), (j, H) in itertools.product(enumerate(gs), repeat=2):
+        for A, B in ((relabeled(G, i + 1), H), (G, relabeled(H, j + 3))):
+            f = isomorphism(A, B)
+            assert (None if f is None else f.images) \
+                == unfiltered_isomorphism(A, B), (A.name, B.name)
+
+
+def test_compose_matches_map_compose():
+    rng = random.Random(11)
+    for n in range(1, 28):
+        for _ in range(20):
+            p, q = list(range(n)), list(range(n))
+            rng.shuffle(p)
+            rng.shuffle(q)
+            p, q = tuple(p), tuple(q)
+            assert compose(p, q) == map_compose(p, q)
+
+
+@pytest.mark.parametrize("N", catalog_up_to(12), ids=lambda G: G.name)
+def test_holomorph_matches_generator_holomorph(N):
+    assert holomorph(N) == generator_holomorph(N)

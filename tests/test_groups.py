@@ -5,6 +5,7 @@ Derived expected values are computed here by independent brute force
 library's algorithms.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -113,6 +114,43 @@ class TestMakeGroup:
         Q8 = group_by_name("Q8")
         orders = [Q8.element_order(a) for a in range(8)]
         assert orders.count(2) == 1  # unique involution
+
+
+class TestFiniteGroupContract:
+    """Equality and hash are the table's; the hash, element orders and
+    centre flags are cached on first use and match a recomputation."""
+
+    def test_equal_tables_are_equal_and_hash_equal(self):
+        G = group_by_name("D4")
+        same = groups.FiniteGroup(tuple(tuple(list(r)) for r in G.table),
+                                  tuple(list(G.inverse)), "other")
+        assert same.table is not G.table and same.inverse is not G.inverse
+        assert same == G and hash(same) == hash(G)
+        assert G.with_name("renamed") == G
+        assert hash(G.with_name("renamed")) == hash(G)
+        assert G != group_by_name("Q8")
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_cached_values_match_recomputation(self, name):
+        G = group_by_name(name)
+        n = G.order
+        assert hash(G) == hash(G.table)
+        assert G.element_orders == tuple(len(closure(G, [a]))
+                                         for a in range(n))
+        assert G.central == tuple(
+            all(G.table[a][b] == G.table[b][a] for b in range(n))
+            for a in range(n))
+        assert G.is_cyclic() == any(len(cyclic_subgroup(G, a)) == n
+                                    for a in range(n))
+
+    def test_fields_stay_frozen(self):
+        # filling the caches writes to the instance, not to its fields
+        G = group_by_name("C6")
+        assert G.element_orders[0] == 1 and G.central[0] and hash(G)
+        for field, value in (("table", ((0,),)), ("inverse", (0,)),
+                             ("name", "x")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(G, field, value)
 
 
 class TestSubgroups:
