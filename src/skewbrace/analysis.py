@@ -133,34 +133,16 @@ def _regular_subgroup_search(circ: FiniteGroup):
     return regular_subgroups_in_holomorph
 
 
-class _Classification:
-    """The regular subgroups R one search lists in Hol(N), sorted by the
-    isomorphism type of their transported group T_R.
-
-    reps holds the first T_R of each type; members holds, per R in search
-    order, (k, theta) with theta the images of an isomorphism
-    T_R -> reps[k].  onto(circ) maps each representative to circ once.
-    """
-
-    def __init__(self, reps, members):
-        self.reps = reps
-        self.members = members
-        self._onto: dict = {}
-
-    def onto(self, circ: FiniteGroup) -> tuple[GroupMap | None, ...]:
-        """Per representative type, an isomorphism onto circ or None."""
-        if circ not in self._onto:
-            self._onto[circ] = tuple(isomorphism(T, circ) for T in self.reps)
-        return self._onto[circ]
-
-
 @functools.lru_cache(maxsize=None)
-def _classify(search, N: FiniteGroup) -> _Classification:
-    """Classify the regular subgroups that search lists in Hol(N), without
-    the catalog: each R is transported once and bucketed by fingerprint,
-    and one isomorphism call per bucket member tried decides its type.
-    Keyed on the search as well as N, so every census and count of one
-    order that takes the same route shares it.
+def _classify(search, N: FiniteGroup):
+    """The regular subgroups R that search lists in Hol(N), by the type of
+    their transported group T_R, as (reps, members): reps holds the first
+    T_R of each type, and members, per R in search order, (k, theta) with
+    theta the images of an isomorphism T_R -> reps[k].  Without the
+    catalog: each R is transported once and bucketed by fingerprint, and
+    one isomorphism call per bucket member tried decides its type.  Keyed
+    on the search as well as N, so every census and count of one order
+    that takes the same route shares it; no other T_R outlives the call.
     """
     reps: list[FiniteGroup] = []
     buckets: dict[tuple, list[int]] = {}
@@ -177,7 +159,13 @@ def _classify(search, N: FiniteGroup) -> _Classification:
             bucket.append(len(reps))
             members.append((len(reps), tuple(range(N.order))))
             reps.append(T)
-    return _Classification(tuple(reps), tuple(members))
+    return tuple(reps), tuple(members)
+
+
+@functools.lru_cache(maxsize=None)
+def _onto(search, N: FiniteGroup, circ: FiniteGroup) -> tuple:
+    """Per type of _classify(search, N), an isomorphism onto circ or None."""
+    return tuple(isomorphism(T, circ) for T in _classify(search, N)[0])
 
 
 def _orbit(found, gens) -> dict:
@@ -224,9 +212,8 @@ def _enumerate_classes(circ: FiniteGroup):
     seen: set = set()
     classes = []
     for N in types:
-        classified = _classify(search, N)
-        to_circ = classified.onto(circ)
-        for k, theta in classified.members:
+        to_circ = _onto(search, N, circ)
+        for k, theta in _classify(search, N)[1]:
             iota = to_circ[k]
             if iota is None:
                 continue
@@ -310,9 +297,9 @@ def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     never reads the catalog; f_count(D8, C2xC2xC2xC2) takes minutes."""
     if circG.order != N.order:
         return 0
-    classified = _classify(_regular_subgroup_search(circG), N)
-    to_circ = classified.onto(circG)
-    return sum(1 for k, _ in classified.members if to_circ[k] is not None)
+    search = _regular_subgroup_search(circG)
+    to_circ = _onto(search, N, circG)
+    return sum(to_circ[k] is not None for k, _ in _classify(search, N)[1])
 
 
 def byott_check(circG: FiniteGroup, N: FiniteGroup) -> bool:

@@ -1,13 +1,13 @@
 """Exact finite-group arithmetic on validated Cayley tables.
 
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
-is immutable; the heavy computations (subgroup lattice, automorphism
-group) are memoized per table, and each FiniteGroup computes its hash,
-element orders and centre flags once.  A table is validated once, where
-it enters, by make_group; a table derived from valid groups (a quotient,
-a subgroup, a semidirect product along a checked action, a relabeling
-along a bijection) is a group by construction and _trusted_group builds
-it as is.
+is immutable.  Each FiniteGroup computes its hash, element orders, centre
+flags, generating set and fingerprint once, on the instance; only the
+heavy computations (subgroup lattice, automorphism group) are memoized
+per table, by lru_cache.  A table is validated once, where it enters, by
+make_group; a table derived from valid groups (a quotient, a subgroup, a
+semidirect product along a checked action, a relabeling along a
+bijection) is a group by construction and _trusted_group builds it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -59,8 +59,8 @@ class FiniteGroup:
     """A finite group as a Cayley table; table[a][b] = a*b, identity 0.
 
     Equality and hash are those of the table.  The hash, the element
-    orders and the centre flags are computed once per instance, on first
-    use.
+    orders, the centre flags, the generating set and the fingerprint are
+    computed once per instance, on first use.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -102,6 +102,15 @@ class FiniteGroup:
         gens = generating_set(self)
         return tuple(all(row[g] == t[g][a] for g in gens)
                      for a, row in enumerate(t))
+
+    @functools.cached_property
+    def _generators(self) -> tuple[int, ...]:
+        return _greedy_generators(self.table)
+
+    @functools.cached_property
+    def _fingerprint(self) -> tuple:
+        return (self.order, self.is_abelian(),
+                tuple(sorted(self.element_orders)))
 
     @property
     def order(self) -> int:
@@ -245,7 +254,7 @@ def cyclic_subgroup(G: FiniteGroup, a: int) -> Subgroup:
 
 def is_subgroup(G: FiniteGroup, elems) -> bool:
     s = set(elems)
-    if 0 not in s:
+    if 0 not in s or not s <= set(range(G.order)):
         return False
     return all(G.table[a][b] in s for a in s for b in s)
 
@@ -347,11 +356,10 @@ def _respects_generators(images, source: FiniteGroup, target: FiniteGroup,
                for a, row in enumerate(source.table) for g in gens)
 
 
-@functools.lru_cache(maxsize=None)
 def generating_set(G: FiniteGroup) -> tuple[int, ...]:
     """Deterministic generators: repeatedly adjoin the least element outside
-    the closure of what we have."""
-    return _greedy_generators(G.table)
+    the closure of what we have.  Computed once per group."""
+    return G._generators
 
 
 def _greedy_generators(table) -> tuple[int, ...]:
@@ -569,27 +577,16 @@ def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(gens)
 
 
-def _invariants(G: FiniteGroup):
-    """Isomorphism invariants, cheapest first, computed on demand: the
-    parts of fingerprint(G), then |Z(G)|."""
-    yield G.order
-    yield tuple(sorted(G.element_orders))
-    yield G.is_abelian()
-    yield sum(G.central)
-
-
 def fingerprint(G: FiniteGroup) -> tuple:
     """(order, abelian, sorted element orders): a hashable isomorphism
     invariant that tells every two catalog groups apart."""
-    order, orders, abelian = itertools.islice(_invariants(G), 3)
-    return (order, abelian, orders)
+    return G._fingerprint
 
 
 def isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupMap | None:
     """Some isomorphism G -> H (the first in backtracking order), or None;
-    the fingerprints and the centre sizes are compared part by part
-    before any search."""
-    if any(a != b for a, b in zip(_invariants(G), _invariants(H))):
+    the fingerprints, then the centre sizes, are compared first."""
+    if fingerprint(G) != fingerprint(H) or sum(G.central) != sum(H.central):
         return None
     maps = homomorphisms(G, H, bijective=True, first_only=True)
     return maps[0] if maps else None
@@ -629,7 +626,8 @@ def is_power_automorphism(G: FiniteGroup, f: GroupMap) -> bool:
     Computes the elementwise and the subgroupwise characterisations and
     insists they agree.
     """
-    if f.source != G or f.target != G or not f.is_bijective() \
+    if f.source != G or f.target != G \
+            or sorted(f.images) != list(range(G.order)) \
             or not is_homomorphism(f):
         raise NotAutomorphism("map is not an automorphism of the given group")
     elementwise = all(f(a) in set(cyclic_subgroup(G, a)) for a in range(G.order))

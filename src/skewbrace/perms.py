@@ -8,7 +8,6 @@ element fixed-point-free.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -89,9 +88,6 @@ class RegularSubgroup:
     def degree(self) -> int:
         return len(self.elements[0])
 
-    def by_start(self) -> dict[int, Perm]:
-        return {p[0]: p for p in self.elements}
-
 
 def regular_subgroup(perms) -> RegularSubgroup:
     """Validate closure, inverses and regularity of a permutation set."""
@@ -106,15 +102,14 @@ def regular_subgroup(perms) -> RegularSubgroup:
     for p in elems:
         if len(p) != n or set(p) != points:
             raise NotRegular(f"{p} is not a permutation of 0..{n - 1}")
-    if len(elems) != n:
-        raise NotRegular(f"got {len(elems)} permutations on {n} points")
-    if sorted(p[0] for p in elems) != list(range(n)):
+    rows = sorted(elems)
+    if len(rows) != n or [p[0] for p in rows] != list(range(n)):
         raise NotRegular("evaluation at 0 is not a bijection")
     for p in elems:
         for q in elems:
             if compose(p, q) not in elems:
                 raise NotRegular("set is not closed under composition")
-    return RegularSubgroup(tuple(sorted(elems)))
+    return RegularSubgroup(tuple(rows))
 
 
 def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
@@ -132,33 +127,32 @@ def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
 def transport_operation(R: RegularSubgroup) -> FiniteGroup:
     """Group on the points with a*b = (eta_a . eta_b)[0], eta_x[0] = x.
 
-    Row a of the resulting table is exactly eta_a, so the left regular
-    representation of the result is R itself.
+    Row a of the resulting table is exactly eta_a, which is R's a-th
+    element in sorted order, so the left regular representation of the
+    result is R itself.
     """
-    by_start = R.by_start()
-    n = R.degree
-    if len(by_start) != n:
+    rows = sorted(R.elements)
+    if [p[0] for p in rows] != list(range(R.degree)):
         raise NotRegular("evaluation at 0 is not a bijection")
-    return _trusted_group(by_start[a] for a in range(n))
+    return _trusted_group(rows)
 
 
 def operation_from_regular_subgroup(R: RegularSubgroup, G: FiniteGroup) \
         -> FiniteGroup:
-    """The opposite-transport operation a*b = nu(nu^-1(b) . nu^-1(a)).
+    """The opposite-transport operation a*b = nu(nu^-1(b) . nu^-1(a)), the
+    transpose of the table of transport_operation(R).
 
     Together with G's own operation the result forms a skew brace; R must
     be normalized by the left translations of G.  The result is the
     oracle's reference, so it is validated in full.
     """
-    by_start = R.by_start()
-    n = R.degree
-    if len(by_start) != n or n != G.order:
+    table = transport_operation(R).table
+    if len(table) != G.order:
         raise NotRegular("evaluation at 0 is not a bijection onto G")
     if not _normalized_by_translations(R.elements, G):
         raise NotNormalized(
             "subgroup is not normalized by the left translations")
-    table = tuple(tuple(by_start[b][a] for b in range(n)) for a in range(n))
-    return make_group(table)
+    return make_group(tuple(zip(*table)))
 
 
 def _normalized_by_translations(elems, G: FiniteGroup) -> bool:
@@ -237,7 +231,6 @@ def _grow_regular(candidates_by_start, n: int, accept) -> None:
     grow({0: tuple(range(n))}, ())
 
 
-@functools.lru_cache(maxsize=None)
 def regular_subgroups_in_holomorph(N: FiniteGroup) \
         -> tuple[RegularSubgroup, ...]:
     """All regular subgroups of the holomorph of N, canonically sorted."""
@@ -247,7 +240,6 @@ def regular_subgroups_in_holomorph(N: FiniteGroup) \
     return tuple(RegularSubgroup(f) for f in sorted(found))
 
 
-@functools.lru_cache(maxsize=None)
 def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
         -> tuple[RegularSubgroup, ...]:
     """The cyclic regular subgroups of Hol(N): one per n-cycle generator.

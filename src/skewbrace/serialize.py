@@ -31,30 +31,47 @@ def write_group(G: FiniteGroup, path) -> None:
     Path(path).write_text(group_to_text(G), encoding="utf-8")
 
 
-def group_from_text(text: str) -> FiniteGroup:
+def _parse_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) \
             from exc
-    if not isinstance(data, dict) or "order" not in data or "table" not in data:
-        raise ParseError('expected an object with "order" and "table" fields')
+
+
+def group_from_text(text: str) -> FiniteGroup:
+    data = _parse_json(text)
+    if not _fits(data, {"order": int, "table": list}):
+        raise ParseError('expected an integer "order" and a list "table"')
     order, table = data["order"], data["table"]
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise ParseError('"order" must be an integer')
-    if not isinstance(table, list) or len(table) != order:
+    if len(table) != order:
         raise ParseError(f'"table" must have {order} rows')
     for i, row in enumerate(table):
-        if not isinstance(row, list) or len(row) != order:
-            raise ParseError(f"table row {i} must have {order} entries")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ParseError(f"table row {i} has a non-integer entry")
+        if not _fits(row, [int]) or len(row) != order:
+            raise ParseError(f"table row {i} must be {order} integers")
     return make_group(table)
 
 
 def read_group(path) -> FiniteGroup:
     return group_from_text(Path(path).read_text(encoding="utf-8"))
+
+
+# the fields of report_to_record, each with the shape of its JSON value
+_RECORD = {"operation_table": [[int]], "type_name": str, "is_bi_skew": bool,
+           "image": [[int]], "is_surjective": bool,
+           "gc_ratio": {"num": int, "den": int}, "grouplikes": [int],
+           "iso_class_id": int, "orbit_size": int}
+
+
+def _fits(x, shape) -> bool:
+    """Whether the JSON value x has the shape: a type (a bool is no int),
+    [shape] for a list of such values, {key: shape} for an object."""
+    if isinstance(shape, list):
+        return isinstance(x, list) and all(_fits(y, shape[0]) for y in x)
+    if isinstance(shape, dict):
+        return isinstance(x, dict) and all(_fits(x.get(k), v)
+                                           for k, v in shape.items())
+    return isinstance(x, shape) and (shape is bool or not isinstance(x, bool))
 
 
 def report_to_record(r: HgsReport) -> dict:
@@ -107,14 +124,19 @@ def write_reports(reports, path) -> None:
 
 
 def read_reports(path) -> list[dict]:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) \
-            from exc
+    """The records of a report file; ParseError names the first record
+    and field not in its report_to_record shape, or a gc_ratio den <= 0."""
+    data = _parse_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, list):
         raise ParseError("expected a JSON array of report records")
+    for i, record in enumerate(data):
+        for field, shape in _RECORD.items():
+            if not (isinstance(record, dict)
+                    and _fits(record.get(field), shape)):
+                raise ParseError(f'report record {i}: "{field}" is missing '
+                                 "or of the wrong JSON type")
+        if record["gc_ratio"]["den"] <= 0:
+            raise ParseError(f'report record {i}: "gc_ratio" den is not > 0')
     return data
 
 

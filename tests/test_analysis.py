@@ -1,5 +1,7 @@
 """Census engine, counting identities, classification criteria."""
 
+import gc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -272,6 +274,30 @@ class TestSharedClassification:
                                             cyclic_regular_subgroups_in_holomorph)
                            for N in gs for R in search(N))
         assert calls == expected
+
+    def test_only_representatives_outlive_the_census(self, monkeypatch):
+        # a transported group that is not its type's representative is
+        # dropped once classified; no cache may keep it
+        refs = []
+
+        def recording(R):
+            T = transport_operation(R)
+            refs.append(weakref.ref(T))
+            return T
+
+        monkeypatch.setattr(analysis, "transport_operation", recording)
+        analysis._enumerate_classes.cache_clear()
+        analysis._classify.cache_clear()
+        gs = groups_of_order(8)
+        for G in gs:
+            enumerate_reports(G)
+        gc.collect()
+        alive = {id(T) for T in (r() for r in refs) if T is not None}
+        searches = {analysis._regular_subgroup_search(G) for G in gs}
+        reps = {id(T) for search in searches for N in gs
+                for T in analysis._classify(search, N)[0]}
+        assert len(refs) > len(reps)
+        assert alive == reps
 
     def test_f_count_at_incomplete_order_16(self, monkeypatch):
         # the n-cycle route serves a cyclic target at order 16, which the

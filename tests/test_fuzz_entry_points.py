@@ -2,10 +2,12 @@
 
 `group_from_text`, `make_group`, `regular_subgroup`, `make_brace`,
 `semidirect_product`, `product_brace`, `semidirect_to_brace`,
-`psi_construction`, `cpr_cps_brace` and `kohl_obstruction` either
-return their result or raise a
-`SkewbraceError`; no bare `TypeError`, `IndexError` or `ValueError` may
-escape them.
+`psi_construction`, `cpr_cps_brace`, `kohl_obstruction`, `quotient`,
+`is_power_automorphism` and `read_reports` either return their result
+or raise a `SkewbraceError`; no bare `TypeError`, `IndexError`,
+`KeyError`, `ValueError` or `ZeroDivisionError` may escape them.
+`quotient` and `is_power_automorphism` are fed integer elements and
+images, in range or not.
 """
 
 import json
@@ -14,7 +16,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from skewbrace.analysis import kohl_obstruction
+from skewbrace.analysis import enumerate_reports, kohl_obstruction
 from skewbrace.braces import (
     SkewBrace,
     make_brace,
@@ -30,18 +32,30 @@ from skewbrace.constructions import (
 from skewbrace.errors import (
     BadParameters,
     NotAHomomorphism,
+    NotAutomorphism,
     NotBraceAutomorphismAction,
+    NotNormal,
+    ParseError,
     SkewbraceError,
 )
 from skewbrace.groups import (
     FiniteGroup,
+    GroupMap,
     automorphisms,
+    is_power_automorphism,
     make_group,
     opposite_group,
+    quotient,
     semidirect_product,
 )
 from skewbrace.perms import RegularSubgroup, regular_subgroup
-from skewbrace.serialize import group_from_text
+from skewbrace.serialize import (
+    group_from_text,
+    read_reports,
+    record_ratio,
+    report_to_record,
+    write_reports,
+)
 
 SMALL = [G for n in range(1, 7) for G in groups_of_order(n)]
 FEW = settings(max_examples=60, deadline=None)
@@ -227,3 +241,107 @@ def test_kohl_obstruction(circ, N):
         kohl_obstruction(circ, N)
     except BadParameters:
         assert circ.order != N.order
+
+
+@st.composite
+def element_lists(draw):
+    """A group and some integers near its element range, often holding
+    the identity."""
+    G = draw(groups)
+    elems = draw(st.lists(st.integers(-2, G.order + 2), max_size=G.order + 1))
+    if draw(st.booleans()):
+        elems.append(0)
+    return G, elems
+
+
+@given(element_lists())
+@FEW
+def test_quotient(args):
+    named_errors_only(quotient, *args, returns=tuple)
+
+
+@st.composite
+def image_maps(draw):
+    """A group and a map on it: an automorphism, perhaps with one image
+    changed, or integer images of any length."""
+    G = draw(groups)
+    n = G.order
+    images = list(draw(st.sampled_from(automorphisms(G))).images)
+    if draw(st.booleans()):
+        images[draw(st.integers(0, n - 1))] = draw(st.integers(-2, n + 2))
+    if draw(st.booleans()):
+        images = draw(st.lists(st.integers(-2, n + 2), max_size=n + 1))
+    return G, GroupMap(G, G, tuple(images))
+
+
+@given(image_maps())
+@FEW
+def test_is_power_automorphism(args):
+    named_errors_only(is_power_automorphism, *args, returns=bool)
+
+
+def test_out_of_range_elements_named():
+    C6 = group_by_name("C6")
+    with pytest.raises(NotNormal, match="not a subgroup"):
+        quotient(C6, [0, 99])
+    for images in ((0, 9, 1, 2, 3, 4), (0,)):
+        with pytest.raises(NotAutomorphism):
+            is_power_automorphism(C6, GroupMap(C6, C6, images))
+
+
+VALID_RECORDS = [report_to_record(r)
+                 for r in enumerate_reports(group_by_name("D3"))]
+
+
+@st.composite
+def report_arrays(draw):
+    """Census records with one field dropped or replaced by junk, or
+    arrays of junk."""
+    records = [dict(r) for r in VALID_RECORDS]
+    rec = draw(st.sampled_from(records))
+    field = draw(st.sampled_from(sorted(rec)))
+    if draw(st.booleans()):
+        del rec[field]
+    else:
+        rec[field] = draw(junk)
+    return draw(st.just(records) | st.lists(junk, max_size=3))
+
+
+@given(report_arrays())
+@FEW
+def test_read_reports(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("reports") / "in.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    read = named_errors_only(read_reports, path, returns=list)
+    if read is not None:
+        write_reports(read, path)
+        for record in read:
+            record_ratio(record)
+
+
+@pytest.mark.parametrize("records, where", [
+    ([1, 2], 'record 0: "operation_table"'),
+    ([{}], 'record 0: "operation_table" is missing'),
+    ([{"gc_ratio": {"num": 1, "den": 0}}], 'record 0: "operation_table"'),
+    ([VALID_RECORDS[0], {**VALID_RECORDS[1],
+                         "gc_ratio": {"num": 1, "den": 0}}],
+     'record 1: "gc_ratio" den'),
+    ([{**VALID_RECORDS[0], "gc_ratio": {"num": 1}}], 'record 0: "gc_ratio"'),
+    ([{**VALID_RECORDS[0], "image": [[0], 1]}], 'record 0: "image"'),
+    ([{**VALID_RECORDS[0], "orbit_size": True}], 'record 0: "orbit_size"'),
+    ([{**VALID_RECORDS[0], "grouplikes": [0, False]}],
+     'record 0: "grouplikes"'),
+    ([{**VALID_RECORDS[0], "is_bi_skew": 1}], 'record 0: "is_bi_skew"'),
+])
+def test_read_reports_names_record_and_field(tmp_path, records, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(records), encoding="utf-8")
+    with pytest.raises(ParseError, match=where):
+        read_reports(path)
+
+
+def test_read_reports_round_trips_valid_files(tmp_path):
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    write_reports(VALID_RECORDS, p1)
+    write_reports(read_reports(p1), p2)
+    assert p1.read_bytes() == p2.read_bytes()

@@ -9,6 +9,7 @@ from skewbrace.catalog import group_by_name, groups_of_order
 from skewbrace.errors import NotNormalized, NotRegular, OrderTooLargeForOracle
 from skewbrace.groups import automorphisms, isomorphism, opposite_table
 from skewbrace.perms import (
+    RegularSubgroup,
     compose,
     cyclic_regular_subgroups_in_holomorph,
     holomorph,
@@ -100,7 +101,7 @@ class TestRegularSubgroups:
 
         monkeypatch.setattr(perms, "holomorph", refuse)
         N = group_by_name("C3xC3xC3")
-        assert cyclic_regular_subgroups_in_holomorph.__wrapped__(N) == ()
+        assert cyclic_regular_subgroups_in_holomorph(N) == ()
 
     def test_rejects_irregular(self):
         with pytest.raises(NotRegular):
@@ -135,12 +136,33 @@ class TestTransport:
         G = group_by_name("C2xC2")
         for R in regular_subgroups_in_holomorph(G):
             T = transport_operation(R)
-            by_start = R.by_start()
+            by_start = {p[0]: p for p in R.elements}
             # evaluation at 0 transports multiplication exactly
             for a in range(4):
                 for b in range(4):
                     assert compose(by_start[a], by_start[b]) == \
                         by_start[T.table[a][b]]
+
+    @pytest.mark.parametrize("name", ["C6", "D3", "Q8"])
+    def test_unsorted_hand_built_subgroup(self, name):
+        # row a is the element sending 0 to a, whatever order R lists them
+        G = group_by_name(name)
+        R = regular_subgroup(right_translations(G))
+        by_start = {p[0]: p for p in R.elements}
+        shuffled = RegularSubgroup(R.elements[::-1])
+        T = transport_operation(shuffled)
+        assert T.table == tuple(by_start[a] for a in range(G.order))
+        assert T == transport_operation(R)
+        assert operation_from_regular_subgroup(shuffled, G).table == \
+            tuple(tuple(by_start[b][a] for b in range(G.order))
+                  for a in range(G.order))
+
+    def test_hand_built_clash_at_zero_rejected(self):
+        R = RegularSubgroup(((1, 2, 0), (0, 2, 1), (0, 1, 2)))
+        with pytest.raises(NotRegular):
+            transport_operation(R)
+        with pytest.raises(NotRegular):
+            operation_from_regular_subgroup(R, group_by_name("C3"))
 
     def test_normalization_required(self):
         """Exactly one of the three cyclic regular subgroups of the degree-4
