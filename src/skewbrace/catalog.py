@@ -3,12 +3,15 @@
 Orders 1..15 and 27 carry every isomorphism type; order 16 only has a
 handful of named entries and is never treated as complete.  Dihedral
 groups are indexed by the rotation order (D4 has order 8).
+
+The names are static; the groups of an order are built, validated and
+fingerprinted the first time that order is asked for, so a census of
+one order pays for that order's groups only.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 
 from .errors import (
@@ -131,41 +134,65 @@ def modular16() -> FiniteGroup:
     return semidirect_product(cyclic(8), cyclic(2), act).with_name("M16")
 
 
+# the catalog's names per order, in catalog order; _build builds them
+_NAMES = {
+    1: ("C1",), 2: ("C2",), 3: ("C3",), 4: ("C4", "C2xC2"), 5: ("C5",),
+    6: ("C6", "D3"), 7: ("C7",),
+    8: ("C8", "C4xC2", "C2xC2xC2", "D4", "Q8"), 9: ("C9", "C3xC3"),
+    10: ("C10", "D5"), 11: ("C11",),
+    12: ("C12", "C6xC2", "D6", "A4", "Dic3"), 13: ("C13",),
+    14: ("C14", "D7"), 15: ("C15",),
+    # order 16 is deliberately partial (named access only)
+    16: ("C16", "C8xC2", "C4xC4", "C4xC2xC2", "C2xC2xC2xC2", "D8", "Q16",
+         "SD16", "M16"),
+    27: ("C27", "C9xC3", "C3xC3xC3", "Heisenberg-27", "M27"),
+}
+_ORDER_OF = {name: n for n, names in _NAMES.items() for name in names}
+require(len(_ORDER_OF) == sum(map(len, _NAMES.values())),
+        "duplicate catalog name")
+
+
+def _build(order: int) -> list[FiniteGroup]:
+    """The catalog groups of one order, in catalog order.  A direct
+    product is named after its factors."""
+    c, x = cyclic, direct_product
+    match order:
+        case 1 | 2 | 3 | 5 | 7 | 11 | 13 | 15:
+            return [c(order)]
+        case 4:
+            return [c(4), x(c(2), c(2))]
+        case 6 | 10 | 14:
+            return [c(order), dihedral(order // 2)]
+        case 8:
+            return [c(8), x(c(4), c(2)), x(x(c(2), c(2)), c(2)),
+                    dihedral(4), dicyclic(2)]
+        case 9:
+            return [c(9), x(c(3), c(3))]
+        case 12:
+            return [c(12), x(c(6), c(2)), dihedral(6), alternating4(),
+                    dicyclic(3)]
+        case 16:
+            return [c(16), x(c(8), c(2)), x(c(4), c(4)),
+                    x(x(c(4), c(2)), c(2)), x(x(x(c(2), c(2)), c(2)), c(2)),
+                    dihedral(8), dicyclic(4).with_name("Q16"),
+                    semidihedral16(), modular16()]
+        case 27:
+            return [c(27), x(c(9), c(3)), x(x(c(3), c(3)), c(3)),
+                    heisenberg(3), modular27()]
+    return []
+
+
 @functools.lru_cache(maxsize=None)
-def _entries() -> dict[str, FiniteGroup]:
-    c = cyclic
-    groups = [
-        c(1), c(2), c(3),
-        c(4), direct_product(c(2), c(2)).with_name("C2xC2"),
-        c(5),
-        c(6), dihedral(3).with_name("D3"),
-        c(7),
-        c(8), direct_product(c(4), c(2)).with_name("C4xC2"),
-        direct_product(direct_product(c(2), c(2)), c(2)).with_name("C2xC2xC2"),
-        dihedral(4), dicyclic(2),
-        c(9), direct_product(c(3), c(3)).with_name("C3xC3"),
-        c(10), dihedral(5),
-        c(11),
-        c(12), direct_product(c(6), c(2)).with_name("C6xC2"),
-        dihedral(6), alternating4(), dicyclic(3),
-        c(13),
-        c(14), dihedral(7),
-        c(15),
-        # order 16 is deliberately partial (named access only)
-        c(16), direct_product(c(8), c(2)).with_name("C8xC2"),
-        direct_product(c(4), c(4)).with_name("C4xC4"),
-        direct_product(direct_product(c(4), c(2)), c(2)).with_name("C4xC2xC2"),
-        direct_product(direct_product(
-            direct_product(c(2), c(2)), c(2)), c(2)).with_name("C2xC2xC2xC2"),
-        dihedral(8), dicyclic(4).with_name("Q16"), semidihedral16(), modular16(),
-        c(27), direct_product(c(9), c(3)).with_name("C9xC3"),
-        direct_product(direct_product(c(3), c(3)), c(3)).with_name("C3xC3xC3"),
-        heisenberg(3), modular27(),
-    ]
+def _entries(order: int) -> dict[str, FiniteGroup]:
+    """The catalog groups of one order by name, built on first use."""
     table = {}
-    for G in groups:
-        require(G.name not in table, f"duplicate catalog name {G.name}")
+    for G in _build(order):
+        require(G.order == order,
+                f"catalog group {G.name} of order {G.order} is filed "
+                f"under order {order}")
         table[G.name] = G
+    require(tuple(table) == _NAMES.get(order, ()),
+            f"catalog groups of order {order} are not {_NAMES.get(order)}")
     return table
 
 
@@ -173,22 +200,25 @@ _ALIASES = {"S3": "D3", "V4": "C2xC2", "Dic2": "Q8"}
 
 
 def catalog_names() -> tuple[str, ...]:
-    return tuple(_entries())
+    return tuple(_ORDER_OF)
 
 
 def group_by_name(name: str) -> FiniteGroup:
-    entries = _entries()
+    if not isinstance(name, str):
+        raise UnknownName(f"no catalog group named {name!r}")
     key = name.strip()
     key = _ALIASES.get(key, key)
-    if key not in entries:
+    if key not in _ORDER_OF:
         raise UnknownName(f"no catalog group named {name!r}")
-    return entries[key]
+    return _entries(_ORDER_OF[key])[key]
 
 
-@functools.lru_cache(maxsize=None)
 def groups_of_order(order: int) -> tuple[FiniteGroup, ...]:
     """All groups of one order, refused unless the catalog is complete."""
-    found = tuple(G for G in _entries().values() if G.order == order)
+    if not isinstance(order, int):
+        raise UnsupportedOrder(f"group orders are integers, got {order!r}")
+    # an order without names builds nothing, so the cache keeps no entry
+    found = tuple(_entries(order).values()) if order in _NAMES else ()
     if order in COMPLETE_ORDERS:
         if len(found) != GROUP_COUNTS[order]:
             raise CatalogIncompleteForOrder(
@@ -202,10 +232,11 @@ def groups_of_order(order: int) -> tuple[FiniteGroup, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _by_fingerprint() -> dict[tuple, FiniteGroup]:
-    """Every catalog group under its fingerprint, which tells them apart."""
+def _by_fingerprint(order: int) -> dict[tuple, FiniteGroup]:
+    """The catalog groups of one order under their fingerprints, which
+    tell them apart."""
     out: dict[tuple, FiniteGroup] = {}
-    for H in _entries().values():
+    for H in _entries(order).values():
         first = out.setdefault(fingerprint(H), H)
         require(first is H,
                 f"catalog groups {first.name} and {H.name} share a fingerprint")
@@ -217,9 +248,13 @@ def type_name(G: FiniteGroup) -> str:
     the catalog group with G's fingerprint can be isomorphic to G; one
     isomorphism call confirms it."""
     key = fingerprint(G)
-    H = _by_fingerprint().get(key)
+    H = _by_fingerprint(G.order).get(key)
     if H is not None and isomorphism(G, H) is not None:
         return H.name
+    # imported here, as only this fallback hashes: importing hashlib loads
+    # OpenSSL, which a census of a catalog order never needs
+    import hashlib
+
     # element orders in list form, so recorded fallback names keep their bytes
     order, abelian, orders = key
     text = repr((order, abelian, list(orders)))

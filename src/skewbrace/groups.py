@@ -2,12 +2,13 @@
 
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
 is immutable.  Each FiniteGroup computes its hash, element orders, centre
-flags, generating set and fingerprint once, on the instance; only the
-heavy computations (subgroup lattice, automorphism group) are memoized
-per table, by lru_cache.  A table is validated once, where it enters, by
-make_group; a table derived from valid groups (a quotient, a subgroup, a
-semidirect product along a checked action, a relabeling along a
-bijection) is a group by construction and _trusted_group builds it as is.
+flags, generating set, fingerprint and the stabilizer chain of Aut(G)
+once, on the instance; only the heavy computations (subgroup lattice,
+automorphism group) are memoized per table, by lru_cache.  A table is
+validated once, where it enters, by make_group; a table derived from
+valid groups (a quotient, a subgroup, a semidirect product along a
+checked action, a relabeling along a bijection) is a group by
+construction and _trusted_group builds it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -23,10 +24,13 @@ spreads the map known on <g_0..g_{k-1}> to <g_0..g_k> incrementally, as
 _adjoin closes a subgroup, and is undone in place when it fails.  A
 bijective search tries for g_k only the images of its order that are
 central exactly when it is, and isomorphism compares the fingerprints
-and the centre sizes before it searches.  Aut(G) is built from the
+and the centre sizes before it searches.  Aut(G) comes from the
 stabilizer chain on the generators: one transversal per level, taken
 from the first extensions the search finds, and the products of one
-element per level, sorted by their generator images.
+element per level.  The chain is small (Σ|T_k| maps for Π|T_k|
+automorphisms) and is kept on G.  _automorphism_images(G) streams the
+products, so the holomorph and the cyclic scan keep no product;
+automorphisms(G) sorts them by their generator images and keeps them.
 _automorphism_generators(G) is a small generating set of Aut(G); a
 subgroup is characteristic when those maps keep it.  The subgroup
 lattice is grown from the cyclic subgroups by joining each subgroup found
@@ -59,8 +63,9 @@ class FiniteGroup:
     """A finite group as a Cayley table; table[a][b] = a*b, identity 0.
 
     Equality and hash are those of the table.  The hash, the element
-    orders, the centre flags, the generating set and the fingerprint are
-    computed once per instance, on first use.
+    orders, the centre flags, the generating set, the fingerprint and the
+    stabilizer chain of Aut(G) are computed once per instance, on first
+    use.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -106,6 +111,18 @@ class FiniteGroup:
     @functools.cached_property
     def _generators(self) -> tuple[int, ...]:
         return _greedy_generators(self.table)
+
+    @functools.cached_property
+    def _transversals(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The stabilizer chain of Aut(G) that _automorphism_images
+        describes, one transversal per generator: Σ|T_k| maps, where
+        Aut(G) has Π|T_k|."""
+        gens, n = self._generators, self.order
+        return tuple(
+            tuple(f.images for h in range(n)
+                  for f in _extensions(self, self, gens[:k] + (h,),
+                                       bijective=True, first_only=True))
+            for k in range(len(gens)))
 
     @functools.cached_property
     def _fingerprint(self) -> tuple:
@@ -253,10 +270,20 @@ def cyclic_subgroup(G: FiniteGroup, a: int) -> Subgroup:
 
 
 def is_subgroup(G: FiniteGroup, elems) -> bool:
-    s = set(elems)
-    if 0 not in s or not s <= set(range(G.order)):
+    """Whether elems is a subgroup; a value that operator.index rejects
+    is not an element."""
+    s = _as_elements(elems)
+    if s is None or 0 not in s or not s <= set(range(G.order)):
         return False
     return all(G.table[a][b] in s for a in s for b in s)
+
+
+def _as_elements(values) -> set[int] | None:
+    """The set of values as integers, or None if one is not an integer."""
+    try:
+        return set(map(operator.index, values))
+    except TypeError:
+        return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,39 +538,59 @@ def _extensions(G: FiniteGroup, H: FiniteGroup, prefix: tuple[int, ...], *,
     return found
 
 
-@functools.lru_cache(maxsize=None)
-def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
-    """The full automorphism group as explicit maps (identity included).
+def _automorphism_images(G: FiniteGroup):
+    """Yield every automorphism of G once, as its image tuple.
 
-    Built from the stabilizer chain on gens = generating_set(G).  Level k
-    is a transversal T_k: for each h, the first automorphism that fixes
-    g_0..g_{k-1} and sends g_k to h, if there is one (_extensions tries
-    only the h of g_k's order that are central exactly when g_k is).
-    Every automorphism is t_0∘t_1∘…∘t_{d-1} for exactly one choice of t_k
-    in T_k, so the search stops at Σ|T_k| first-found extensions and the
-    rest is composition.  The products are sorted by their generator
-    images, the order homomorphisms(G, G, bijective=True) gives.
+    Built from the stabilizer chain on gens = generating_set(G), which G
+    keeps.  Level k is a transversal T_k: for each h, the first
+    automorphism that fixes g_0..g_{k-1} and sends g_k to h, if there is
+    one (_extensions tries only the h of g_k's order that are central
+    exactly when g_k is).  Every automorphism is t_0∘t_1∘…∘t_{d-1} for
+    exactly one choice of t_k in T_k, so the search stops at Σ|T_k|
+    first-found extensions and the rest is composition.  The products
+    p = t_1∘…∘t_{d-1} are built once, and each t_0∘p is yielded as it is
+    formed, t_0 outermost: nothing holds the Π|T_k| maps.  An
+    automorphism is fixed by its generator images, so the products are
+    told apart by those alone.
     """
     gens = generating_set(G)
-    transversals = [
-        [f.images for h in range(G.order)
-         for f in _extensions(G, G, gens[:k] + (h,), bijective=True,
-                              first_only=True)]
-        for k in range(len(gens))]
+    ident = tuple(range(G.order))
+    transversals = G._transversals
     # t∘p is itemgetter(*p)(t); a level exists only at order >= 2, where
-    # the getter returns a tuple
-    products = [tuple(range(G.order))]
-    for level in reversed(transversals):
-        getters = [operator.itemgetter(*p) for p in products]
-        products = [get(t) for t in level for get in getters]
-    if gens:
-        products.sort(key=operator.itemgetter(*gens))
-    require(tuple(range(G.order)) in products,
-            "identity is not an automorphism")
-    # there are prod |T_k| products; sorted, a repeated map would be adjacent
-    require(all(p != q for p, q in itertools.pairwise(products)),
+    # the getter returns a tuple.  The trivial group has no level and one
+    # product, the identity.
+    outer = transversals[0] if gens else [ident]
+    inner = [ident]
+    for level in reversed(transversals[1:]):
+        getters = [operator.itemgetter(*p) for p in inner]
+        inner = [get(t) for t in level for get in getters]
+    getters = [operator.itemgetter(*p) for p in inner] if gens else [tuple]
+    # 0 is fixed by every map; it keeps the key valid for the trivial group
+    key = operator.itemgetter(0, *gens)
+    ident_key = key(ident)
+    seen = set()
+    has_identity = False
+    for t in outer:
+        for get in getters:
+            p = get(t)
+            k = key(p)
+            if k == ident_key:
+                has_identity = p == ident
+            seen.add(k)
+            yield p
+    require(has_identity, "identity is not an automorphism")
+    require(len(seen) == len(outer) * len(inner),
             "stabilizer chain products are not distinct")
-    return tuple(GroupMap(G, G, p) for p in products)
+
+
+@functools.lru_cache(maxsize=None)
+def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
+    """The full automorphism group as explicit maps (identity included):
+    the maps of _automorphism_images(G), sorted by their generator
+    images, the order homomorphisms(G, G, bijective=True) gives."""
+    key = operator.itemgetter(0, *generating_set(G))
+    return tuple(GroupMap(G, G, p)
+                 for p in sorted(_automorphism_images(G), key=key))
 
 
 @functools.lru_cache(maxsize=None)
@@ -627,6 +674,7 @@ def is_power_automorphism(G: FiniteGroup, f: GroupMap) -> bool:
     insists they agree.
     """
     if f.source != G or f.target != G \
+            or _as_elements(f.images) is None \
             or sorted(f.images) != list(range(G.order)) \
             or not is_homomorphism(f):
         raise NotAutomorphism("map is not an automorphism of the given group")
@@ -643,8 +691,8 @@ def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupMap]:
     Cosets are relabeled 0..n/|N|-1 in order of their least element, so the
     coset of 0 is the identity.
     """
-    ns = set(N)
-    if not is_subgroup(G, ns):
+    ns = _as_elements(N)
+    if ns is None or not is_subgroup(G, ns):
         raise NotNormal(f"{tuple(N)} is not a subgroup")
     if not is_normal(G, ns):
         raise NotNormal(f"{tuple(N)} is not normal")

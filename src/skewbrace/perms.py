@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .errors import NotNormalized, NotRegular, OrderTooLargeForOracle, require
 from .groups import (
     FiniteGroup,
+    _automorphism_images,
     _trusted_group,
-    automorphisms,
     generating_set,
     make_group,
 )
@@ -113,14 +113,16 @@ def regular_subgroup(perms) -> RegularSubgroup:
 
 
 def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
-    """The permutations tau -> a * phi(tau) for a in N, phi in Aut(N)."""
-    n = N.order
+    """The permutations tau -> a * phi(tau) for a in N, phi in Aut(N);
+    Aut(N) is streamed, not kept."""
     perms = set()
-    for f in automorphisms(N):
+    auts = 0
+    for fi in _automorphism_images(N):
+        auts += 1
         for row in N.table:
-            perms.add(compose(row, f.images))
+            perms.add(compose(row, fi))
     out = tuple(sorted(perms))
-    require(len(out) == n * len(automorphisms(N)), "repeated holomorph perm")
+    require(len(out) == N.order * auts, "repeated holomorph perm")
     return out
 
 
@@ -251,15 +253,14 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
     phi^k is the identity iff it fixes every generator of N, so m is the
     lcm of the phi-cycle lengths through the generators; the lcm only
     grows, so phi is dropped at the first generator that takes it off the
-    divisors of n.
+    divisors of n.  Aut(N) is streamed, so no map of it is kept.
     """
     n = N.order
     exp = N.exponent()
     gens = generating_set(N)
     found = set()
     cycles = 0
-    for f in automorphisms(N):
-        fi = f.images
+    for fi in _automorphism_images(N):
         m = 1
         for g in gens:
             m = math.lcm(m, _cycle_length(fi, g))

@@ -1,20 +1,24 @@
 """Catalog completeness and the two file formats."""
 
 import json
+import re
 import sys
 
 import pytest
 
+from skewbrace import catalog
 from skewbrace.analysis import enumerate_reports
 from skewbrace.catalog import (
     GROUP_COUNTS,
     catalog_names,
+    cyclic,
     group_by_name,
     groups_of_order,
     type_name,
 )
 from skewbrace.errors import (
     CatalogIncompleteForOrder,
+    InternalInconsistency,
     NotLatinSquare,
     ParseError,
     UnknownName,
@@ -66,13 +70,44 @@ class TestCatalog:
         G = group_by_name("Heisenberg-27")
         assert G.order == 27 and not G.is_abelian() and G.exponent() == 3
 
+    def test_names_pinned(self):
+        assert catalog_names() == (
+            "C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "D3", "C7", "C8",
+            "C4xC2", "C2xC2xC2", "D4", "Q8", "C9", "C3xC3", "C10", "D5",
+            "C11", "C12", "C6xC2", "D6", "A4", "Dic3", "C13", "C14", "D7",
+            "C15", "C16", "C8xC2", "C4xC4", "C4xC2xC2", "C2xC2xC2xC2", "D8",
+            "Q16", "SD16", "M16", "C27", "C9xC3", "C3xC3xC3",
+            "Heisenberg-27", "M27")
+
+    def test_misfiled_group_refused(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_build", lambda order: [cyclic(3)])
+        with pytest.raises(InternalInconsistency, match="filed under order 5"):
+            catalog._entries.__wrapped__(5)
+
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             group_by_name("E8")
 
+    @pytest.mark.parametrize("name", [5, None, ["C2"], b"C2"])
+    def test_non_string_name_unknown(self, name):
+        with pytest.raises(UnknownName):
+            group_by_name(name)
+
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrder):
             groups_of_order(17)
+
+    def test_unsupported_orders_not_cached(self):
+        before = catalog._entries.cache_info().currsize
+        for order in range(100, 110):
+            with pytest.raises(UnsupportedOrder):
+                groups_of_order(order)
+        assert catalog._entries.cache_info().currsize == before
+
+    @pytest.mark.parametrize("order", [8.0, "8", None, [8]])
+    def test_non_integer_order_unsupported(self, order):
+        with pytest.raises(UnsupportedOrder, match=re.escape(repr(order))):
+            groups_of_order(order)
 
     def test_partial_order_sixteen(self):
         with pytest.raises(CatalogIncompleteForOrder):

@@ -1,8 +1,10 @@
 """Command-line surface: commands, exit codes, output determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 
 from conftest import refuse_searches
@@ -180,3 +182,25 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "total=1" in proc.stdout
+
+    def test_cold_c27_keeps_only_what_it_reads(self):
+        """A cold `enumerate C27` holds Aut(N) for circ alone (every type
+        is streamed into the cyclic scan), builds the order-27 catalog
+        groups alone, and never loads OpenSSL for a fallback type name."""
+        code = (
+            "import contextlib, io, sys\n"
+            "from skewbrace import catalog, cli, groups\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['enumerate', 'C27'])\n"
+            "auts, built = groups.automorphisms, catalog._entries\n"
+            "held, orders = auts.cache_info(), built.cache_info()\n"
+            "auts(catalog.group_by_name('C27'))\n"
+            "print(code, '_hashlib' in sys.modules,\n"
+            "      held.currsize, auts.cache_info().misses - held.misses,\n"
+            "      orders.currsize, built.cache_info().misses - orders.misses)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "1", "0", "1", "0"]

@@ -6,8 +6,9 @@
 `is_power_automorphism` and `read_reports` either return their result
 or raise a `SkewbraceError`; no bare `TypeError`, `IndexError`,
 `KeyError`, `ValueError` or `ZeroDivisionError` may escape them.
-`quotient` and `is_power_automorphism` are fed integer elements and
-images, in range or not.
+`quotient`, `is_subgroup` and `is_power_automorphism` are fed
+elements and images that are mostly integers, in range or not, and
+sometimes floats or lists, which are not elements.
 """
 
 import json
@@ -43,6 +44,7 @@ from skewbrace.groups import (
     GroupMap,
     automorphisms,
     is_power_automorphism,
+    is_subgroup,
     make_group,
     opposite_group,
     quotient,
@@ -243,12 +245,19 @@ def test_kohl_obstruction(circ, N):
         assert circ.order != N.order
 
 
+def near_elements(n):
+    """Integers near the element range 0..n-1, sometimes a float or a
+    list instead."""
+    return (st.integers(-2, n + 2) | st.floats(-1, n + 1)
+            | st.lists(st.integers(0, n), max_size=2))
+
+
 @st.composite
 def element_lists(draw):
-    """A group and some integers near its element range, often holding
+    """A group and some values near its element range, often holding
     the identity."""
     G = draw(groups)
-    elems = draw(st.lists(st.integers(-2, G.order + 2), max_size=G.order + 1))
+    elems = draw(st.lists(near_elements(G.order), max_size=G.order + 1))
     if draw(st.booleans()):
         elems.append(0)
     return G, elems
@@ -260,17 +269,23 @@ def test_quotient(args):
     named_errors_only(quotient, *args, returns=tuple)
 
 
+@given(element_lists())
+@FEW
+def test_is_subgroup(args):
+    assert isinstance(is_subgroup(*args), bool)
+
+
 @st.composite
 def image_maps(draw):
     """A group and a map on it: an automorphism, perhaps with one image
-    changed, or integer images of any length."""
+    changed, or images of any length."""
     G = draw(groups)
     n = G.order
     images = list(draw(st.sampled_from(automorphisms(G))).images)
     if draw(st.booleans()):
-        images[draw(st.integers(0, n - 1))] = draw(st.integers(-2, n + 2))
+        images[draw(st.integers(0, n - 1))] = draw(near_elements(n))
     if draw(st.booleans()):
-        images = draw(st.lists(st.integers(-2, n + 2), max_size=n + 1))
+        images = draw(st.lists(near_elements(n), max_size=n + 1))
     return G, GroupMap(G, G, tuple(images))
 
 
@@ -287,6 +302,17 @@ def test_out_of_range_elements_named():
     for images in ((0, 9, 1, 2, 3, 4), (0,)):
         with pytest.raises(NotAutomorphism):
             is_power_automorphism(C6, GroupMap(C6, C6, images))
+
+
+def test_non_integer_elements_named():
+    # a value that operator.index rejects is not an element
+    C6 = group_by_name("C6")
+    for elems in ([0, 1.0], [[0]]):
+        with pytest.raises(NotNormal, match="not a subgroup"):
+            quotient(C6, elems)
+    assert is_subgroup(C6, [0, 3.0]) is False
+    with pytest.raises(NotAutomorphism):
+        is_power_automorphism(C6, GroupMap(C6, C6, (0, 1.0, 2, 3, 4, 5)))
 
 
 VALID_RECORDS = [report_to_record(r)

@@ -13,6 +13,7 @@ import pytest
 from skewbrace import groups
 from skewbrace.catalog import catalog_names, group_by_name, groups_of_order
 from skewbrace.errors import (
+    InternalInconsistency,
     NoIdentityAtZero,
     NotAHomomorphism,
     NotAssociative,
@@ -237,6 +238,42 @@ class TestAutomorphisms:
             assert [f.images for f in automorphisms(G)] == \
                 [f.images for f in homomorphisms(G, G, bijective=True)], \
                 G.name
+
+    @pytest.mark.parametrize("order", [*range(1, 16), 27])
+    def test_stream_is_the_chain_products(self, order):
+        """The stream yields prod |T_k| maps, |T_k| counted as the images
+        of g_k under the bijective homomorphisms fixing g_0..g_{k-1}, and
+        as a set they are automorphisms(G)."""
+        for G in groups_of_order(order):
+            gens = generating_set(G)
+            auts = [f.images for f in homomorphisms(G, G, bijective=True)]
+            size = 1
+            for k, g in enumerate(gens):
+                size *= len({f[g] for f in auts
+                             if all(f[h] == h for h in gens[:k])})
+            stream = list(groups._automorphism_images(G))
+            assert len(stream) == size == len(auts), G.name
+            assert set(stream) == {f.images for f in automorphisms(G)}
+
+    def test_repeated_product_refused(self, monkeypatch):
+        """A transversal holding one map twice gives repeated products,
+        which the stream refuses wherever it is read."""
+        from skewbrace import perms
+
+        extensions = groups._extensions
+
+        def twice_at_level_one(G, H, prefix, **kwargs):
+            found = extensions(G, H, prefix, **kwargs)
+            return found * 2 if len(prefix) == 2 else found
+
+        monkeypatch.setattr(groups, "_extensions", twice_at_level_one)
+        # a new instance, as each group keeps its chain once built
+        N = make_group(group_by_name("C3xC3").table)
+        for read in (automorphisms.__wrapped__, perms.holomorph,
+                     perms.cyclic_regular_subgroups_in_holomorph):
+            with pytest.raises(InternalInconsistency,
+                               match="products are not distinct"):
+                read(N)
 
     def test_order_divides_factorial(self):
         import math
