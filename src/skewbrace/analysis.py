@@ -13,7 +13,6 @@ once and its report is carried to the other members along their phi.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -39,6 +38,9 @@ from .groups import (
     GroupMap,
     Subgroup,
     _automorphism_generators,
+    _compose,
+    _invert,
+    _itemgetter,
     _trusted_group,
     automorphisms,
     distinguished_subgroups,
@@ -49,7 +51,6 @@ from .groups import (
     subgroups,
 )
 from .perms import (
-    compose,
     cyclic_regular_subgroups_in_holomorph,
     regular_subgroups_in_holomorph,
     transport_operation,
@@ -78,17 +79,10 @@ class HgsReport:
 
 def _transport_table(table, images):
     """The table relabeled along images: out[images[a]][images[b]] =
-    images[table[a][b]], each row built by two C-level itemgetters.  An
-    itemgetter of one index returns an item, not a tuple, so order 1,
-    whose one table only the identity relabels, is answered directly."""
-    if len(images) == 1:
-        return ((0,),)
-    inv = [0] * len(images)
-    for a, b in enumerate(images):
-        inv[b] = a
-    columns = operator.itemgetter(*inv)
-    return tuple(operator.itemgetter(*columns(table[a]))(images)
-                 for a in inv)
+    images[table[a][b]], each row built by two C-level itemgetters."""
+    inv = _invert(images)
+    columns = _itemgetter(inv)
+    return tuple(_compose(images, columns(table[a])) for a in inv)
 
 
 def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
@@ -180,7 +174,7 @@ def _orbit(found, gens) -> dict:
         for g in gens:
             u = _transport_table(t, g)
             if u not in orbit:
-                orbit[u] = compose(g, phi)
+                orbit[u] = _compose(g, phi)
                 todo.append(u)
     return orbit
 
@@ -217,7 +211,7 @@ def _enumerate_classes(circ: FiniteGroup):
             iota = to_circ[k]
             if iota is None:
                 continue
-            dot_tab = _transport_table(N.table, compose(iota.images, theta))
+            dot_tab = _transport_table(N.table, _compose(iota.images, theta))
             if dot_tab in seen:
                 continue
             orbit = _orbit(dot_tab, gens)

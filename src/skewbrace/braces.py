@@ -38,7 +38,9 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Subgroup,
-    _action_maps,
+    _compose,
+    _int_maps,
+    _invert,
     _respects_generators,
     automorphisms,
     direct_product,
@@ -53,7 +55,6 @@ from .groups import (
     subgroup_group,
     subgroups,
 )
-from .perms import compose
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def gamma(B: SkewBrace) -> GammaTable:
         return None
 
     if any(failure(maps[s]) for s in circ_gens) \
-            or not all(maps[ct[s][t]] == compose(ms, maps[t])
+            or not all(maps[ct[s][t]] == _compose(ms, maps[t])
                        for s, ms in enumerate(maps) for t in circ_gens):
         raise InternalInconsistency(next(filter(None, map(failure, maps)),
                                          "gamma is not a circ-homomorphism"))
@@ -239,10 +240,7 @@ def is_bi_skew(B: SkewBrace) -> bool:
     gs = gamma(SkewBrace(B.circ, B.dot))
     cinv = B.circ.inverse
     for s in range(n):
-        inv_map = [0] * n
-        for x in range(n):
-            inv_map[g(s)[x]] = x
-        require(gs(s) == tuple(inv_map), "swapped gamma is not the inverse")
+        require(gs(s) == _invert(g(s)), "swapped gamma is not the inverse")
         require(gs(s) == g(cinv[s]), "swapped gamma(s) != gamma(s^-1)")
     return True
 
@@ -256,7 +254,7 @@ def brace_isomorphism(B1: SkewBrace, B2: SkewBrace) -> GroupMap | None:
         return None
     gens = generating_set(B1.circ)
     for a in automorphisms(B1.dot):
-        im = tuple(f0.images[x] for x in a.images)
+        im = _compose(f0.images, a.images)
         if _respects_generators(im, B1.circ, B2.circ, gens):
             return GroupMap(B1.dot, B2.dot, im)
     return None
@@ -304,7 +302,7 @@ def product_brace(B1: SkewBrace, B2: SkewBrace, action=None) -> SkewBrace:
     n2 = B2.order
     if action is None:
         action = tuple(tuple(range(B1.order)) for _ in range(n2))
-    action = _action_maps(action, NotBraceAutomorphismAction)
+    action = _int_maps(action, NotBraceAutomorphismAction)
     if len(action) != n2:
         raise NotBraceAutomorphismAction(
             "action must assign one map per element of the second brace")

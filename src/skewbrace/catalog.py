@@ -4,9 +4,12 @@ Orders 1..15 and 27 carry every isomorphism type; order 16 only has a
 handful of named entries and is never treated as complete.  Dihedral
 groups are indexed by the rotation order (D4 has order 8).
 
-The names are static; the groups of an order are built, validated and
-fingerprinted the first time that order is asked for, so a census of
-one order pays for that order's groups only.
+The catalog is one static table, _CATALOG: per order, each name with
+the constructor of its group, in catalog order.  Adding a group is one
+(name, constructor) entry on its order's line, usually a _metacyclic
+call.  The groups of an order are built, checked and fingerprinted the
+first time that order is asked for, so a census of one order pays for
+that order's groups only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .groups import (
     FiniteGroup,
     direct_product,
     fingerprint,
-    inversion_action,
     isomorphism,
     make_group,
     semidirect_product,
@@ -44,8 +46,7 @@ def cyclic(n: int) -> FiniteGroup:
 
 def dihedral(k: int) -> FiniteGroup:
     """Dihedral group of order 2k (k >= 3): rotations C_k, reflections."""
-    G = semidirect_product(cyclic(k), cyclic(2), inversion_action(cyclic(k)))
-    return G.with_name(f"D{k}")
+    return _metacyclic(k, 2, k - 1).with_name(f"D{k}")
 
 
 def dicyclic(k: int) -> FiniteGroup:
@@ -55,10 +56,7 @@ def dicyclic(k: int) -> FiniteGroup:
     """
     m = 2 * k
     n = 4 * k
-
-    def idx(i: int, j: int) -> int:
-        return i * 2 + j
-
+    # the pair (i, j) for a^i b^j is the element i*2 + j
     table = [[0] * n for _ in range(n)]
     for i1 in range(m):
         for j1 in range(2):
@@ -70,7 +68,7 @@ def dicyclic(k: int) -> FiniteGroup:
                         r, s = (i1 - i2) % m, 1
                     else:
                         r, s = (i1 - i2 + k) % m, 0
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(r, s)
+                    table[i1 * 2 + j1][i2 * 2 + j2] = r * 2 + s
     return make_group(table, f"Dic{k}" if k != 2 else "Q8")
 
 
@@ -109,90 +107,69 @@ def heisenberg(p: int) -> FiniteGroup:
     return make_group(table, f"Heisenberg-{n}")
 
 
-def modular27() -> FiniteGroup:
-    """Nonabelian group of order 27 and exponent 9: C9 x| C3, b a b^-1 = a^4."""
-    def idx(i: int, j: int) -> int:
-        return i * 3 + j
-
-    table = [[0] * 27 for _ in range(27)]
-    for i in range(9):
-        for j in range(3):
-            for i2 in range(9):
-                for j2 in range(3):
-                    table[idx(i, j)][idx(i2, j2)] = idx(
-                        (i + i2 * pow(4, j, 9)) % 9, (j + j2) % 3)
-    return make_group(table, "M27")
+def _metacyclic(n: int, m: int, r: int) -> FiniteGroup:
+    """C_n x| C_m, the generator of C_m acting by a -> r*a; the pair (a, b)
+    is the element a*m + b.  semidirect_product refuses an r that gives no
+    action."""
+    action = tuple(tuple(a * pow(r, b, n) % n for a in range(n))
+                   for b in range(m))
+    return semidirect_product(cyclic(n), cyclic(m), action)
 
 
-def semidihedral16() -> FiniteGroup:
-    act = tuple(tuple((a * e) % 8 for a in range(8)) for e in (1, 3))
-    return semidirect_product(cyclic(8), cyclic(2), act).with_name("SD16")
+def _abelian(*ns: int) -> FiniteGroup:
+    """C_n1 x C_n2 x ..., the direct products taken left to right."""
+    return functools.reduce(direct_product, map(cyclic, ns))
 
 
-def modular16() -> FiniteGroup:
-    act = tuple(tuple((a * e) % 8 for a in range(8)) for e in (1, 5))
-    return semidirect_product(cyclic(8), cyclic(2), act).with_name("M16")
-
-
-# the catalog's names per order, in catalog order; _build builds them
-_NAMES = {
-    1: ("C1",), 2: ("C2",), 3: ("C3",), 4: ("C4", "C2xC2"), 5: ("C5",),
-    6: ("C6", "D3"), 7: ("C7",),
-    8: ("C8", "C4xC2", "C2xC2xC2", "D4", "Q8"), 9: ("C9", "C3xC3"),
-    10: ("C10", "D5"), 11: ("C11",),
-    12: ("C12", "C6xC2", "D6", "A4", "Dic3"), 13: ("C13",),
-    14: ("C14", "D7"), 15: ("C15",),
+# per order, in catalog order: each name with the constructor of its group
+_CATALOG = {
+    1: (("C1", lambda: cyclic(1)),),
+    2: (("C2", lambda: cyclic(2)),),
+    3: (("C3", lambda: cyclic(3)),),
+    4: (("C4", lambda: cyclic(4)), ("C2xC2", lambda: _abelian(2, 2))),
+    5: (("C5", lambda: cyclic(5)),),
+    6: (("C6", lambda: cyclic(6)), ("D3", lambda: dihedral(3))),
+    7: (("C7", lambda: cyclic(7)),),
+    8: (("C8", lambda: cyclic(8)), ("C4xC2", lambda: _abelian(4, 2)),
+        ("C2xC2xC2", lambda: _abelian(2, 2, 2)), ("D4", lambda: dihedral(4)),
+        ("Q8", lambda: dicyclic(2))),
+    9: (("C9", lambda: cyclic(9)), ("C3xC3", lambda: _abelian(3, 3))),
+    10: (("C10", lambda: cyclic(10)), ("D5", lambda: dihedral(5))),
+    11: (("C11", lambda: cyclic(11)),),
+    12: (("C12", lambda: cyclic(12)), ("C6xC2", lambda: _abelian(6, 2)),
+         ("D6", lambda: dihedral(6)), ("A4", alternating4),
+         ("Dic3", lambda: dicyclic(3))),
+    13: (("C13", lambda: cyclic(13)),),
+    14: (("C14", lambda: cyclic(14)), ("D7", lambda: dihedral(7))),
+    15: (("C15", lambda: cyclic(15)),),
     # order 16 is deliberately partial (named access only)
-    16: ("C16", "C8xC2", "C4xC4", "C4xC2xC2", "C2xC2xC2xC2", "D8", "Q16",
-         "SD16", "M16"),
-    27: ("C27", "C9xC3", "C3xC3xC3", "Heisenberg-27", "M27"),
+    16: (("C16", lambda: cyclic(16)), ("C8xC2", lambda: _abelian(8, 2)),
+         ("C4xC4", lambda: _abelian(4, 4)),
+         ("C4xC2xC2", lambda: _abelian(4, 2, 2)),
+         ("C2xC2xC2xC2", lambda: _abelian(2, 2, 2, 2)),
+         ("D8", lambda: dihedral(8)), ("Q16", lambda: dicyclic(4)),
+         ("SD16", lambda: _metacyclic(8, 2, 3)),
+         ("M16", lambda: _metacyclic(8, 2, 5))),
+    27: (("C27", lambda: cyclic(27)), ("C9xC3", lambda: _abelian(9, 3)),
+         ("C3xC3xC3", lambda: _abelian(3, 3, 3)),
+         ("Heisenberg-27", lambda: heisenberg(3)),
+         ("M27", lambda: _metacyclic(9, 3, 4))),
 }
-_ORDER_OF = {name: n for n, names in _NAMES.items() for name in names}
-require(len(_ORDER_OF) == sum(map(len, _NAMES.values())),
+_ORDER_OF = {name: n for n, entries in _CATALOG.items() for name, _ in entries}
+require(len(_ORDER_OF) == sum(map(len, _CATALOG.values())),
         "duplicate catalog name")
-
-
-def _build(order: int) -> list[FiniteGroup]:
-    """The catalog groups of one order, in catalog order.  A direct
-    product is named after its factors."""
-    c, x = cyclic, direct_product
-    match order:
-        case 1 | 2 | 3 | 5 | 7 | 11 | 13 | 15:
-            return [c(order)]
-        case 4:
-            return [c(4), x(c(2), c(2))]
-        case 6 | 10 | 14:
-            return [c(order), dihedral(order // 2)]
-        case 8:
-            return [c(8), x(c(4), c(2)), x(x(c(2), c(2)), c(2)),
-                    dihedral(4), dicyclic(2)]
-        case 9:
-            return [c(9), x(c(3), c(3))]
-        case 12:
-            return [c(12), x(c(6), c(2)), dihedral(6), alternating4(),
-                    dicyclic(3)]
-        case 16:
-            return [c(16), x(c(8), c(2)), x(c(4), c(4)),
-                    x(x(c(4), c(2)), c(2)), x(x(x(c(2), c(2)), c(2)), c(2)),
-                    dihedral(8), dicyclic(4).with_name("Q16"),
-                    semidihedral16(), modular16()]
-        case 27:
-            return [c(27), x(c(9), c(3)), x(x(c(3), c(3)), c(3)),
-                    heisenberg(3), modular27()]
-    return []
 
 
 @functools.lru_cache(maxsize=None)
 def _entries(order: int) -> dict[str, FiniteGroup]:
     """The catalog groups of one order by name, built on first use."""
     table = {}
-    for G in _build(order):
+    for name, build in _CATALOG.get(order, ()):
+        G = build()
         require(G.order == order,
-                f"catalog group {G.name} of order {G.order} is filed "
+                f"catalog group {name} of order {G.order} is filed "
                 f"under order {order}")
-        table[G.name] = G
-    require(tuple(table) == _NAMES.get(order, ()),
-            f"catalog groups of order {order} are not {_NAMES.get(order)}")
+        table[name] = G.with_name(name)
     return table
 
 
@@ -215,10 +192,10 @@ def group_by_name(name: str) -> FiniteGroup:
 
 def groups_of_order(order: int) -> tuple[FiniteGroup, ...]:
     """All groups of one order, refused unless the catalog is complete."""
-    if not isinstance(order, int):
+    if not isinstance(order, int) or isinstance(order, bool):
         raise UnsupportedOrder(f"group orders are integers, got {order!r}")
     # an order without names builds nothing, so the cache keeps no entry
-    found = tuple(_entries(order).values()) if order in _NAMES else ()
+    found = tuple(_entries(order).values()) if order in _CATALOG else ()
     if order in COMPLETE_ORDERS:
         if len(found) != GROUP_COUNTS[order]:
             raise CatalogIncompleteForOrder(

@@ -8,8 +8,6 @@ results for the same group.
 
 from __future__ import annotations
 
-import operator
-
 from .braces import SkewBrace, gamma, is_bi_skew, left_ideals, make_brace
 from .catalog import cyclic
 from .errors import (
@@ -23,7 +21,8 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupMap,
-    _action_maps,
+    _int_maps,
+    _ints,
     center,
     commutator_subgroup,
     direct_product,
@@ -61,7 +60,7 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
     which is checked by recomputing with the opposite choice.
     """
     Q, cosets = norm_mod_center(G)
-    images = _indices(psi.images if isinstance(psi, GroupMap) else psi)
+    images = _ints(psi.images if isinstance(psi, GroupMap) else psi)
     if images is None or len(images) != G.order \
             or any(not 0 <= q < Q.order for q in images):
         raise NotIntoNormModCenter(
@@ -73,7 +72,7 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
     if lift is None:
         lift = tuple(c[0] for c in cosets)
     else:
-        lift = _indices(lift)
+        lift = _ints(lift)
         if lift is None or len(lift) != Q.order \
                 or any(lift[q] not in cosets[q] for q in range(Q.order)):
             raise NotIntoNormModCenter("lift picks non-representatives")
@@ -106,14 +105,6 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
         require(is_power_automorphism(G, GroupMap(G, G, g(s))),
                 "psi gamma is not a power automorphism")
     return B
-
-
-def _indices(values) -> tuple[int, ...] | None:
-    """The values as a tuple of ints, or None when they are not."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError:
-        return None
 
 
 def all_psi_braces(G: FiniteGroup) -> list[SkewBrace]:
@@ -167,7 +158,7 @@ def inversion_construction(A: FiniteGroup) -> SkewBrace:
 def semidirect_to_brace(A: FiniteGroup, B: FiniteGroup, action) -> SkewBrace:
     """circ = A x| B along the action, dot = A x B; gamma acts on the
     first coordinate only, through the action of the second."""
-    action = _action_maps(action)
+    action = _int_maps(action)
     circ = semidirect_product(A, B, action)
     dot = direct_product(A, B)
     out = make_brace(dot, circ)
@@ -185,11 +176,11 @@ def cpr_cps_brace(p: int, r: int, s: int) -> SkewBrace:
     """Brace on C_{p^r} x C_{p^s} whose dot twists the second coordinate
     by the product of first-coordinate exponents; the first factor is not
     a left ideal (it is not even dot-closed)."""
-    try:
-        p, r, s = map(operator.index, (p, r, s))
-    except TypeError:
+    params = _ints((p, r, s))
+    if params is None:
         raise BadParameters(
-            f"p, r, s must be integers, got {p!r}, {r!r}, {s!r}") from None
+            f"p, r, s must be integers, got {p!r}, {r!r}, {s!r}")
+    p, r, s = params
     if not 1 <= s <= r:
         raise BadParameters("need 1 <= s <= r")
     # a prime p has p^7 > 64, so no power above p^6 is built, and the

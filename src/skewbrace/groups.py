@@ -35,6 +35,10 @@ _automorphism_generators(G) is a small generating set of Aut(G); a
 subgroup is characteristic when those maps keep it.  The subgroup
 lattice is grown from the cyclic subgroups by joining each subgroup found
 with one generator per cyclic subgroup, closed along the generators.
+
+This lowest layer keeps the one copy of the helpers the layers above
+share: _compose, _invert and _itemgetter on permutations as image
+tuples, and _ints and _int_maps for input that must be integers.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadParameters,
     NoIdentityAtZero,
     NotAHomomorphism,
     NotAssociative,
@@ -89,11 +94,7 @@ class FiniteGroup:
         for a, known in enumerate(orders):
             if known:
                 continue
-            powers = [0]
-            x = a
-            while x != 0:
-                powers.append(x)
-                x = t[x][a]
+            powers = _powers(t, a)
             m = len(powers)
             for k, x in enumerate(powers):
                 orders[x] = m // math.gcd(m, k)
@@ -177,11 +178,14 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     except TypeError:
         raise NotLatinSquare(f"table {table!r} is not a sequence of rows") \
             from None
-    rows = tuple(_row(a, row) for a, row in enumerate(given))
+    rows = tuple(map(_ints, given))
     n = len(rows)
     if n == 0:
         raise NoIdentityAtZero("empty table has no identity")
     for a, row in enumerate(rows):
+        if row is None:
+            raise NotLatinSquare(
+                f"row {a} is not a sequence of integers: {given[a]!r}")
         if len(row) != n:
             raise NotLatinSquare(f"row {a} has length {len(row)}, expected {n}")
         for x in row:
@@ -210,22 +214,6 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     return _trusted_group(rows, name)
 
 
-def _row(a: int, row) -> tuple[int, ...]:
-    try:
-        entries = iter(row)
-    except TypeError:
-        raise NotLatinSquare(f"row {a} is not a sequence: {row!r}") from None
-    return tuple(_entry(a, x) for x in entries)
-
-
-def _entry(a: int, x) -> int:
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise NotLatinSquare(f"row {a} contains non-integer entry {x!r}") \
-            from None
-
-
 def _trusted_group(table, name: str | None = None) -> FiniteGroup:
     """The group of a table already checked by make_group or derived from
     valid groups: builds the inverse array and checks nothing."""
@@ -234,8 +222,8 @@ def _trusted_group(table, name: str | None = None) -> FiniteGroup:
 
 
 def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    n = G.order
-    return tuple(tuple(G.table[b][a] for b in range(n)) for a in range(n))
+    """The transposed table, a*b read as b*a."""
+    return tuple(zip(*G.table))
 
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
@@ -244,46 +232,74 @@ def opposite_group(G: FiniteGroup) -> FiniteGroup:
 
 def closure(G: FiniteGroup, seed) -> Subgroup:
     """Subgroup generated by the given elements (identity always included):
-    the products of seed elements, reached breadth-first from 0 along
-    x -> x*g; in a finite group they already form a subgroup."""
-    table = G.table
-    gens = set(seed)
-    members = {0}
-    todo = [0]
-    for x in todo:
-        row = table[x]
-        for g in gens:
-            y = row[g]
-            if y not in members:
-                members.add(y)
-                todo.append(y)
-    return tuple(sorted(members))
+    the products of seed elements, reached from 0 along x -> x*g by
+    adjoining one seed element at a time, as _greedy_generators does; in a
+    finite group they already form a subgroup.  Raises BadParameters when
+    a seed value is not an element of G."""
+    gens = _ints(seed)
+    if gens is None or not all(0 <= g < G.order for g in gens):
+        raise BadParameters(f"{seed!r} are not elements of {G!r}")
+    seen = [True] + [False] * (G.order - 1)
+    reached = [0]
+    for k in range(1, len(gens) + 1):
+        reached += _adjoin(G.table, reached, seen, gens[:k])
+    return tuple(sorted(reached))
 
 
 def cyclic_subgroup(G: FiniteGroup, a: int) -> Subgroup:
-    members = [0]
+    return closure(G, (a,))
+
+
+def _powers(table, a: int) -> list[int]:
+    """The powers 0, a, a^2, ... of the element a, its cyclic subgroup in
+    walk order.  subgroups and is_power_automorphism walk every element,
+    where closure's input check and general walk cost five times as much."""
+    powers = [0]
     x = a
     while x != 0:
-        members.append(x)
-        x = G.table[x][a]
-    return tuple(sorted(members))
+        powers.append(x)
+        x = table[x][a]
+    return powers
 
 
 def is_subgroup(G: FiniteGroup, elems) -> bool:
     """Whether elems is a subgroup; a value that operator.index rejects
     is not an element."""
-    s = _as_elements(elems)
-    if s is None or 0 not in s or not s <= set(range(G.order)):
+    s = set(_ints(elems) or ())
+    if 0 not in s or not s <= set(range(G.order)):
         return False
     return all(G.table[a][b] in s for a in s for b in s)
 
 
-def _as_elements(values) -> set[int] | None:
-    """The set of values as integers, or None if one is not an integer."""
+def _ints(values) -> tuple[int, ...] | None:
+    """The values as a tuple of ints, or None when they are not."""
     try:
-        return set(map(operator.index, values))
+        return tuple(map(operator.index, values))
     except TypeError:
         return None
+
+
+def _itemgetter(q):
+    """operator.itemgetter(*q), which maps a permutation p to p∘q (p
+    after q) in C.  An itemgetter of one index returns an item, not a
+    tuple, so a q of length 1 gets a getter of its own."""
+    if len(q) == 1:
+        (i,) = q
+        return lambda p: (p[i],)
+    return operator.itemgetter(*q)
+
+
+def _compose(p, q) -> tuple[int, ...]:
+    """p after q."""
+    return _itemgetter(q)(p)
+
+
+def _invert(p) -> tuple[int, ...]:
+    """The inverse of the permutation p."""
+    inv = [0] * len(p)
+    for a, b in enumerate(p):
+        inv[b] = a
+    return tuple(inv)
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,7 +315,7 @@ def subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     n = G.order
     cyclic: dict[Subgroup, int] = {}
     for a in range(n):
-        cyclic.setdefault(cyclic_subgroup(G, a), a)
+        cyclic.setdefault(tuple(sorted(_powers(G.table, a))), a)
     found = {C: (a,) for C, a in cyclic.items()}
     todo = list(found)
     for S in todo:
@@ -358,13 +374,10 @@ class GroupMap:
     def compose(self, other: GroupMap) -> GroupMap:
         """self after other."""
         return GroupMap(other.source, self.target,
-                        tuple(self.images[x] for x in other.images))
+                        _compose(self.images, other.images))
 
     def inverse_map(self) -> GroupMap:
-        inv = [0] * len(self.images)
-        for a, b in enumerate(self.images):
-            inv[b] = a
-        return GroupMap(self.target, self.source, tuple(inv))
+        return GroupMap(self.target, self.source, _invert(self.images))
 
 
 def is_homomorphism(f: GroupMap) -> bool:
@@ -556,15 +569,14 @@ def _automorphism_images(G: FiniteGroup):
     gens = generating_set(G)
     ident = tuple(range(G.order))
     transversals = G._transversals
-    # t∘p is itemgetter(*p)(t); a level exists only at order >= 2, where
-    # the getter returns a tuple.  The trivial group has no level and one
+    # t∘p is _itemgetter(p)(t).  The trivial group has no level and one
     # product, the identity.
     outer = transversals[0] if gens else [ident]
     inner = [ident]
     for level in reversed(transversals[1:]):
-        getters = [operator.itemgetter(*p) for p in inner]
+        getters = [_itemgetter(p) for p in inner]
         inner = [get(t) for t in level for get in getters]
-    getters = [operator.itemgetter(*p) for p in inner] if gens else [tuple]
+    getters = [_itemgetter(p) for p in inner]
     # 0 is fixed by every map; it keeps the key valid for the trivial group
     key = operator.itemgetter(0, *gens)
     ident_key = key(ident)
@@ -600,15 +612,14 @@ def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     the generated subgroup is grown along x -> x∘g, as _greedy_generators
     does for group elements."""
     gens = []
-    # x∘g is right(x) for right = itemgetter(*g); a map other than the
-    # identity needs order >= 3, where the getter returns a tuple
+    # x∘g is right(x) for right = _itemgetter(g)
     rights = []
     reached = {tuple(range(G.order))}
     for f in (a.images for a in automorphisms(G)):
         if f in reached:
             continue
         gens.append(f)
-        rights.append(operator.itemgetter(*f))
+        rights.append(_itemgetter(f))
         # the reached subgroup H is closed under the old generators, and
         # H∘f is a new coset; every newly reached map needs every generator
         new = list(map(rights[-1], reached))
@@ -674,11 +685,11 @@ def is_power_automorphism(G: FiniteGroup, f: GroupMap) -> bool:
     insists they agree.
     """
     if f.source != G or f.target != G \
-            or _as_elements(f.images) is None \
+            or _ints(f.images) is None \
             or sorted(f.images) != list(range(G.order)) \
             or not is_homomorphism(f):
         raise NotAutomorphism("map is not an automorphism of the given group")
-    elementwise = all(f(a) in set(cyclic_subgroup(G, a)) for a in range(G.order))
+    elementwise = all(f(a) in _powers(G.table, a) for a in range(G.order))
     subgroupwise = all(frozenset(f(a) for a in s) == frozenset(s)
                        for s in subgroups(G))
     require(elementwise == subgroupwise, "power tests disagree")
@@ -691,11 +702,11 @@ def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupMap]:
     Cosets are relabeled 0..n/|N|-1 in order of their least element, so the
     coset of 0 is the identity.
     """
-    ns = _as_elements(N)
+    ns = _ints(N)
     if ns is None or not is_subgroup(G, ns):
-        raise NotNormal(f"{tuple(N)} is not a subgroup")
+        raise NotNormal(f"{N!r} is not a subgroup")
     if not is_normal(G, ns):
-        raise NotNormal(f"{tuple(N)} is not normal")
+        raise NotNormal(f"{N!r} is not normal")
     cosets: list[tuple[int, ...]] = []
     label_of = [-1] * G.order
     for a in range(G.order):
@@ -728,17 +739,14 @@ def subgroup_group(G: FiniteGroup, sub) -> tuple[FiniteGroup, tuple[int, ...]]:
     return _trusted_group(table), elems
 
 
-def _pair_index(a: int, b: int, nb: int) -> int:
-    return a * nb + b
-
-
 def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
-    """A semidirect product on pairs, (a,b)(c,d) = (a * action[b](c), b*d).
+    """A semidirect product on pairs, (a,b)(c,d) = (a * action[b](c), b*d);
+    the pair (a, b) is the element a*|B| + b.
 
     action is a sequence of |B| permutations of A's elements; it must be a
     homomorphism from B into Aut(A).
     """
-    action = _action_maps(action)
+    action = _int_maps(action)
     if len(action) != B.order:
         raise NotAHomomorphism("action must assign one map per element of B")
     ident = tuple(range(A.order))
@@ -751,8 +759,7 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
         raise NotAHomomorphism("action[0] is not the identity of A")
     for b1 in range(B.order):
         for b2 in generating_set(B):
-            composed = tuple(action[b1][action[b2][a]] for a in ident)
-            if composed != action[B.table[b1][b2]]:
+            if _compose(action[b1], action[b2]) != action[B.table[b1][b2]]:
                 raise NotAHomomorphism(
                     f"action[{b1}]*action[{b2}] != action[{b1}*{b2}]")
     na, nb = A.order, B.order
@@ -760,22 +767,21 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
     table = [[0] * n for _ in range(n)]
     for a in range(na):
         for b in range(nb):
-            i = _pair_index(a, b, nb)
-            row = table[i]
+            row = table[a * nb + b]
             for c in range(na):
                 for d in range(nb):
-                    row[_pair_index(c, d, nb)] = _pair_index(
-                        A.table[a][action[b][c]], B.table[b][d], nb)
+                    row[c * nb + d] = \
+                        A.table[a][action[b][c]] * nb + B.table[b][d]
     return _trusted_group(table)
 
 
-def _action_maps(action, error=NotAHomomorphism):
-    """An action as a tuple of integer tuples, or error if it is not one."""
+def _int_maps(maps, error=NotAHomomorphism):
+    """Maps, such as an action or a set of permutations, as a tuple of
+    integer tuples, or error if they are not one."""
     try:
-        return tuple(tuple(map(operator.index, p)) for p in action)
+        return tuple(tuple(map(operator.index, p)) for p in maps)
     except TypeError:
-        raise error(
-            f"action {action!r} is not a sequence of integer maps") from None
+        raise error(f"{maps!r} is not a sequence of integer maps") from None
 
 
 def trivial_action(A: FiniteGroup, B: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -17,22 +17,20 @@ from .errors import NotNormalized, NotRegular, OrderTooLargeForOracle, require
 from .groups import (
     FiniteGroup,
     _automorphism_images,
+    _compose,
+    _int_maps,
+    _itemgetter,
     _trusted_group,
     generating_set,
     make_group,
+    opposite_table,
 )
 
 Perm = tuple[int, ...]
 
 ORACLE_DEFAULT_BOUND = 8
 
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """p after q.  An itemgetter of one index returns an item, not a
-    tuple, so degree 1 is answered directly."""
-    if len(q) == 1:
-        return (p[q[0]],)
-    return operator.itemgetter(*q)(p)
+compose = _compose  # p after q, under its public name
 
 
 def perm_order(p: Perm) -> int:
@@ -91,10 +89,7 @@ class RegularSubgroup:
 
 def regular_subgroup(perms) -> RegularSubgroup:
     """Validate closure, inverses and regularity of a permutation set."""
-    try:
-        elems = frozenset(tuple(map(operator.index, p)) for p in perms)
-    except TypeError as exc:
-        raise NotRegular(f"not a permutation: {exc}") from None
+    elems = frozenset(_int_maps(perms, NotRegular))
     if not elems:
         raise NotRegular("no permutations given")
     n = len(next(iter(elems)))
@@ -119,8 +114,7 @@ def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
     auts = 0
     for fi in _automorphism_images(N):
         auts += 1
-        for row in N.table:
-            perms.add(compose(row, fi))
+        perms.update(map(_itemgetter(fi), N.table))
     out = tuple(sorted(perms))
     require(len(out) == N.order * auts, "repeated holomorph perm")
     return out
@@ -134,7 +128,7 @@ def transport_operation(R: RegularSubgroup) -> FiniteGroup:
     result is R itself.
     """
     rows = sorted(R.elements)
-    if [p[0] for p in rows] != list(range(R.degree)):
+    if not rows or [p[0] for p in rows] != list(range(R.degree)):
         raise NotRegular("evaluation at 0 is not a bijection")
     return _trusted_group(rows)
 
@@ -148,13 +142,13 @@ def operation_from_regular_subgroup(R: RegularSubgroup, G: FiniteGroup) \
     be normalized by the left translations of G.  The result is the
     oracle's reference, so it is validated in full.
     """
-    table = transport_operation(R).table
-    if len(table) != G.order:
+    T = transport_operation(R)
+    if T.order != G.order:
         raise NotRegular("evaluation at 0 is not a bijection onto G")
     if not _normalized_by_translations(R.elements, G):
         raise NotNormalized(
             "subgroup is not normalized by the left translations")
-    return make_group(tuple(zip(*table)))
+    return make_group(opposite_table(T))
 
 
 def _normalized_by_translations(elems, G: FiniteGroup) -> bool:
@@ -192,8 +186,9 @@ def _grow_regular(candidates_by_start, n: int, accept) -> None:
         # members maps value-at-0 to the unique element taking 0 there and
         # is closed under gens[:-1]; <members, c> for c = gens[-1] is reached
         # breadth-first along x -> x*g: old members need only c, new ones
-        # every generator
+        # every generator; x∘g is right(x) for right = _itemgetter(g)
         c = gens[-1]
+        rights = list(map(_itemgetter, gens))
         out = dict(members)
         out[c[0]] = c
         new = [c]
@@ -209,11 +204,11 @@ def _grow_regular(candidates_by_start, n: int, accept) -> None:
             return True
 
         for x in members.values():
-            if not add(compose(x, c)):
+            if not add(rights[-1](x)):
                 return None
         for x in new:
-            for g in gens:
-                if not add(compose(x, g)):
+            for right in rights:
+                if not add(right(x)):
                     return None
         if n % len(out) != 0:
             return None
@@ -268,8 +263,7 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
                 break
         if n % m != 0 or exp % (n // m) != 0:
             continue
-        for row in N.table:
-            p = compose(row, fi)
+        for p in map(_itemgetter(fi), N.table):
             # an n-cycle generates a cyclic regular subgroup, and conversely
             if _cycle_length(p, 0) != n:
                 continue

@@ -1,5 +1,6 @@
 """Catalog completeness and the two file formats."""
 
+import hashlib
 import json
 import re
 import sys
@@ -37,7 +38,61 @@ from skewbrace.serialize import (
 )
 
 
+# "name sha256" of json.dumps(G.table) for every catalog group, recorded
+# from the catalog as it was before it became one table over _metacyclic
+TABLE_SHA256 = dict(line.split() for line in """
+C1 db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387
+C2 c1b92cfd1182059c03f2934cec0ee71e1df9f08ff9f53dec0f3e468e62a0626c
+C3 17d0eee91e6333e1187ad1a09da05518b40b225dd366ee32342d785c61a3eea4
+C4 817530d43b21cd6b4da2490d0eff0e80139ee482e7ada0fcf951bad11fe0fbf2
+C2xC2 90b5779b7e261488f04c79165fc22dd6b6c6ce01003a762f5efc6173099b54b4
+C5 5e0a80ad1110516e0dde1c48f11cffc6d8f606455ddf4505a7b77a4a0bef7de2
+C6 0c9f2a2b544b8808c85cde07de907b677871d08753017e06dd603e9375892293
+D3 41000643a83e6a8f38337101e359a132460021bde65a466731abddb3f858e6af
+C7 52360c657a054a64b8a211f634f7bdd49189a129e1bc55407dc9eb444e320721
+C8 adacb0a8e923ba193275373de2aeff6dda59d2f51852a04c36e4f392f44eba9c
+C4xC2 92dce32b79c37447bb451e68f81d1882ca63cd9e260dc976b2a46f2db7b90463
+C2xC2xC2 22c176af2b276c12d4d705ce1f0b2edef90573f13d0a35b761c61a35acd73e56
+D4 e3af88731332128cfda7f00f5bd08e1f4a36b41abe3da84e9f45f13287515814
+Q8 abc0e65225da9a2c1adcb7bce3461e04c5ed88dd8c9065a4a367378acdabd400
+C9 6e662b78e98bdaafe6189ad93e1e4b1bb97fd9a79491cf9b4de32d0e2128d048
+C3xC3 5866c28f92e87f668ad348eb1f1c33ee41934252a4db957f364ac04703ea69a9
+C10 29edf3c044f9ee140747117a4fd386d95f258febed1a1f5f4db75050e91a8caf
+D5 a59284a4991abb378e08f01947e14fd9bbd505959938fff1f46c4b7e78b824ad
+C11 4c49cb2e90ed3d8cc4f082fbec7d28933b9c09998839826d285513b4aaf1a632
+C12 0ff2a8598890d20f3aa6f9c596f97bee96b9523979ea2584b4cdd71d1ccf872b
+C6xC2 7ee1bfb0f3b033bd2a304a894069e1a8f213a7ed4c6281b8d041c56d71907000
+D6 aad6e892b10163a66183eac362c12c942837e57b30fd504f65ae0b6dd78927cb
+A4 1bfa34a13a10db6df271e23e0a887888b25219ce6befa358fe5292d170454cc5
+Dic3 289ce20cce6769c6af852b5d6cac85b7115b98321d78fa24f3620d4777398a35
+C13 58a76687ec6d3577b71d88d93da91f92794ff7453784ccea03c0f2136df850c0
+C14 358ff7f379ee62496d1fb1a28617272127bb7e79377641114c842a451d662851
+D7 bc41ce5d901a760b0e10c903593c4f15e149b0ed0e81d75d6bce392bc0550a53
+C15 6a8dc0ce97d26b8bdebfd55fbe20930594291e13e2ed7259a47fd1f5826ded2a
+C16 f5895705f6120c71efa4352f6207ec0cfd3d943c6a50e5837f361ac98551a9a4
+C8xC2 039ee73f75fc9119b036e78c06ec30d10cdb53354249859574acbfe11bffbdc9
+C4xC4 1f682146199ed6a4060e6f1f183e218b7065acb8a35fdd38209712fac982831e
+C4xC2xC2 8774a884722ff2981f54815b76b362d7e43993d89c3b281dc92e48aa32dd6eea
+C2xC2xC2xC2 e5ac4e3c2de25c76e89667bf7c203b433ac180d8f88fbe455a5532c7b5fb0f87
+D8 600e9764edaa6de3b1c143e32bdfba93fbdf9e302a4bdf9b9e1e8415e78fa88f
+Q16 b42edd4bfbf32cbad33197adafd4cb3f87ae180028d05c973544f0e7e08c3428
+SD16 72d96526dfd4e34f0f56651de1986598e1a06e91bab13d1bea7c40c9b7548590
+M16 66644028f235cddae1cb0ae98a88ab60dc000ad706642d7a9a8d1dbf724cc456
+C27 73711a81d5754ad8f8a8220a97535aa1004f36de9896a475d287616f954e3251
+C9xC3 2d014841b056e73e12de84d384fd94036f90bf7668286ca1f8cd8f42bbbcb619
+C3xC3xC3 9424705dbf791d76adb5a8be106c633925a97d0b41e2f3ec69809ab8d874059c
+Heisenberg-27 710ebac32492c1ac3211bfb61410707c94bdf833c851626fe5a99a75af0a44cf
+M27 93214debab2183606a53c7cb10aa537b8583cd48d6faf2e6bf555839c1f99660
+""".strip().splitlines())
+
+
 class TestCatalog:
+    def test_tables_pinned(self):
+        assert tuple(TABLE_SHA256) == catalog_names()
+        for name, digest in TABLE_SHA256.items():
+            table = json.dumps(group_by_name(name).table)
+            assert hashlib.sha256(table.encode()).hexdigest() == digest, name
+
     def test_counts_per_complete_order(self):
         for order, count in GROUP_COUNTS.items():
             assert len(groups_of_order(order)) == count
@@ -80,7 +135,7 @@ class TestCatalog:
             "Heisenberg-27", "M27")
 
     def test_misfiled_group_refused(self, monkeypatch):
-        monkeypatch.setattr(catalog, "_build", lambda order: [cyclic(3)])
+        monkeypatch.setitem(catalog._CATALOG, 5, (("C5", lambda: cyclic(3)),))
         with pytest.raises(InternalInconsistency, match="filed under order 5"):
             catalog._entries.__wrapped__(5)
 
@@ -104,7 +159,7 @@ class TestCatalog:
                 groups_of_order(order)
         assert catalog._entries.cache_info().currsize == before
 
-    @pytest.mark.parametrize("order", [8.0, "8", None, [8]])
+    @pytest.mark.parametrize("order", [8.0, "8", None, [8], True, False])
     def test_non_integer_order_unsupported(self, order):
         with pytest.raises(UnsupportedOrder, match=re.escape(repr(order))):
             groups_of_order(order)

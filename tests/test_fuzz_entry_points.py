@@ -3,9 +3,10 @@
 `group_from_text`, `make_group`, `regular_subgroup`, `make_brace`,
 `semidirect_product`, `product_brace`, `semidirect_to_brace`,
 `psi_construction`, `cpr_cps_brace`, `kohl_obstruction`, `quotient`,
-`is_power_automorphism` and `read_reports` either return their result
-or raise a `SkewbraceError`; no bare `TypeError`, `IndexError`,
-`KeyError`, `ValueError` or `ZeroDivisionError` may escape them.
+`closure`, `is_power_automorphism` and `read_reports` either return
+their result or raise a `SkewbraceError`; no bare `TypeError`,
+`IndexError`, `KeyError`, `ValueError` or `ZeroDivisionError` may escape
+them.
 `quotient`, `is_subgroup` and `is_power_automorphism` are fed
 elements and images that are mostly integers, in range or not, and
 sometimes floats or lists, which are not elements.
@@ -43,6 +44,8 @@ from skewbrace.groups import (
     FiniteGroup,
     GroupMap,
     automorphisms,
+    closure,
+    cyclic_subgroup,
     is_power_automorphism,
     is_subgroup,
     make_group,
@@ -307,12 +310,26 @@ def test_out_of_range_elements_named():
 def test_non_integer_elements_named():
     # a value that operator.index rejects is not an element
     C6 = group_by_name("C6")
-    for elems in ([0, 1.0], [[0]]):
+    for elems in ([0, 1.0], [[0]], 5):
         with pytest.raises(NotNormal, match="not a subgroup"):
             quotient(C6, elems)
     assert is_subgroup(C6, [0, 3.0]) is False
     with pytest.raises(NotAutomorphism):
         is_power_automorphism(C6, GroupMap(C6, C6, (0, 1.0, 2, 3, 4, 5)))
+
+
+@pytest.mark.parametrize("seed", [[-1], [7], [2.0], [[1]], 3])
+def test_closure_of_non_elements_named(seed):
+    # -1 is not read as 5, and 7 is out of range
+    C6 = group_by_name("C6")
+    with pytest.raises(BadParameters, match="not elements"):
+        closure(C6, seed)
+
+
+@pytest.mark.parametrize("a", [-1, 6, 2.0])
+def test_cyclic_subgroup_of_non_element_named(a):
+    with pytest.raises(BadParameters, match="not elements"):
+        cyclic_subgroup(group_by_name("C6"), a)
 
 
 VALID_RECORDS = [report_to_record(r)

@@ -164,6 +164,10 @@ class TestTransport:
         with pytest.raises(NotRegular):
             operation_from_regular_subgroup(R, group_by_name("C3"))
 
+    def test_empty_hand_built_subgroup_rejected(self):
+        with pytest.raises(NotRegular):
+            transport_operation(RegularSubgroup(()))
+
     def test_normalization_required(self):
         """Exactly one of the three cyclic regular subgroups of the degree-4
         symmetric group is normalized by the translations of C4."""
