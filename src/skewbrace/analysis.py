@@ -12,8 +12,8 @@ once and its report is carried to the other members along their phi.
 
 from __future__ import annotations
 
+import collections
 import functools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .braces import (
@@ -36,7 +36,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupMap,
-    Subgroup,
     _automorphism_generators,
     _compose,
     _invert,
@@ -62,19 +61,12 @@ from .perms import (
 _FULL_ENUM_MAX = 15
 
 
-@dataclass(frozen=True)
-class HgsReport:
+class HgsReport(collections.namedtuple(
+        "HgsReport", "operation type_name is_bi_skew image is_surjective "
+        "gc_ratio grouplikes iso_class_id orbit_size")):
     """Per-structure record: the operation, its type and correspondence."""
 
-    operation: FiniteGroup
-    type_name: str
-    is_bi_skew: bool
-    image: tuple[Subgroup, ...]
-    is_surjective: bool
-    gc_ratio: Fraction
-    grouplikes: Subgroup
-    iso_class_id: int
-    orbit_size: int
+    __slots__ = ()
 
 
 def _transport_table(table, images):
@@ -105,8 +97,7 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
     for class_id, (found, orbit, _) in enumerate(_enumerate_classes(circ)):
         report = analyze(SkewBrace(_trusted_group(found), circ))
         for t, phi in orbit.items():
-            out.append(replace(
-                report,
+            out.append(report._replace(
                 operation=_trusted_group(t),
                 image=tuple(sorted(tuple(sorted(phi[x] for x in s))
                                    for s in report.image)),
@@ -248,13 +239,10 @@ def analyze(B: SkewBrace) -> HgsReport:
     )
 
 
-@dataclass(frozen=True)
-class BiskewPairReport:
-    ratio_fwd: Fraction
-    ratio_swapped: Fraction
-    quotient: Fraction
-    left_ideal_count: int
-    subgroup_counts: tuple[int, int]  # (dot side, circ side)
+# subgroup_counts is (dot side, circ side)
+BiskewPairReport = collections.namedtuple(
+    "BiskewPairReport",
+    "ratio_fwd ratio_swapped quotient left_ideal_count subgroup_counts")
 
 
 def biskew_pair_report(B: SkewBrace) -> BiskewPairReport:
@@ -322,17 +310,8 @@ def childs_criterion(circ: FiniteGroup) -> bool:
     if not circ.is_cyclic():
         return False
     n = circ.order
-    primes = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            primes.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        primes.append(m)
+    primes = [p for p in range(2, n + 1)
+              if n % p == 0 and all(p % d for d in range(2, p))]
     return all((q - 1) % p != 0 for p in primes for q in primes)
 
 

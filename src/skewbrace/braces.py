@@ -20,8 +20,8 @@ only those.
 
 from __future__ import annotations
 
+import collections
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -54,13 +54,12 @@ from .groups import (
     semidirect_product,
     subgroup_group,
     subgroups,
+    trivial_action,
 )
 
 
-@dataclass(frozen=True)
-class SkewBrace:
-    dot: FiniteGroup
-    circ: FiniteGroup
+class SkewBrace(collections.namedtuple("SkewBrace", "dot circ")):
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -73,11 +72,10 @@ class SkewBrace:
         return f"SkewBrace(order={self.order})"
 
 
-@dataclass(frozen=True)
-class GammaTable:
+class GammaTable(collections.namedtuple("GammaTable", "maps")):
     """For each sigma the permutation gamma(sigma), tau -> s^-1 . (s o t)."""
 
-    maps: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def __call__(self, sigma: int) -> tuple[int, ...]:
         return self.maps[sigma]
@@ -300,9 +298,9 @@ def product_brace(B1: SkewBrace, B2: SkewBrace, action=None) -> SkewBrace:
     of B1.  With no action this is the direct product of braces.
     """
     n2 = B2.order
-    if action is None:
-        action = tuple(tuple(range(B1.order)) for _ in range(n2))
-    action = _int_maps(action, NotBraceAutomorphismAction)
+    trivial = trivial_action(B1.circ, B2.circ)
+    action = _int_maps(trivial if action is None else action,
+                       NotBraceAutomorphismAction)
     if len(action) != n2:
         raise NotBraceAutomorphismAction(
             "action must assign one map per element of the second brace")
@@ -318,7 +316,7 @@ def product_brace(B1: SkewBrace, B2: SkewBrace, action=None) -> SkewBrace:
     second_factor = tuple(range(n2))
     require(first_factor in ideals(B), "first factor is not an ideal")
     require(second_factor in strong_left_ideals(B), "not a strong left ideal")
-    if all(p == tuple(range(B1.order)) for p in action):
+    if action == trivial:
         require(second_factor in ideals(B), "second factor is not an ideal")
     return B
 

@@ -225,7 +225,8 @@ def type_name(G: FiniteGroup) -> str:
     the catalog group with G's fingerprint can be isomorphic to G; one
     isomorphism call confirms it."""
     key = fingerprint(G)
-    H = _by_fingerprint(G.order).get(key)
+    # an order without names builds nothing, so the caches keep no entry
+    H = _by_fingerprint(G.order).get(key) if G.order in _CATALOG else None
     if H is not None and isomorphism(G, H) is not None:
         return H.name
     # imported here, as only this fallback hashes: importing hashlib loads

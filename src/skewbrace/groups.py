@@ -43,11 +43,11 @@ tuples, and _ints and _int_maps for input that must be integers.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 
 from .errors import (
     BadParameters,
@@ -63,22 +63,33 @@ from .errors import (
 Subgroup = tuple[int, ...]   # strictly increasing element indices, contains 0
 
 
-@dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as a Cayley table; table[a][b] = a*b, identity 0.
 
-    Equality and hash are those of the table.  The hash, the element
-    orders, the centre flags, the generating set, the fingerprint and the
-    stabilizer chain of Aut(G) are computed once per instance, on first
-    use.
+    A frozen value: setting or deleting an attribute raises
+    dataclasses.FrozenInstanceError, and equality and hash are those of
+    the table.  The hash, the element orders, the centre flags, the
+    generating set, the fingerprint and the stabilizer chain of Aut(G) are
+    computed once per instance, on first use.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...] = field(compare=False)
-    name: str | None = field(default=None, compare=False)
+    def __init__(self, table, inverse, name: str | None = None) -> None:
+        vars(self).update(table=table, inverse=inverse, name=name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table
 
     def __hash__(self) -> int:
         return self._table_hash
+
+    def __setattr__(self, name: str, value=None) -> None:
+        # imported on this error path only: dataclasses pulls in inspect
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"field {name!r} of a group is frozen")
+
+    __delattr__ = __setattr__
 
     @functools.cached_property
     def _table_hash(self) -> int:
@@ -252,7 +263,7 @@ def cyclic_subgroup(G: FiniteGroup, a: int) -> Subgroup:
 
 def _powers(table, a: int) -> list[int]:
     """The powers 0, a, a^2, ... of the element a, its cyclic subgroup in
-    walk order.  subgroups and is_power_automorphism walk every element,
+    walk order.  element_orders and _cyclic_subgroups walk many elements,
     where closure's input check and general walk cost five times as much."""
     powers = [0]
     x = a
@@ -260,6 +271,21 @@ def _powers(table, a: int) -> list[int]:
         powers.append(x)
         x = table[x][a]
     return powers
+
+
+def _cyclic_subgroups(table):
+    """Yield each cyclic subgroup once, as (powers, gens): the _powers of
+    its least generator a, then its generators a^k, gcd(k, |a|) = 1."""
+    walked = [False] * len(table)
+    for a, done in enumerate(walked):
+        if done:
+            continue
+        powers = _powers(table, a)
+        m = len(powers)
+        gens = [x for k, x in enumerate(powers) if math.gcd(k, m) == 1]
+        for x in gens:
+            walked[x] = True
+        yield powers, gens
 
 
 def is_subgroup(G: FiniteGroup, elems) -> bool:
@@ -313,9 +339,8 @@ def subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     _greedy_generators does.
     """
     n = G.order
-    cyclic: dict[Subgroup, int] = {}
-    for a in range(n):
-        cyclic.setdefault(tuple(sorted(_powers(G.table, a))), a)
+    cyclic = {tuple(sorted(powers)): gens[0]
+              for powers, gens in _cyclic_subgroups(G.table)}
     found = {C: (a,) for C, a in cyclic.items()}
     todo = list(found)
     for S in todo:
@@ -357,13 +382,10 @@ def commutator_subgroup(G: FiniteGroup) -> Subgroup:
     return closure(G, comms)
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(collections.namedtuple("GroupMap", "source target images")):
     """A homomorphism stored as the image array of every source element."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
+    __slots__ = ()
 
     def __call__(self, a: int) -> int:
         return self.images[a]
@@ -650,12 +672,8 @@ def isomorphism(G: FiniteGroup, H: FiniteGroup) -> GroupMap | None:
     return maps[0] if maps else None
 
 
-@dataclass(frozen=True)
-class DistinguishedSubgroups:
-    center: Subgroup
-    norm: Subgroup
-    characteristic: tuple[Subgroup, ...]
-    normal: tuple[Subgroup, ...]
+DistinguishedSubgroups = collections.namedtuple(
+    "DistinguishedSubgroups", "center norm characteristic normal")
 
 
 @functools.lru_cache(maxsize=None)
@@ -681,15 +699,16 @@ def distinguished_subgroups(G: FiniteGroup) -> DistinguishedSubgroups:
 def is_power_automorphism(G: FiniteGroup, f: GroupMap) -> bool:
     """True iff f maps every element into the cyclic subgroup it generates.
 
-    Computes the elementwise and the subgroupwise characterisations and
-    insists they agree.
+    Computes the elementwise characterisation, one cyclic subgroup and its
+    generators at a time, and the subgroupwise one, and insists they agree.
     """
     if f.source != G or f.target != G \
             or _ints(f.images) is None \
             or sorted(f.images) != list(range(G.order)) \
             or not is_homomorphism(f):
         raise NotAutomorphism("map is not an automorphism of the given group")
-    elementwise = all(f(a) in _powers(G.table, a) for a in range(G.order))
+    elementwise = all(set(powers).issuperset(map(f, gens))
+                      for powers, gens in _cyclic_subgroups(G.table))
     subgroupwise = all(frozenset(f(a) for a in s) == frozenset(s)
                        for s in subgroups(G))
     require(elementwise == subgroupwise, "power tests disagree")
@@ -785,8 +804,7 @@ def _int_maps(maps, error=NotAHomomorphism):
 
 
 def trivial_action(A: FiniteGroup, B: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    ident = tuple(range(A.order))
-    return tuple(ident for _ in range(B.order))
+    return (tuple(range(A.order)),) * B.order
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:

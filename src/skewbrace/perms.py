@@ -8,10 +8,10 @@ element fixed-point-free.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import NotNormalized, NotRegular, OrderTooLargeForOracle, require
 from .groups import (
@@ -76,11 +76,10 @@ def right_translations(G: FiniteGroup) -> tuple[Perm, ...]:
                  for s in range(n))
 
 
-@dataclass(frozen=True)
-class RegularSubgroup:
+class RegularSubgroup(collections.namedtuple("RegularSubgroup", "elements")):
     """A regular permutation group stored as its sorted element tuple."""
 
-    elements: tuple[Perm, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
@@ -254,6 +253,7 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
     exp = N.exponent()
     gens = generating_set(N)
     found = set()
+    covered = set()  # an n-cycle in a found subgroup generates that one
     cycles = 0
     for fi in _automorphism_images(N):
         m = 1
@@ -268,11 +268,14 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
             if _cycle_length(p, 0) != n:
                 continue
             cycles += 1
+            if p in covered:
+                continue
             elems = [tuple(range(n))]
             q = p
             while q != elems[0]:
                 elems.append(q)
                 q = compose(q, p)
+            covered.update(elems)
             found.add(tuple(sorted(elems)))
     totient = sum(math.gcd(k, n) == 1 for k in range(n))
     require(cycles == totient * len(found),

@@ -10,6 +10,7 @@ from conftest import refuse_searches
 
 from skewbrace import analysis
 from skewbrace.analysis import (
+    HgsReport,
     all_surjective,
     analyze,
     biskew_pair_report,
@@ -170,6 +171,21 @@ class TestAnalyze:
     def test_type_names(self):
         r = analyze(trivial_brace(group_by_name("Dic3")))
         assert r.type_name == "Dic3"
+
+
+class TestReportRecord:
+    def test_repr_and_replace(self):
+        report = enumerate_reports(group_by_name("D3"))[0]
+        assert repr(report) == (
+            "HgsReport(operation=FiniteGroup(order-6), type_name='C6', "
+            "is_bi_skew=True, image=((0,), (0, 1), (0, 1, 2, 3, 4, 5), "
+            "(0, 2, 4)), is_surjective=False, gc_ratio=Fraction(2, 3), "
+            "grouplikes=(0, 1), iso_class_id=0, orbit_size=3)")
+        moved = report._replace(iso_class_id=7)
+        assert type(moved) is HgsReport and moved.iso_class_id == 7
+        assert all(getattr(moved, name) is getattr(report, name)
+                   for name in report._fields if name != "iso_class_id")
+        assert moved._replace(iso_class_id=0) == report
 
 
 class TestBiskewPair:

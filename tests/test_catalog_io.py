@@ -191,6 +191,16 @@ class TestCatalog:
         assert type_name(dihedral(9)) == label  # stable
         assert type_name(cyclic(18)) != label
 
+    def test_type_name_off_catalog_caches_nothing(self):
+        from skewbrace.catalog import dihedral
+        caches = (catalog._entries, catalog._by_fingerprint)
+        before = [c.cache_info().currsize for c in caches]
+        names = [type_name(dihedral(k)) for k in (9, 10, 11)]
+        assert names == ["unknown-order-18-#3b0b6c49",
+                         "unknown-order-20-#30603d8d",
+                         "unknown-order-22-#0c724bd5"]
+        assert [c.cache_info().currsize for c in caches] == before
+
 
 class TestGroupFiles:
     def test_round_trip_bit_exact(self, tmp_path):

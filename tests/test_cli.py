@@ -186,7 +186,8 @@ class TestEntryPoint:
     def test_cold_c27_keeps_only_what_it_reads(self):
         """A cold `enumerate C27` holds Aut(N) for circ alone (every type
         is streamed into the cyclic scan), builds the order-27 catalog
-        groups alone, and never loads OpenSSL for a fallback type name."""
+        groups alone, and never loads OpenSSL for a fallback type name nor
+        dataclasses, with the inspect it pulls in, for its records."""
         code = (
             "import contextlib, io, sys\n"
             "from skewbrace import catalog, cli, groups\n"
@@ -197,10 +198,12 @@ class TestEntryPoint:
             "auts(catalog.group_by_name('C27'))\n"
             "print(code, '_hashlib' in sys.modules,\n"
             "      held.currsize, auts.cache_info().misses - held.misses,\n"
-            "      orders.currsize, built.cache_info().misses - orders.misses)\n")
+            "      orders.currsize, built.cache_info().misses - orders.misses,\n"
+            "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False", "1", "0", "1", "0"]
+        assert proc.stdout.split() == ["0", "False", "1", "0", "1", "0",
+                                       "False", "False"]

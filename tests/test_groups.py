@@ -153,6 +153,34 @@ class TestFiniteGroupContract:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(G, field, value)
 
+    def test_equality_and_hash_read_the_table_only(self):
+        G = group_by_name("D4")
+        other = groups.FiniteGroup(G.table, tuple(range(G.order)), "other")
+        assert other == G and hash(other) == hash(G)
+        assert G != groups.FiniteGroup(group_by_name("Q8").table, G.inverse,
+                                       G.name)
+        assert G != G.table and G != (G.table, G.inverse, G.name)
+
+    def test_delete_is_refused(self):
+        G = group_by_name("C6")
+        assert G.element_orders[0] == 1
+        for field in ("table", "inverse", "name", "element_orders"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(G, field)
+        assert G.name == "C6" and G.element_orders[0] == 1
+
+    def test_group_map_is_a_named_tuple(self):
+        C2 = group_by_name("C2")
+        f = GroupMap(C2, C2, (0, 1))
+        assert repr(f) == ("GroupMap(source=FiniteGroup(C2), "
+                           "target=FiniteGroup(C2), images=(0, 1))")
+        assert f == (C2, C2, (0, 1)) and hash(f) == hash((C2, C2, (0, 1)))
+        moved = f._replace(images=(1, 0))
+        assert type(moved) is GroupMap and moved.images == (1, 0)
+        assert moved.source is C2 and moved.target is C2
+        with pytest.raises(AttributeError):
+            f.images = (1, 0)
+
 
 class TestSubgroups:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
