@@ -50,6 +50,7 @@ from .groups import (
     subgroups,
 )
 from .perms import (
+    _cyclic_regular_subgroups_up_to_aut,
     cyclic_regular_subgroups_in_holomorph,
     regular_subgroups_in_holomorph,
     transport_operation,
@@ -109,12 +110,12 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
 
 
 def _regular_subgroup_search(circ: FiniteGroup):
-    """The search listing the regular subgroups of Hol(N) that may be
-    isomorphic to circ, for types N of circ's order: the n-cycle scan for
-    a cyclic circ, which is exhaustive for it at every order, and the full
-    search otherwise."""
+    """The search listing, for types N of circ's order, regular subgroups
+    of Hol(N) meeting every Aut(N)-class isomorphic to circ (one brace up
+    to isomorphism, which _enumerate_classes expands to its orbit): the
+    pruned n-cycle scan for a cyclic circ, the full search otherwise."""
     if circ.is_cyclic():
-        return cyclic_regular_subgroups_in_holomorph
+        return _cyclic_regular_subgroups_up_to_aut
     return regular_subgroups_in_holomorph
 
 
@@ -177,7 +178,7 @@ def _enumerate_classes(circ: FiniteGroup):
     of the operations in the class.
 
     Route: per catalog type N of the same order, the regular subgroups of
-    Hol(N) are those of _classify(search, N), only the cyclic ones for a
+    Hol(N) are those of _classify(search, N); cyclic ones up to Aut(N) for a
     cyclic circ.  Each representative type is mapped to circ once, by an
     isomorphism iota; every R of a type isomorphic to circ is a brace on
     N, pulled back to circ's labels along iota∘theta; that is the found
@@ -274,12 +275,17 @@ def e_count(circG: FiniteGroup, N: FiniteGroup) -> int:
 def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     """Operations o on N with (N, ., o) a brace and (N, o) = circG up to
     isomorphism; counted on the holomorph side, independently of e_count:
-    the regular subgroups of Hol(N) whose transported type is circG's,
-    one isomorphism test per type.  Any order is served, as _classify
-    never reads the catalog; f_count(D8, C2xC2xC2xC2) takes minutes."""
+    the regular subgroups of Hol(N) whose transported type is circG's.
+    Every one is counted, never one per class, or the identity would
+    check nothing.  For a cyclic circG these are the cyclic ones, which
+    the full n-cycle scan lists with no transport; otherwise one
+    isomorphism test per type.  Any order is served, as _classify never
+    reads the catalog; f_count(D8, C2xC2xC2xC2) takes minutes."""
     if circG.order != N.order:
         return 0
-    search = _regular_subgroup_search(circG)
+    if circG.is_cyclic():
+        return len(cyclic_regular_subgroups_in_holomorph(N))
+    search = regular_subgroups_in_holomorph
     to_circ = _onto(search, N, circG)
     return sum(to_circ[k] is not None for k, _ in _classify(search, N)[1])
 

@@ -30,7 +30,9 @@ from the first extensions the search finds, and the products of one
 element per level.  The chain is small (Σ|T_k| maps for Π|T_k|
 automorphisms) and is kept on G.  _automorphism_images(G) streams the
 products, so the holomorph and the cyclic scan keep no product;
-automorphisms(G) sorts them by their generator images and keeps them.
+_automorphism_images_up_to_stabilizer(G) streams only one image of g_0
+per Stab(g_0)-orbit.  automorphisms(G) sorts the products by their
+generator images and keeps them.
 _automorphism_generators(G) is a small generating set of Aut(G); a
 subgroup is characteristic when those maps keep it.  The subgroup
 lattice is grown from the cyclic subgroups by joining each subgroup found
@@ -573,8 +575,9 @@ def _extensions(G: FiniteGroup, H: FiniteGroup, prefix: tuple[int, ...], *,
     return found
 
 
-def _automorphism_images(G: FiniteGroup):
-    """Yield every automorphism of G once, as its image tuple.
+def _automorphism_images(G: FiniteGroup, outer=None):
+    """Yield every automorphism of G once, as its image tuple; given outer,
+    a part of T_0 below, only the products t_0∘… with t_0 in outer.
 
     Built from the stabilizer chain on gens = generating_set(G), which G
     keeps.  Level k is a transversal T_k: for each h, the first
@@ -593,7 +596,8 @@ def _automorphism_images(G: FiniteGroup):
     transversals = G._transversals
     # t∘p is _itemgetter(p)(t).  The trivial group has no level and one
     # product, the identity.
-    outer = transversals[0] if gens else [ident]
+    if outer is None:
+        outer = transversals[0] if gens else [ident]
     inner = [ident]
     for level in reversed(transversals[1:]):
         getters = [_itemgetter(p) for p in inner]
@@ -615,6 +619,33 @@ def _automorphism_images(G: FiniteGroup):
     require(has_identity, "identity is not an automorphism")
     require(len(seen) == len(outer) * len(inner),
             "stabilizer chain products are not distinct")
+
+
+def _automorphism_images_up_to_stabilizer(G: FiniteGroup):
+    """The part of _automorphism_images(G) whose image of g_0 is the least
+    point of its orbit under S_1 = Stab(g_0), which the levels T_1 … T_{d-1}
+    generate: the t_0 of T_0 are kept by t_0(g_0) alone.  Conjugating by
+    psi in S_1 sends phi to psi∘phi∘psi^-1 and phi(g_0) to psi(phi(g_0)), so
+    the stream meets every S_1-conjugacy class of Aut(G).  S_1 fixes g_0,
+    so the identity is among the products."""
+    transversals = G._transversals
+    if not transversals:
+        return _automorphism_images(G)
+    g0 = generating_set(G)[0]
+    moves = [t for level in transversals[1:] for t in level]
+    least = {}  # each point's orbit, named by its least point
+    for h in range(G.order):
+        if h in least:
+            continue
+        least[h] = h
+        orbit = [h]
+        for x in orbit:
+            for t in moves:
+                if t[x] not in least:
+                    least[t[x]] = h
+                    orbit.append(t[x])
+    return _automorphism_images(
+        G, [t for t in transversals[0] if least[t[g0]] == t[g0]])
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ from .errors import NotNormalized, NotRegular, OrderTooLargeForOracle, require
 from .groups import (
     FiniteGroup,
     _automorphism_images,
+    _automorphism_images_up_to_stabilizer,
     _compose,
     _int_maps,
     _itemgetter,
@@ -236,18 +237,20 @@ def regular_subgroups_in_holomorph(N: FiniteGroup) \
     return tuple(RegularSubgroup(f) for f in sorted(found))
 
 
-def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
-        -> tuple[RegularSubgroup, ...]:
-    """The cyclic regular subgroups of Hol(N): one per n-cycle generator.
+def _n_cycle_subgroups(N: FiniteGroup, images):
+    """The cyclic regular subgroups of Hol(N) that the n-cycles
+    tau -> a*phi(tau) generate, for a in N and phi in images, a stream of
+    automorphisms of N; and how many n-cycles of those subgroups the
+    stream did not meet.
 
-    Equivalent to filtering Hol(N) for n-cycles, without building it:
+    Equivalent to filtering for n-cycles, without building Hol(N):
     (a, phi)^m is a translation when phi has order m, so (a, phi) has
     order m*k with k | exp(N), and only the phi with m | n and
     (n/m) | exp(N) are scanned.  No element of Hol(C3xC3xC3) passes.
     phi^k is the identity iff it fixes every generator of N, so m is the
     lcm of the phi-cycle lengths through the generators; the lcm only
     grows, so phi is dropped at the first generator that takes it off the
-    divisors of n.  Aut(N) is streamed, so no map of it is kept.
+    divisors of n.  No map of the stream is kept.
     """
     n = N.order
     exp = N.exponent()
@@ -255,7 +258,7 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
     found = set()
     covered = set()  # an n-cycle in a found subgroup generates that one
     cycles = 0
-    for fi in _automorphism_images(N):
+    for fi in images:
         m = 1
         for g in gens:
             m = math.lcm(m, _cycle_length(fi, g))
@@ -275,12 +278,35 @@ def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
             while q != elems[0]:
                 elems.append(q)
                 q = compose(q, p)
+            require(len(elems) == n, "an n-cycle does not have order n")
             covered.update(elems)
             found.add(tuple(sorted(elems)))
-    totient = sum(math.gcd(k, n) == 1 for k in range(n))
-    require(cycles == totient * len(found),
-            "n-cycle count is not totient(n) per cyclic subgroup")
-    return tuple(RegularSubgroup(f) for f in sorted(found))
+    # each subgroup found has totient(n) generators, all of them n-cycles
+    unmet = sum(math.gcd(k, n) == 1 for k in range(n)) * len(found) - cycles
+    require(unmet >= 0, "an n-cycle met lies in no subgroup found")
+    return tuple(RegularSubgroup(f) for f in sorted(found)), unmet
+
+
+def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
+        -> tuple[RegularSubgroup, ...]:
+    """The cyclic regular subgroups of Hol(N): one per n-cycle generator,
+    found by scanning every element of Hol(N) that may be an n-cycle."""
+    found, unmet = _n_cycle_subgroups(N, _automorphism_images(N))
+    require(unmet == 0, "n-cycle count is not totient(n) per cyclic subgroup")
+    return found
+
+
+def _cyclic_regular_subgroups_up_to_aut(N: FiniteGroup) \
+        -> tuple[RegularSubgroup, ...]:
+    """Cyclic regular subgroups of Hol(N), at least one of each
+    Aut(N)-conjugacy class, for the census of a cyclic target.
+
+    Only the (a, phi) with phi(g_0) the least of its Stab(g_0)-orbit are
+    scanned.  An n-cycle (a, phi) has a conjugate (psi(a), psi∘phi∘psi^-1)
+    by some psi in Stab(g_0) that moves phi(g_0) there, of the same order,
+    so every class keeps a generator in the scan.
+    """
+    return _n_cycle_subgroups(N, _automorphism_images_up_to_stabilizer(N))[0]
 
 
 def regular_subgroups_normalized_by(G: FiniteGroup, *,

@@ -34,10 +34,14 @@ from skewbrace.catalog import cyclic, dihedral, group_by_name, groups_of_order
 from skewbrace.constructions import inversion_construction
 from skewbrace.errors import (
     CatalogIncompleteForOrder,
+    InternalInconsistency,
     NotBiSkew,
     UnsupportedOrder,
 )
 from skewbrace.groups import (
+    _automorphism_images_up_to_stabilizer,
+    _compose,
+    _invert,
     _trusted_group,
     automorphisms,
     distinguished_subgroups,
@@ -45,10 +49,12 @@ from skewbrace.groups import (
     subgroups,
 )
 from skewbrace.perms import (
+    _cyclic_regular_subgroups_up_to_aut,
     cyclic_regular_subgroups_in_holomorph,
     regular_subgroups_in_holomorph,
     transport_operation,
 )
+from skewbrace.serialize import reports_to_text
 
 # every catalog target whose census is cheap: orders 1-15 and C27 (a
 # non-cyclic order-27 census takes minutes and is heavy-tier only)
@@ -83,7 +89,8 @@ class TestEnumerate:
         # an order the catalog does not hold completely is refused on any
         # route, before any search
         refuse_searches(monkeypatch, "regular_subgroups_in_holomorph",
-                        "cyclic_regular_subgroups_in_holomorph")
+                        "cyclic_regular_subgroups_in_holomorph",
+                        "_cyclic_regular_subgroups_up_to_aut")
         cases = [(cyclic(30), UnsupportedOrder),
                  (dihedral(9), UnsupportedOrder),
                  (group_by_name("D8"), CatalogIncompleteForOrder)]
@@ -258,7 +265,10 @@ class TestSharedClassification:
                        if isomorphism(_trusted_group(found), N) is not None)
 
         def old_f(G, N):
-            search = analysis._regular_subgroup_search(G)
+            # every regular subgroup, never the census's one per class; the
+            # n-cycle scan lists every cyclic one
+            search = (cyclic_regular_subgroups_in_holomorph if G.is_cyclic()
+                      else regular_subgroups_in_holomorph)
             return sum(1 for R in search(N)
                        if isomorphism(transport_operation(R), G) is not None)
 
@@ -286,8 +296,10 @@ class TestSharedClassification:
         for G in gs:
             for N in gs:
                 assert byott_check(G, N)
+        # the census of C8 transports the pruned n-cycle scan; its f side
+        # counts the full scan and transports nothing
         expected = Counter(R for search in (regular_subgroups_in_holomorph,
-                                            cyclic_regular_subgroups_in_holomorph)
+                                            _cyclic_regular_subgroups_up_to_aut)
                            for N in gs for R in search(N))
         assert calls == expected
 
@@ -324,6 +336,68 @@ class TestSharedClassification:
                     "C4xC4": 0}
         assert {name: f_count(C16, group_by_name(name))
                 for name in expected} == expected
+
+
+class TestCensusScan:
+    """The census of a cyclic target scans only the (a, phi) whose
+    phi(g_0) is the least of its Stab(g_0)-orbit; the full n-cycle scan
+    and automorphisms(N) are its oracles, and f keeps the full scan."""
+
+    @pytest.mark.parametrize("order", list(range(1, 16)) + [27])
+    def test_no_class_lost(self, order):
+        for N in groups_of_order(order):
+            full = {R.elements
+                    for R in cyclic_regular_subgroups_in_holomorph(N)}
+            census = {R.elements
+                      for R in _cyclic_regular_subgroups_up_to_aut(N)}
+            assert census <= full, N.name
+            if N.is_cyclic():  # Stab(g_0) is trivial, C1 included
+                assert census == full, N.name
+            if N.name == "C2xC2":  # the census keeps 2 of 3
+                assert (len(census), len(full)) == (2, 3)
+            for R in full:
+                conjugates = set()
+                for psi in automorphisms(N):
+                    inv = _invert(psi.images)
+                    conjugates.add(tuple(sorted(
+                        _compose(psi.images, _compose(r, inv)) for r in R)))
+                assert conjugates & census, N.name
+
+    def test_stream_sizes_at_order_27(self):
+        sizes = {N.name: sum(1 for _ in
+                             _automorphism_images_up_to_stabilizer(N))
+                 for N in groups_of_order(27)}
+        assert sizes == {"C27": 18, "C9xC3": 72, "C3xC3xC3": 1296,
+                         "Heisenberg-27": 432, "M27": 36}
+        assert len(automorphisms(group_by_name("C3xC3xC3"))) == 11232
+
+    def test_census_equals_full_scan_census(self, monkeypatch):
+        targets = [G for G in SERVED if G.is_cyclic()]
+        assert len(targets) == 16
+
+        def census():
+            analysis._enumerate_classes.cache_clear()
+            analysis._classify.cache_clear()
+            return [(enumerate_operations(G),
+                     reports_to_text(enumerate_reports(G))) for G in targets]
+
+        pruned = census()
+        monkeypatch.setattr(analysis, "_cyclic_regular_subgroups_up_to_aut",
+                            cyclic_regular_subgroups_in_holomorph)
+        full = census()
+        analysis._enumerate_classes.cache_clear()
+        analysis._classify.cache_clear()
+        assert full == pruned
+
+    def test_identity_catches_a_pruned_f(self, monkeypatch):
+        # e(C4, C2xC2) = 1 and f = 3; counted on the census scan, f reads 2
+        # and 1 * 6 != 2 * 2
+        C4, V4 = group_by_name("C4"), group_by_name("C2xC2")
+        assert byott_check(C4, V4)
+        monkeypatch.setattr(analysis, "cyclic_regular_subgroups_in_holomorph",
+                            _cyclic_regular_subgroups_up_to_aut)
+        with pytest.raises(InternalInconsistency):
+            byott_check(C4, V4)
 
 
 class TestCriteria:

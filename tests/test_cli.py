@@ -90,7 +90,8 @@ class TestEnumerate:
         # refused before any search; the message names the flag that
         # lifts the refusal
         refuse_searches(monkeypatch, "regular_subgroups_in_holomorph",
-                        "cyclic_regular_subgroups_in_holomorph")
+                        "cyclic_regular_subgroups_in_holomorph",
+                        "_cyclic_regular_subgroups_up_to_aut")
         analysis._enumerate_classes.cache_clear()
         analysis._classify.cache_clear()
         code, out, err = run(capsys, "enumerate", "Heisenberg-27")

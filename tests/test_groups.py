@@ -298,7 +298,8 @@ class TestAutomorphisms:
         # a new instance, as each group keeps its chain once built
         N = make_group(group_by_name("C3xC3").table)
         for read in (automorphisms.__wrapped__, perms.holomorph,
-                     perms.cyclic_regular_subgroups_in_holomorph):
+                     perms.cyclic_regular_subgroups_in_holomorph,
+                     perms._cyclic_regular_subgroups_up_to_aut):
             with pytest.raises(InternalInconsistency,
                                match="products are not distinct"):
                 read(N)
