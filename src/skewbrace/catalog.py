@@ -25,6 +25,7 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
+    _integer,
     direct_product,
     fingerprint,
     isomorphism,
@@ -40,12 +41,14 @@ COMPLETE_ORDERS = frozenset(GROUP_COUNTS)
 
 
 def cyclic(n: int) -> FiniteGroup:
+    n = _integer(n, "cyclic order", 1)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return make_group(table, f"C{n}")
 
 
 def dihedral(k: int) -> FiniteGroup:
     """Dihedral group of order 2k (k >= 3): rotations C_k, reflections."""
+    k = _integer(k, "dihedral rotation order", 1)
     return _metacyclic(k, 2, k - 1).with_name(f"D{k}")
 
 
@@ -54,6 +57,7 @@ def dicyclic(k: int) -> FiniteGroup:
 
     dicyclic(2) is the quaternion group Q8, dicyclic(4) is Q16.
     """
+    k = _integer(k, "dicyclic parameter", 1)
     m = 2 * k
     n = 4 * k
     # the pair (i, j) for a^i b^j is the element i*2 + j
@@ -88,6 +92,7 @@ def _is_even(p) -> bool:
 
 def heisenberg(p: int) -> FiniteGroup:
     """Unitriangular 3x3 group over F_p, order p^3, exponent p for odd p."""
+    p = _integer(p, "heisenberg modulus", 1)
     n = p * p * p
 
     def idx(a: int, b: int, c: int) -> int:

@@ -307,6 +307,20 @@ def _ints(values) -> tuple[int, ...] | None:
         return None
 
 
+def _integer(value, what: str, least: int | None = None) -> int:
+    """value as an int, or BadParameters naming what it is for; a bool is
+    not an integer here, and neither is a value below least."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or (least is not None and n < least):
+        at_least = "" if least is None else f" >= {least}"
+        raise BadParameters(f"{what} must be an integer{at_least}, "
+                            f"got {value!r}")
+    return n
+
+
 def _itemgetter(q):
     """operator.itemgetter(*q), which maps a permutation p to p∘q (p
     after q) in C.  An itemgetter of one index returns an item, not a

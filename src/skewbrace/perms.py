@@ -20,6 +20,7 @@ from .groups import (
     _automorphism_images_up_to_stabilizer,
     _compose,
     _int_maps,
+    _integer,
     _itemgetter,
     _trusted_group,
     generating_set,
@@ -318,6 +319,7 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
     Searches over fixed-point-free permutations of order dividing n and
     filters complete subgroups by the normalization condition.
     """
+    bound = _integer(bound, "oracle bound")
     n = G.order
     if n > bound:
         raise OrderTooLargeForOracle(
