@@ -306,8 +306,14 @@ def byott_check(circG: FiniteGroup, N: FiniteGroup) -> bool:
 
 def all_surjective(circ: FiniteGroup) -> bool:
     """Whether every structure on a circ-extension has surjective
-    correspondence (computed by exhaustive census)."""
-    return all(r.is_surjective for r in enumerate_reports(circ))
+    correspondence, read off one analysis per class of the exhaustive
+    census: each class representative is analyzed as enumerate_reports
+    analyzes it.  Surjectivity is an Aut(circ)-orbit invariant, as an
+    automorphism of circ maps left ideals to left ideals and permutes the
+    subgroups of circ."""
+    reports = [analyze(SkewBrace(_trusted_group(found), circ))
+               for found, _, _ in _enumerate_classes(circ)]
+    return all(r.is_surjective for r in reports)
 
 
 def childs_criterion(circ: FiniteGroup) -> bool:

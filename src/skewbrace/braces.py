@@ -39,7 +39,9 @@ from .groups import (
     GroupMap,
     Subgroup,
     _compose,
+    _first_difference,
     _int_maps,
+    _ints,
     _invert,
     _respects_generators,
     automorphisms,
@@ -93,21 +95,21 @@ def make_brace(dot, circ) -> SkewBrace:
             f"operations act on different sets ({n} vs {circ.order})")
     if dot.table[0] != circ.table[0]:
         raise IdentityMismatch("identity rows differ")
-    dt, ct = dot.table, circ.table
-    dinv = dot.inverse
+    dcol, dinv = dot.columns, dot.inverse
     # the law at (s, t, k) says lambda_s(t.k) = lambda_s(t).lambda_s(k) for
-    # lambda_s(x) = s^-1.(s o x), which fixes 0: generators k suffice
+    # lambda_s(x) = s^-1.(s o x), which fixes 0: generators k suffice.  Per
+    # s and k it compares two rows over t: s o (t.k) and
+    # (s o t).s^-1.(s o k), the latter from t -> (s o t).s^-1
     gens = generating_set(dot)
-    for s in range(n):
-        cs = ct[s]
-        si = dinv[s]
-        for t in range(n):
-            left_part = dt[cs[t]][si]
-            dtt = dt[t]
-            for k in gens:
-                if cs[dtt[k]] != dt[left_part][cs[k]]:
-                    raise BraceLawViolated(
-                        f"law fails at (s, t, k) = ({s}, {t}, {k})")
+    for s, cs in enumerate(circ.table):
+        twisted = _compose(dcol[dinv[s]], cs)
+        for k in gens:
+            left = _compose(cs, dcol[k])
+            right = _compose(dcol[cs[k]], twisted)
+            if left != right:
+                t = _first_difference(left, right)
+                raise BraceLawViolated(
+                    f"law fails at (s, t, k) = ({s}, {t}, {k})")
     return SkewBrace(dot, circ)
 
 
@@ -132,12 +134,11 @@ def gamma(B: SkewBrace) -> GammaTable:
     a failure every value is checked in order, so the error names the
     first failing invariant that checking each value would name."""
     dot, circ = B.dot, B.circ
-    n = B.order
     dt, ct = dot.table, circ.table
     dinv = dot.inverse
-    maps = tuple(tuple(dt[dinv[s]][ct[s][t]] for t in range(n))
-                 for s in range(n))
-    identity = list(range(n))
+    # gamma(s) is (x -> s^-1.x) after (t -> s o t)
+    maps = tuple(_compose(dt[dinv[s]], cs) for s, cs in enumerate(ct))
+    identity = list(range(B.order))
     require(maps[0] == tuple(identity), "gamma(0) is not the identity")
     dot_gens, circ_gens = generating_set(dot), generating_set(circ)
 
@@ -160,10 +161,10 @@ def opposite(B: SkewBrace) -> SkewBrace:
     """Replace dot by its opposite; gamma picks up an inner twist."""
     out = SkewBrace(opposite_group(B.dot), B.circ)
     g, go = gamma(B), gamma(out)
-    dt, dinv = B.dot.table, B.dot.inverse
-    n = B.order
-    for s in range(n):
-        twisted = tuple(dt[dt[s][g(s)[x]]][dinv[s]] for x in range(n))
+    dt, dcol, dinv = B.dot.table, B.dot.columns, B.dot.inverse
+    for s, m in enumerate(g.maps):
+        # x -> s.gamma(s)(x).s^-1
+        twisted = _compose(dcol[dinv[s]], _compose(dt[s], m))
         require(go(s) == twisted, "opposite gamma is not the inner twist")
     return out
 
@@ -271,23 +272,29 @@ def brace_automorphism_count(B: SkewBrace) -> int:
 
 
 def quotient_brace(B: SkewBrace, I) -> SkewBrace:
-    """Quotient by an ideal; dot- and circ-cosets coincide."""
-    I = tuple(sorted(I))
-    if I not in ideals(B):
-        raise NotAnIdeal(f"{I} is not an ideal")
-    qdot, proj_dot = quotient(B.dot, I)
-    qcirc, proj_circ = quotient(B.circ, I)
+    """Quotient by an ideal; dot- and circ-cosets coincide.  Raises
+    NotAnIdeal naming I when it is not one; a value that operator.index
+    rejects is not an element."""
+    elems = _ints(I)
+    ideal = None if elems is None else tuple(sorted(elems))
+    if ideal not in ideals(B):
+        raise NotAnIdeal(f"{I!r} is not an ideal")
+    qdot, proj_dot = quotient(B.dot, ideal)
+    qcirc, proj_circ = quotient(B.circ, ideal)
     require(proj_dot.images == proj_circ.images, "ideal cosets differ")
     return SkewBrace(qdot, qcirc)
 
 
 def sub_brace(B: SkewBrace, L) -> SkewBrace:
-    """The brace induced on a left ideal, relabeled by sorted position."""
-    L = tuple(sorted(L))
-    if L not in left_ideals(B):
-        raise NotALeftIdeal(f"{L} is not a left ideal")
-    sdot, elems_d = subgroup_group(B.dot, L)
-    scirc, elems_c = subgroup_group(B.circ, L)
+    """The brace induced on a left ideal, relabeled by sorted position.
+    Raises NotALeftIdeal naming L when it is not one; a value that
+    operator.index rejects is not an element."""
+    elems = _ints(L)
+    ideal = None if elems is None else tuple(sorted(elems))
+    if ideal not in left_ideals(B):
+        raise NotALeftIdeal(f"{L!r} is not a left ideal")
+    sdot, elems_d = subgroup_group(B.dot, ideal)
+    scirc, elems_c = subgroup_group(B.circ, ideal)
     require(elems_d == elems_c, "sub-brace labelings differ")
     return SkewBrace(sdot, scirc)
 

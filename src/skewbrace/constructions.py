@@ -21,7 +21,9 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupMap,
+    _compose,
     _int_maps,
+    _integer,
     _ints,
     center,
     commutator_subgroup,
@@ -77,15 +79,15 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
                 or any(lift[q] not in cosets[q] for q in range(Q.order)):
             raise NotIntoNormModCenter("lift picks non-representatives")
 
+    gt, columns, inverse = G.table, G.columns, G.inverse
+
     def build(reps):
-        table = []
-        for s in range(G.order):
-            r = reps[images[s]]
-            sr = G.mul(s, r)
-            ri = G.inv(r)
-            table.append(tuple(G.mul(G.mul(sr, t), ri)
-                               for t in range(G.order)))
-        return tuple(table)
+        # row s is t -> s o r o t o r^-1, for r the representative of psi(s)
+        rows = []
+        for s, q in enumerate(images):
+            r = reps[q]
+            rows.append(_compose(columns[inverse[r]], gt[gt[s][r]]))
+        return tuple(rows)
 
     table = build(lift)
     other = build(tuple(c[-1] for c in cosets))
@@ -96,8 +98,8 @@ def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:
     g = gamma(B)
     for s in range(G.order):
         r = lift[images[s]]
-        ri = G.inv(r)
-        conj = tuple(G.mul(G.mul(ri, t), r) for t in range(G.order))
+        # t -> r^-1 o t o r
+        conj = _compose(columns[r], gt[inverse[r]])
         require(g(s) == conj, "psi gamma is not conjugation by the lift")
     # power automorphisms form a subgroup and gamma is a homomorphism
     # from G, so the gamma values of its generators decide them all
@@ -122,17 +124,16 @@ def class2_construction(G: FiniteGroup) -> SkewBrace:
     zc = set(center(G))
     if not set(commutator_subgroup(G)) <= zc:
         raise NotClassTwo("commutator subgroup is not central")
-    table = []
-    for s in range(G.order):
-        ss = G.mul(s, s)
-        si = G.inv(s)
-        table.append(tuple(G.mul(G.mul(ss, t), si) for t in range(G.order)))
-    B = make_brace(tuple(table), G)
+    gt, columns, inverse = G.table, G.columns, G.inverse
+    # row s is t -> s o s o t o s^-1
+    table = tuple(_compose(columns[inverse[s]], gt[row[s]])
+                  for s, row in enumerate(gt))
+    B = make_brace(table, G)
     require(is_bi_skew(B), "class-2 brace is not bi-skew")
     g = gamma(B)
     for s in range(G.order):
-        si = G.inv(s)
-        conj = tuple(G.mul(G.mul(si, t), s) for t in range(G.order))
+        # t -> s^-1 o t o s
+        conj = _compose(columns[s], gt[inverse[s]])
         require(g(s) == conj, "class-2 gamma(s) is not conjugation by s")
     return B
 
@@ -176,11 +177,8 @@ def cpr_cps_brace(p: int, r: int, s: int) -> SkewBrace:
     """Brace on C_{p^r} x C_{p^s} whose dot twists the second coordinate
     by the product of first-coordinate exponents; the first factor is not
     a left ideal (it is not even dot-closed)."""
-    params = _ints((p, r, s))
-    if params is None:
-        raise BadParameters(
-            f"p, r, s must be integers, got {p!r}, {r!r}, {s!r}")
-    p, r, s = params
+    # a bool is not read as 0 or 1
+    p, r, s = _integer(p, "p"), _integer(r, "r"), _integer(s, "s")
     if not 1 <= s <= r:
         raise BadParameters("need 1 <= s <= r")
     # a prime p has p^7 > 64, so no power above p^6 is built, and the

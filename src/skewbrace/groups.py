@@ -16,7 +16,10 @@ so every product.  is_homomorphism, center, is_normal and the action check
 of semidirect_product use generating_set(G); make_group uses Light's
 associativity test on the generators its checked Latin square reaches
 every element by.  Each check accepts exactly what the full pair or
-triple loop accepts, and names a pair or triple that really fails.
+triple loop accepts, and names a pair or triple that really fails.  The
+checks compare whole rows, each built by one C-level itemgetter call
+through the table or its transpose G.columns (columns[b] is a -> a*b),
+and _first_difference names the element at which two rows part.
 
 Homomorphisms, isomorphisms and automorphisms come from one backtracking
 search, _extensions, over the images of generating_set(G).  Each level
@@ -70,9 +73,9 @@ class FiniteGroup:
 
     A frozen value: setting or deleting an attribute raises
     dataclasses.FrozenInstanceError, and equality and hash are those of
-    the table.  The hash, the element orders, the centre flags, the
-    generating set, the fingerprint and the stabilizer chain of Aut(G) are
-    computed once per instance, on first use.
+    the table.  The hash, the transposed table, the element orders, the
+    centre flags, the generating set, the fingerprint and the stabilizer
+    chain of Aut(G) are computed once per instance, on first use.
     """
 
     def __init__(self, table, inverse, name: str | None = None) -> None:
@@ -96,6 +99,11 @@ class FiniteGroup:
     @functools.cached_property
     def _table_hash(self) -> int:
         return hash(self.table)
+
+    @functools.cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The transposed table: columns[b][a] = a*b, the map x -> x*b."""
+        return tuple(zip(*self.table))
 
     @functools.cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -217,14 +225,19 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
         if len({rows[a][b] for a in range(n)}) != n:
             raise NotLatinSquare(f"column {b} is not a permutation of 0..{n - 1}")
     # Light's test: the c with (a*b)*c = a*(b*c) for all a, b are closed
-    # under products, so checking the c that reach every element suffices
-    for c in _greedy_generators(rows):
-        right_c = [row[c] for row in rows]
+    # under products, so checking the c that reach every element suffices;
+    # per a and c, the rows b -> (a*b)*c and b -> a*(b*c).  The square is
+    # returned only once it passes.
+    G = _trusted_group(rows, name)
+    for c in generating_set(G):
+        right_c = G.columns[c]
+        times_c = _itemgetter(right_c)
         for a, ra in enumerate(rows):
-            for b in range(n):
-                if right_c[ra[b]] != ra[right_c[b]]:
-                    raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    return _trusted_group(rows, name)
+            left, right = _compose(right_c, ra), times_c(ra)
+            if left != right:
+                b = _first_difference(left, right)
+                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+    return G
 
 
 def _trusted_group(table, name: str | None = None) -> FiniteGroup:
@@ -236,7 +249,7 @@ def _trusted_group(table, name: str | None = None) -> FiniteGroup:
 
 def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """The transposed table, a*b read as b*a."""
-    return tuple(zip(*G.table))
+    return G.columns
 
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
@@ -296,7 +309,8 @@ def is_subgroup(G: FiniteGroup, elems) -> bool:
     s = set(_ints(elems) or ())
     if 0 not in s or not s <= set(range(G.order)):
         return False
-    return all(G.table[a][b] in s for a in s for b in s)
+    within = _itemgetter(tuple(s))
+    return all(s.issuperset(within(G.table[a])) for a in s)
 
 
 def _ints(values) -> tuple[int, ...] | None:
@@ -334,6 +348,11 @@ def _itemgetter(q):
 def _compose(p, q) -> tuple[int, ...]:
     """p after q."""
     return _itemgetter(q)(p)
+
+
+def _first_difference(p, q) -> int:
+    """The first index at which the rows p and q differ."""
+    return next(i for i, (x, y) in enumerate(zip(p, q)) if x != y)
 
 
 def _invert(p) -> tuple[int, ...]:
@@ -425,13 +444,14 @@ def is_homomorphism(f: GroupMap) -> bool:
 
 def _respects_generators(images, source: FiniteGroup, target: FiniteGroup,
                          gens) -> bool:
-    """images[a*g] == images[a]*images[g] for every a and every g in gens.
-    The b with images[a*b] == images[a]*images[b] for all a are closed
-    under products, so when images[0] == 0 and gens generate the source
-    this is the same as the law for every pair."""
-    tt = target.table
-    return all(images[row[g]] == tt[images[a]][images[g]]
-               for a, row in enumerate(source.table) for g in gens)
+    """images[a*g] == images[a]*images[g] for every a and every g in gens,
+    one row per g: images∘(x -> x*g) == (y -> y*images[g])∘images.  The b
+    with images[a*b] == images[a]*images[b] for all a are closed under
+    products, so when images[0] == 0 and gens generate the source this is
+    the same as the law for every pair."""
+    sc, tc = source.columns, target.columns
+    return all(_compose(images, sc[g]) == _compose(tc[images[g]], images)
+               for g in gens)
 
 
 def generating_set(G: FiniteGroup) -> tuple[int, ...]:

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import refuse_searches
+from conftest import refuse_searches, requires_heavy
 
 from skewbrace import analysis
 from skewbrace.analysis import (
@@ -417,6 +417,49 @@ class TestCriteria:
 
     def test_q8_not_all_surjective(self):
         assert not all_surjective(group_by_name("Q8"))
+
+
+def per_operation_all_surjective(G):
+    """The definition all_surjective replaced: every operation's own
+    report, carried along its phi, is surjective."""
+    return all(r.is_surjective for r in enumerate_reports(G))
+
+
+class TestAllSurjective:
+    """all_surjective analyzes one representative per class, as
+    surjectivity is an Aut(circ)-orbit invariant; the per-operation
+    definition is the oracle."""
+
+    def test_matches_per_operation_definition_on_served_groups(self):
+        answers = Counter()
+        for G in SERVED:
+            answer = all_surjective(G)
+            assert answer == per_operation_all_surjective(G), G.name
+            answers[answer] += 1
+        assert answers[True] and answers[False]
+
+    def test_one_analysis_per_class(self, monkeypatch):
+        calls = []
+
+        def counting(B):
+            calls.append(B)
+            return analyze(B)
+
+        monkeypatch.setattr(analysis, "analyze", counting)
+        for G in (group_by_name("Q8"), group_by_name("C6")):
+            calls.clear()
+            all_surjective(G)
+            classes = analysis._enumerate_classes(G)
+            assert [B.dot.table for B in calls] \
+                == [found for found, _, _ in classes]
+
+    @requires_heavy
+    def test_matches_per_operation_definition_on_non_cyclic_order_27(self):
+        targets = [G for G in groups_of_order(27) if not G.is_cyclic()]
+        assert len(targets) == 4
+        for G in targets:
+            assert all_surjective(G) == per_operation_all_surjective(G), \
+                G.name
 
 
 class TestStructuralInvariants:

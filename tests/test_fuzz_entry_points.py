@@ -3,16 +3,17 @@
 `group_from_text`, `make_group`, `regular_subgroup`, `make_brace`,
 `semidirect_product`, `product_brace`, `semidirect_to_brace`,
 `psi_construction`, `cpr_cps_brace`, `kohl_obstruction`, `quotient`,
-`closure`, `is_power_automorphism` and `read_reports` either return
-their result or raise a `SkewbraceError`; no bare `TypeError`,
-`IndexError`, `KeyError`, `ValueError` or `ZeroDivisionError` may escape
-them.
+`closure`, `is_power_automorphism`, `sub_brace`, `quotient_brace` and
+`read_reports` either return their result or raise a `SkewbraceError`;
+no bare `TypeError`, `IndexError`, `KeyError`, `ValueError` or
+`ZeroDivisionError` may escape them.
 `quotient`, `is_subgroup` and `is_power_automorphism` are fed
 elements and images that are mostly integers, in range or not, and
 sometimes floats or lists, which are not elements.
 """
 
 import json
+import re
 
 import pytest
 
@@ -23,6 +24,8 @@ from skewbrace.braces import (
     SkewBrace,
     make_brace,
     product_brace,
+    quotient_brace,
+    sub_brace,
     trivial_brace,
 )
 from skewbrace.catalog import group_by_name, groups_of_order
@@ -34,6 +37,8 @@ from skewbrace.constructions import (
 from skewbrace.errors import (
     BadParameters,
     NotAHomomorphism,
+    NotALeftIdeal,
+    NotAnIdeal,
     NotAutomorphism,
     NotBraceAutomorphismAction,
     NotNormal,
@@ -234,8 +239,11 @@ def test_cpr_cps_brace(p, r, s):
 
 
 def test_cpr_cps_brace_rejects_non_integers():
-    for args in ((2.5, 1, 1), (2, "1", 1), (2, 1, None)):
-        with pytest.raises(BadParameters):
+    # a bool is not read as 1: True used to be reported as "p = 1 is not
+    # prime", and (2, True, True) built the order-4 brace
+    for args in ((2.5, 1, 1), (2, "1", 1), (2, 1, None),
+                 (True, 1, 1), (2, True, 1), (2, 1, True), (2, True, True)):
+        with pytest.raises(BadParameters, match="must be an integer"):
             cpr_cps_brace(*args)
 
 
@@ -316,6 +324,21 @@ def test_non_integer_elements_named():
     assert is_subgroup(C6, [0, 3.0]) is False
     with pytest.raises(NotAutomorphism):
         is_power_automorphism(C6, GroupMap(C6, C6, (0, 1.0, 2, 3, 4, 5)))
+
+
+@pytest.mark.parametrize("call,error,elems", [
+    (sub_brace, NotALeftIdeal, [0, 3.0]),
+    (quotient_brace, NotAnIdeal, [0, 3.0]),
+    (sub_brace, NotALeftIdeal, 5),
+    (quotient_brace, NotAnIdeal, [0, "a"]),
+])
+def test_sub_and_quotient_brace_name_non_elements(call, error, elems):
+    # [0, 3] is an ideal of the trivial brace on C6, but 3.0 == 3 is not
+    # an element; the error names the input as given
+    B = trivial_brace(group_by_name("C6"))
+    assert call(B, [0, 3]).order in (2, 3)
+    with pytest.raises(error, match=re.escape(repr(elems))):
+        call(B, elems)
 
 
 @pytest.mark.parametrize("seed", [[-1], [7], [2.0], [[1]], 3])

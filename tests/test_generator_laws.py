@@ -13,8 +13,10 @@ all ordered pairs of the groups among them, the regular-subgroup searches
 of small orders, the census braces of order <= 8, the `verify axioms`
 battery, and the catalog groups with relabeled copies.  The kernels that
 do the same work faster (the incremental, centre-filtered homomorphism
-search, the itemgetter compose and holomorph) are compared the same way
-with the code they replaced.
+search, the itemgetter compose and holomorph, and the checks that compare
+whole rows instead of single entries) are compared the same way with the
+code they replaced.  Above order 6 the squares are catalog tables with
+rows refilled at random, and the braces have their dot relabeled.
 """
 
 import functools
@@ -24,9 +26,10 @@ import re
 
 import pytest
 
-from skewbrace import constructions
+from skewbrace import braces, constructions
 from skewbrace.analysis import enumerate_operations, surjective_iff_power_auto
 from skewbrace.braces import (
+    GammaTable,
     SkewBrace,
     brace_automorphisms,
     brace_isomorphism,
@@ -35,6 +38,7 @@ from skewbrace.braces import (
     is_bi_skew,
     left_ideals,
     make_brace,
+    opposite,
 )
 from skewbrace.catalog import catalog_names, group_by_name, groups_of_order
 from skewbrace.cli import _axiom_battery
@@ -47,6 +51,7 @@ from skewbrace.errors import (
 from skewbrace.groups import (
     GroupMap,
     _extensions,
+    _respects_generators,
     automorphisms,
     center,
     closure,
@@ -57,6 +62,7 @@ from skewbrace.groups import (
     is_homomorphism,
     is_normal,
     is_power_automorphism,
+    is_subgroup,
     isomorphism,
     make_group,
     semidirect_product,
@@ -731,3 +737,226 @@ def test_compose_matches_map_compose():
 @pytest.mark.parametrize("N", catalog_up_to(12), ids=lambda G: G.name)
 def test_holomorph_matches_generator_holomorph(N):
     assert holomorph(N) == generator_holomorph(N)
+
+
+# -- the row kernels against their element loops --------------------------------
+
+def loop_gamma(B):
+    dt, ct, dinv = B.dot.table, B.circ.table, B.dot.inverse
+    n = B.order
+    return tuple(tuple(dt[dinv[s]][ct[s][t]] for t in range(n))
+                 for s in range(n))
+
+
+def loop_inner_twist(B):
+    """The gamma of the opposite brace as opposite checks it, entry by
+    entry: x -> s.gamma(s)(x).s^-1."""
+    g, dt, dinv = gamma(B), B.dot.table, B.dot.inverse
+    n = B.order
+    return tuple(tuple(dt[dt[s][g(s)[x]]][dinv[s]] for x in range(n))
+                 for s in range(n))
+
+
+def loop_is_subgroup(G, elems):
+    s = set(elems)
+    return 0 in s and all(G.table[a][b] in s for a in s for b in s)
+
+
+def loop_respects_generators(images, source, target, gens):
+    tt = target.table
+    return all(images[row[g]] == tt[images[a]][images[g]]
+               for a, row in enumerate(source.table) for g in gens)
+
+
+def loop_light_failure(t):
+    """The first (a, b, c) at which Light's element loop on the
+    generators of the square t finds (a*b)*c != a*(b*c), or None."""
+    n = len(t)
+    for c in greedy_square_generators(t):
+        for a in range(n):
+            for b in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return a, b, c
+    return None
+
+
+def greedy_square_generators(t):
+    """The least element not yet reached from 0 along x -> x*g, adjoined
+    until every element is reached, on a Latin square t."""
+    n = len(t)
+    gens, have = [], {0}
+    while len(have) < n:
+        gens.append(min(set(range(n)) - have))
+        todo = list(have)
+        for x in todo:
+            for g in gens:
+                if t[x][g] not in have:
+                    have.add(t[x][g])
+                    todo.append(t[x][g])
+    return gens
+
+
+def random_matching(allowed, rng):
+    """A perfect matching of the keys of allowed to distinct values in
+    their sets, by augmenting paths tried in random order."""
+    owner = {}
+
+    def augment(c, seen):
+        for x in rng.sample(sorted(allowed[c]), len(allowed[c])):
+            if x not in seen:
+                seen.add(x)
+                if x not in owner or augment(owner[x], seen):
+                    owner[x] = c
+                    return True
+        return False
+
+    for c in allowed:
+        matched = augment(c, set())
+        assert matched
+    return {c: x for x, c in owner.items()}
+
+
+def refilled(G, keep, rng):
+    """G's table with rows keep..n-1 refilled at random into a Latin
+    square with identity 0: row a gets a at column 0 and a random
+    perfect matching of the other columns to the symbols they still
+    miss.  The rows so far form a regular bipartite graph of columns and
+    missing symbols, which is a union of perfect matchings, so its edge
+    (0, a) lies on one and a matching always exists."""
+    n = G.order
+    rows = [list(row) for row in G.table[:keep]]
+    missing = [set(range(n)) - {row[c] for row in rows} for c in range(n)]
+    for a in range(keep, n):
+        pick = random_matching({c: missing[c] - {a} for c in range(1, n)},
+                               rng)
+        row = [a] + [pick[c] for c in range(1, n)]
+        for c, x in enumerate(row):
+            missing[c].discard(x)
+        rows.append(row)
+    return tuple(map(tuple, rows))
+
+
+CORRUPTED_ORDERS = [*range(7, 16), 27]
+
+
+@pytest.mark.parametrize("source", ["census-up-to-8", "axiom-battery"])
+def test_row_kernels_match_element_loops(source):
+    pool = census_braces(8) if source == "census-up-to-8" \
+        else _axiom_battery()
+    rng = random.Random(source)
+    outcomes = set()
+    for B in pool:
+        assert gamma(B).maps == loop_gamma(B)
+        assert gamma(opposite(B)).maps == loop_inner_twist(B)
+        maps = [*gamma(B).maps, *(f.images for f in automorphisms(B.circ))]
+        for m in rng.sample(maps, min(len(maps), 12)):
+            corrupt = list(m)
+            if B.order > 2:
+                i, j = rng.sample(range(1, B.order), 2)
+                corrupt[i], corrupt[j] = corrupt[j], corrupt[i]
+            for images in (m, tuple(corrupt)):
+                for source_group, target in itertools.product(
+                        (B.dot, B.circ), repeat=2):
+                    gens = generating_set(source_group)
+                    row = _respects_generators(images, source_group,
+                                               target, gens)
+                    assert row == loop_respects_generators(
+                        images, source_group, target, gens)
+                    outcomes.add(row)
+        for G, H in ((B.dot, B.circ), (B.circ, B.dot)):
+            for sub in subgroups(H):
+                assert is_subgroup(G, sub) == loop_is_subgroup(G, sub)
+                outcomes.add(("sub", is_subgroup(G, sub)))
+            subset = [0, *rng.sample(range(B.order), B.order // 2)]
+            assert is_subgroup(G, subset) == loop_is_subgroup(G, subset)
+    assert outcomes == {True, False, ("sub", True), ("sub", False)}
+
+
+def test_opposite_twist_check_matches_element_loop(monkeypatch):
+    # opposite accepts the gamma of the opposite brace exactly when it is
+    # the entry-by-entry inner twist; a dot that is not abelian keeps the
+    # opposite brace apart from the brace itself
+    real_gamma = braces.gamma
+    rng = random.Random(5)
+    checked = 0
+    for B in (*census_braces(8), *_axiom_battery()):
+        if B.dot.is_abelian():
+            continue
+        twist = loop_inner_twist(B)
+        s = rng.randrange(1, B.order)
+        i, j = rng.sample(range(1, B.order), 2)
+        bad = list(twist[s])
+        bad[i], bad[j] = bad[j], bad[i]
+        corrupt = twist[:s] + (tuple(bad),) + twist[s + 1:]
+        for maps, accepted in ((twist, True), (corrupt, False)):
+            monkeypatch.setattr(
+                braces, "gamma",
+                lambda X, maps=maps, B=B: real_gamma(X) if X == B
+                else GammaTable(maps))
+            try:
+                opposite(B)
+            except InternalInconsistency:
+                assert not accepted
+            else:
+                assert accepted
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("n", CORRUPTED_ORDERS)
+def test_make_group_names_the_light_loop_triple_on_refilled_tables(n):
+    # keeping n - 1 rows forces the last one, so the group comes back
+    rng = random.Random(n)
+    accepted = rejected = 0
+    for G in groups_of_order(n):
+        for keep in (n - 1, n - 2, n // 2, 2, 1):
+            t = refilled(G, keep, rng)
+            failure = loop_light_failure(t)
+            try:
+                make_group(t)
+            except NotAssociative as exc:
+                a, b, c = named_triple(exc)
+                assert (a, b, c) == failure
+                assert t[t[a][b]][c] != t[a][t[b][c]]
+                rejected += 1
+            else:
+                assert failure is None and associative(t)
+                accepted += 1
+    assert accepted >= len(groups_of_order(n)) and rejected
+
+
+def corrupted_brace_inputs(n, rng):
+    """Lawful (dot, circ) pairs of order n, each with a copy whose dot is
+    relabeled at random: census operations of the catalog groups (at
+    order 27 of the cyclic one only) and the order-27 constructions."""
+    if n == 27:
+        pool = [*enumerate_operations(group_by_name("C27")),
+                constructions.class2_construction(
+                    group_by_name("Heisenberg-27")),
+                *constructions.all_psi_braces(group_by_name("M27"))]
+    else:
+        pool = [B for G in groups_of_order(n) for B in enumerate_operations(G)]
+    for B in rng.sample(pool, min(len(pool), 12)):
+        yield B.dot.table, B.circ
+        yield relabeled(B.dot, rng.randrange(1000)).table, B.circ
+
+
+@pytest.mark.parametrize("n", CORRUPTED_ORDERS)
+def test_make_brace_names_a_failing_triple_on_corrupted_pairs(n):
+    rng = random.Random(n)
+    accepted = rejected = 0
+    for table, circ in corrupted_brace_inputs(n, rng):
+        dot = make_group(table)
+        try:
+            make_brace(table, circ)
+        except BraceLawViolated as exc:
+            assert not brace_law_holds(dot, circ)
+            s, t, k = named_triple(exc)
+            dt, ct = dot.table, circ.table
+            assert ct[s][dt[t][k]] \
+                != dt[dt[ct[s][t]][dot.inverse[s]]][ct[s][k]]
+            rejected += 1
+        else:
+            assert brace_law_holds(dot, circ)
+            accepted += 1
+    assert accepted and rejected
