@@ -56,12 +56,6 @@ from .perms import (
     transport_operation,
 )
 
-# above this order the full search of Hol(N) that a non-cyclic target
-# takes gets expensive: `skewbrace enumerate` asks for
-# --enable-heavy-orders there, and kohl_obstruction runs no census
-_FULL_ENUM_MAX = 15
-
-
 class HgsReport(collections.namedtuple(
         "HgsReport", "operation type_name is_bi_skew image is_surjective "
         "gc_ratio grouplikes iso_class_id orbit_size")):
@@ -330,7 +324,8 @@ def childs_criterion(circ: FiniteGroup) -> bool:
 def kohl_obstruction(circ: FiniteGroup, N: FiniteGroup) -> int | None:
     """Least order m with more characteristic subgroups of N than
     subgroups of circ, or None.  A witness rules out structures of type N,
-    which is checked against the census whenever that census is cheap."""
+    which is checked against the census whenever the catalog serves the
+    order."""
     if circ.order != N.order:
         raise BadParameters("groups must have equal order")
     char = distinguished_subgroups(N).characteristic
@@ -344,8 +339,7 @@ def kohl_obstruction(circ: FiniteGroup, N: FiniteGroup) -> int | None:
         if n_char > n_sub:
             witness = m
             break
-    if witness is not None and circ.order in COMPLETE_ORDERS \
-            and circ.order <= _FULL_ENUM_MAX:
+    if witness is not None and circ.order in COMPLETE_ORDERS:
         require(e_count(circ, N) == 0, "census contradicts the obstruction")
     return witness
 

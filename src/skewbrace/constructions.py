@@ -165,10 +165,10 @@ def semidirect_to_brace(A: FiniteGroup, B: FiniteGroup, action) -> SkewBrace:
     out = make_brace(dot, circ)
     g = gamma(out)
     nb = B.order
-    for c in range(A.order):
-        for d in range(nb):
-            expected = tuple(action[d][a] * nb + b
-                             for a in range(A.order) for b in range(nb))
+    for d in range(nb):
+        expected = tuple(action[d][a] * nb + b
+                         for a in range(A.order) for b in range(nb))
+        for c in range(A.order):
             require(g(c * nb + d) == expected, "gamma not via the action")
     return out
 

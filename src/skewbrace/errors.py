@@ -95,10 +95,6 @@ class BadParameters(ValidationError):
 
 # -- analysis ------------------------------------------------------------
 
-class OrderTooLarge(SkewbraceError):
-    pass
-
-
 class CatalogIncompleteForOrder(SkewbraceError):
     pass
 

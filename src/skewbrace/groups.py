@@ -3,12 +3,13 @@
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
 is immutable.  Each FiniteGroup computes its hash, element orders, centre
 flags, generating set, fingerprint and the stabilizer chain of Aut(G)
-once, on the instance; only the heavy computations (subgroup lattice,
-automorphism group) are memoized per table, by lru_cache.  A table is
-validated once, where it enters, by make_group; a table derived from
-valid groups (a quotient, a subgroup, a semidirect product along a
-checked action, a relabeling along a bijection) is a group by
-construction and _trusted_group builds it as is.
+once, on the instance; only the heavy computations (subgroups,
+automorphisms, _automorphism_generators, distinguished_subgroups) are
+memoized per table, by lru_cache.  A table is validated once, where it
+enters, by make_group; a table derived from valid groups (a quotient, a
+subgroup, a semidirect product along a checked action, a relabeling
+along a bijection) is a group by construction and _trusted_group builds
+it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -346,8 +347,10 @@ def _itemgetter(q):
 
 
 def _compose(p, q) -> tuple[int, ...]:
-    """p after q."""
-    return _itemgetter(q)(p)
+    """p after q: _itemgetter(q)(p) in one frame."""
+    if len(q) == 1:
+        return (p[q[0]],)
+    return operator.itemgetter(*q)(p)
 
 
 def _first_difference(p, q) -> int:
