@@ -36,6 +36,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupMap,
+    _automorphism_count,
     _automorphism_generators,
     _compose,
     _invert,
@@ -115,31 +116,50 @@ def _regular_subgroup_search(circ: FiniteGroup):
 
 @functools.lru_cache(maxsize=None)
 def _classify(search, N: FiniteGroup):
-    """The regular subgroups R that search lists in Hol(N), by the type of
-    their transported group T_R, as (reps, members): reps holds the first
-    T_R of each type, and members, per R in search order, (k, theta) with
-    theta the images of an isomorphism T_R -> reps[k].  Without the
-    catalog: each R is transported once and bucketed by fingerprint, and
-    one isomorphism call per bucket member tried decides its type.  Keyed
+    """The regular subgroups R that search lists in Hol(N), by their
+    Aut(N)-class, as (reps, classes, members).  reps holds the first
+    transported group T_R of each type; classes, per Aut(N)-class met in
+    search order, (k, theta, size): the type index, the images of an
+    isomorphism T_R -> reps[k] for the first R of the class, and the
+    number of R in the class; members, per R in search order, the index
+    of its class.
+
+    Conjugating R by phi in Aut(N) relabels T_R along phi, so a class is
+    the _orbit of the first R's table under the generators of Aut(N), and
+    the first R alone is transported, bucketed by fingerprint and typed
+    by one isomorphism call per bucket member tried.  Every later R is
+    found in a class by its table, which is R's sorted element tuple: its
+    type is that of the class, proved by the relabeling.  The class
+    tables live only while the call runs.  Without the catalog, and keyed
     on the search as well as N, so every census and count of one order
     that takes the same route shares it; no other T_R outlives the call.
     """
     reps: list[FiniteGroup] = []
     buckets: dict[tuple, list[int]] = {}
+    classes = []
     members = []
+    class_of: dict[tuple, int] = {}  # every table of a class met
     for R in search(N):
-        T = transport_operation(R)
-        bucket = buckets.setdefault(fingerprint(T), [])
-        for k in bucket:
-            theta = isomorphism(T, reps[k])
-            if theta is not None:
-                members.append((k, theta.images))
-                break
-        else:
-            bucket.append(len(reps))
-            members.append((len(reps), tuple(range(N.order))))
-            reps.append(T)
-    return tuple(reps), tuple(members)
+        c = class_of.get(R.elements)
+        if c is None:
+            T = transport_operation(R)
+            bucket = buckets.setdefault(fingerprint(T), [])
+            for k in bucket:
+                iso = isomorphism(T, reps[k])
+                if iso is not None:
+                    theta = iso.images
+                    break
+            else:
+                k = len(reps)
+                bucket.append(k)
+                reps.append(T)
+                theta = tuple(range(N.order))
+            c = len(classes)
+            orbit = _orbit(T.table, _automorphism_generators(N))
+            classes.append((k, theta, len(orbit)))
+            class_of.update(dict.fromkeys(orbit, c))
+        members.append(c)
+    return tuple(reps), tuple(classes), tuple(members)
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,10 +169,12 @@ def _onto(search, N: FiniteGroup, circ: FiniteGroup) -> tuple:
 
 
 def _orbit(found, gens) -> dict:
-    """The Aut(circ)-orbit of the table found, as {table: phi images} with
-    phi an automorphism carrying found to the table, reached breadth-first
-    along the generators gens of Aut(circ); phi is composed along the
-    path, since relabeling by g after phi is relabeling by g∘phi."""
+    """The orbit of the table found under relabeling by the group gens
+    generate (Aut(circ) for a brace class, Aut(N) for a class of regular
+    subgroups), as {table: phi images} with phi a map of that group
+    carrying found to the table, reached breadth-first along gens; phi is
+    composed along the path, since relabeling by g after phi is
+    relabeling by g∘phi."""
     orbit = {found: tuple(range(len(found)))}
     todo = [found]
     for t in todo:
@@ -171,18 +193,23 @@ def _enumerate_classes(circ: FiniteGroup):
     triples sorted by the least table of the orbit; N is the catalog type
     of the operations in the class.
 
-    Route: per catalog type N of the same order, the regular subgroups of
-    Hol(N) are those of _classify(search, N); cyclic ones up to Aut(N) for a
-    cyclic circ.  Each representative type is mapped to circ once, by an
-    isomorphism iota; every R of a type isomorphic to circ is a brace on
+    Route: per catalog type N of the same order, the Aut(N)-classes of
+    regular subgroups of Hol(N) are those of _classify(search, N); cyclic
+    ones, at least one R per class, for a cyclic circ.  Each
+    representative type is mapped to circ once, by an isomorphism iota;
+    the first R of each class of a type isomorphic to circ is a brace on
     N, pulled back to circ's labels along iota∘theta; that is the found
-    table.  The full operation set is the union of the orbits under the
-    automorphism action s ._phi t = phi(phi^-1(s) . phi^-1(t)), each
-    built from generators of Aut(circ); orbit maps each member to the
-    images of an automorphism phi that produces it from the found table.
-    Any two such phi differ by a brace automorphism of the found brace,
-    so the reports carried along them agree.  Every table is a relabeling
-    of a valid one, so none is re-checked.
+    table, and the class's only brace.  The full operation set is the
+    union of the orbits under the automorphism action
+    s ._phi t = phi(phi^-1(s) . phi^-1(t)), each built from generators of
+    Aut(circ); orbit maps each member to the images of an automorphism
+    phi that produces it from the found table.  Any two such phi differ
+    by a brace automorphism of the found brace, so the reports carried
+    along them agree.  Every table is a relabeling of a valid one, so none
+    is re-checked.  Distinct Aut(N)-classes are distinct brace classes
+    (Guarnieri-Vendramin, Prop. 4.3), and the stabilizer of R in Aut(N)
+    is the brace automorphism group, so |orbit| * |Aut N| =
+    |Aut(N)-class| * |Aut circ|; both are checked per class.
     """
     n = circ.order
     search = _regular_subgroup_search(circ)
@@ -193,18 +220,20 @@ def _enumerate_classes(circ: FiniteGroup):
     classes = []
     for N in types:
         to_circ = _onto(search, N, circ)
-        for k, theta in _classify(search, N)[1]:
+        for k, theta, size in _classify(search, N)[1]:
             iota = to_circ[k]
             if iota is None:
                 continue
             dot_tab = _transport_table(N.table, _compose(iota.images, theta))
-            if dot_tab in seen:
-                continue
+            require(dot_tab not in seen,
+                    "two Aut(N)-classes give one brace class")
             orbit = _orbit(dot_tab, gens)
             stab = brace_automorphism_count(
                 SkewBrace(_trusted_group(dot_tab), circ))
             require(len(orbit) * stab == aut_count,
                     "orbit-stabilizer identity fails")
+            require(len(orbit) * _automorphism_count(N) == size * aut_count,
+                    "brace class and Aut(N)-class sizes disagree")
             classes.append((dot_tab, orbit, N))
             seen |= orbit.keys()
     classes.sort(key=lambda c: min(c[1]))
@@ -270,18 +299,20 @@ def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     """Operations o on N with (N, ., o) a brace and (N, o) = circG up to
     isomorphism; counted on the holomorph side, independently of e_count:
     the regular subgroups of Hol(N) whose transported type is circG's.
-    Every one is counted, never one per class, or the identity would
-    check nothing.  For a cyclic circG these are the cyclic ones, which
-    the full n-cycle scan lists with no transport; otherwise one
-    isomorphism test per type.  Any order is served, as _classify never
-    reads the catalog; f_count(D8, C2xC2xC2xC2) takes minutes."""
+    Every R is counted, or the identity would check nothing.  For a
+    cyclic circG these are the cyclic ones, which the full n-cycle scan
+    lists with no transport; otherwise every R of the full search, each
+    typed by its Aut(N)-class, and one isomorphism test per type.  Any
+    order is served, as _classify never reads the catalog;
+    f_count(D8, C2xC2xC2xC2) takes minutes."""
     if circG.order != N.order:
         return 0
     if circG.is_cyclic():
         return len(cyclic_regular_subgroups_in_holomorph(N))
     search = regular_subgroups_in_holomorph
     to_circ = _onto(search, N, circG)
-    return sum(to_circ[k] is not None for k, _ in _classify(search, N)[1])
+    _, classes, members = _classify(search, N)
+    return sum(to_circ[classes[c][0]] is not None for c in members)
 
 
 def byott_check(circG: FiniteGroup, N: FiniteGroup) -> bool:

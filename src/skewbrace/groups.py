@@ -36,9 +36,12 @@ automorphisms) and is kept on G.  _automorphism_images(G) streams the
 products, so the holomorph and the cyclic scan keep no product;
 _automorphism_images_up_to_stabilizer(G) streams only one image of g_0
 per Stab(g_0)-orbit.  automorphisms(G) sorts the products by their
-generator images and keeps them.
-_automorphism_generators(G) is a small generating set of Aut(G); a
-subgroup is characteristic when those maps keep it.  The subgroup
+generator images and keeps them; _automorphism_count(G) is Π|T_k|.
+_automorphism_generators(G) is a small generating set of Aut(G), adjoined
+greedily from the stream by descending element order (2 maps for
+C2xC2xC2, C3xC3 and C3xC3xC3, 3 for Heisenberg-27), and keeps no other
+map; the census relabels along it, and a subgroup is characteristic when
+those maps keep it.  The subgroup
 lattice is grown from the cyclic subgroups by joining each subgroup found
 with one generator per cyclic subgroup, closed along the generators.
 
@@ -356,6 +359,16 @@ def _compose(p, q) -> tuple[int, ...]:
 def _first_difference(p, q) -> int:
     """The first index at which the rows p and q differ."""
     return next(i for i, (x, y) in enumerate(zip(p, q)) if x != y)
+
+
+def _cycle_length(p, i: int) -> int:
+    """Length of the cycle of the permutation p through the point i."""
+    length = 1
+    j = p[i]
+    while j != i:
+        j = p[j]
+        length += 1
+    return length
 
 
 def _invert(p) -> tuple[int, ...]:
@@ -695,20 +708,39 @@ def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
                  for p in sorted(_automorphism_images(G), key=key))
 
 
+def _automorphism_count(G: FiniteGroup) -> int:
+    """|Aut(G)|: the product of the transversal sizes of the stabilizer
+    chain G keeps, read without forming a map."""
+    return math.prod(map(len, G._transversals))
+
+
 @functools.lru_cache(maxsize=None)
 def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """A small generating set of Aut(G), as image tuples: walking
-    automorphisms(G) in order, each map not yet generated is adjoined and
-    the generated subgroup is grown along x -> x∘g, as _greedy_generators
-    does for group elements."""
-    gens = []
+    """A small generating set of Aut(G), as image tuples: walking the maps
+    of _automorphism_images(G) by descending order, then by generator
+    images, each map not yet generated is adjoined and the generated
+    subgroup is grown along x -> x∘g, as _greedy_generators does for
+    group elements.  Maps of large order come first and reach many maps
+    at once: 2 generators for C2xC2xC2, C3xC3 and C3xC3xC3, 3 for
+    Heisenberg-27.  phi^k is the identity iff it fixes every generator,
+    so the order of phi is the lcm of its cycle lengths through
+    generating_set(G).  The walk is dropped once read, so no cache holds
+    Aut(G) for a group whose generators alone are asked for."""
+    gens = generating_set(G)
+    key = operator.itemgetter(0, *gens)
+
+    def rank(f):
+        return -math.lcm(*(_cycle_length(f, g) for g in gens)), key(f)
+
+    walk = sorted(_automorphism_images(G), key=rank)
+    out = []
     # x∘g is right(x) for right = _itemgetter(g)
     rights = []
     reached = {tuple(range(G.order))}
-    for f in (a.images for a in automorphisms(G)):
+    for f in walk:
         if f in reached:
             continue
-        gens.append(f)
+        out.append(f)
         rights.append(_itemgetter(f))
         # the reached subgroup H is closed under the old generators, and
         # H∘f is a new coset; every newly reached map needs every generator
@@ -720,9 +752,9 @@ def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
                 if y not in reached:
                     reached.add(y)
                     new.append(y)
-    require(len(reached) == len(automorphisms(G)),
+    require(len(reached) == len(walk),
             "automorphism generators do not reach all of Aut(G)")
-    return tuple(gens)
+    return tuple(out)
 
 
 def fingerprint(G: FiniteGroup) -> tuple:

@@ -19,6 +19,7 @@ from .groups import (
     _automorphism_images,
     _automorphism_images_up_to_stabilizer,
     _compose,
+    _cycle_length,
     _int_maps,
     _integer,
     _itemgetter,
@@ -50,16 +51,6 @@ def perm_order(p: Perm) -> int:
             length += 1
         order = order // math.gcd(order, length) * length
     return order
-
-
-def _cycle_length(p: Perm, i: int) -> int:
-    """Length of the cycle of p through the point i."""
-    length = 1
-    j = p[i]
-    while j != i:
-        j = p[j]
-        length += 1
-    return length
 
 
 def is_fixed_point_free(p: Perm) -> bool:

@@ -243,10 +243,40 @@ class TestCounting:
         assert f_count(group_by_name("C2"), group_by_name("C4")) == 0
 
 
+def aut_class(elements, N):
+    """The Aut(N)-conjugacy class of the regular subgroup with these
+    elements, as the sorted element tuples of psi R psi^-1 over every psi
+    in automorphisms(N)."""
+    out = set()
+    for psi in automorphisms(N):
+        inv = _invert(psi.images)
+        out.add(tuple(sorted(_compose(psi.images, _compose(r, inv))
+                             for r in elements)))
+    return out
+
+
+def per_subgroup_classification(listed):
+    """The classification _classify replaced: every listed R transported
+    and typed by its own isomorphism call against the first transported
+    group of each type; (reps, type index per R)."""
+    reps, types = [], []
+    for R in listed:
+        T = transport_operation(R)
+        for k, rep in enumerate(reps):
+            if isomorphism(T, rep) is not None:
+                break
+        else:
+            k = len(reps)
+            reps.append(T)
+        types.append(k)
+    return tuple(reps), types
+
+
 class TestSharedClassification:
-    """The census classifies each regular subgroup once per route and N,
-    and builds orbits from generators of Aut(circ); each test keeps the
-    definition it replaced as its oracle."""
+    """The census classifies the regular subgroups once per route and N,
+    typing one per Aut(N)-class, and builds orbits from generators of
+    Aut(circ); each test keeps the definition it replaced as its
+    oracle."""
 
     def test_orbits_from_generators_match_full_sweep(self):
         for G in SERVED:
@@ -280,7 +310,33 @@ class TestSharedClassification:
             assert (e_count(G, N), f_count(G, N)) == \
                 (old_e(G, N), old_f(G, N)), (G.name, N.name)
 
-    def test_one_transport_per_route_type_and_subgroup(self, monkeypatch):
+    @pytest.mark.parametrize("order", range(1, 16))
+    def test_class_typing_matches_per_subgroup_isomorphism(self, order):
+        for N in groups_of_order(order):
+            for search in (regular_subgroups_in_holomorph,
+                           _cyclic_regular_subgroups_up_to_aut):
+                listed = search(N)
+                reps, classes, members = analysis._classify(search, N)
+                old_reps, old_types = per_subgroup_classification(listed)
+                assert reps == old_reps, N.name
+                assert [classes[c][0] for c in members] == old_types, N.name
+                closures = []
+                for c, (k, theta, size) in enumerate(classes):
+                    own = [R for R, m in zip(listed, members) if m == c]
+                    # theta relabels the first R's group onto its type
+                    T = transport_operation(own[0])
+                    assert analysis._transport_table(T.table, theta) == \
+                        reps[k].table
+                    closure = aut_class(own[0].elements, N)
+                    assert len(closure) == size, N.name
+                    assert {R.elements for R in own} <= closure, N.name
+                    closures.append(closure)
+                union = set().union(*closures)
+                assert len(union) == sum(map(len, closures)), N.name
+                if search is regular_subgroups_in_holomorph:
+                    assert union == {R.elements for R in listed}, N.name
+
+    def test_one_transport_per_route_type_and_aut_class(self, monkeypatch):
         calls = Counter()
 
         def counting(R):
@@ -296,11 +352,17 @@ class TestSharedClassification:
         for G in gs:
             for N in gs:
                 assert byott_check(G, N)
-        # the census of C8 transports the pruned n-cycle scan; its f side
-        # counts the full scan and transports nothing
-        expected = Counter(R for search in (regular_subgroups_in_holomorph,
-                                            _cyclic_regular_subgroups_up_to_aut)
-                           for N in gs for R in search(N))
+        # per route and N, the first listed R of each Aut(N)-class; the f
+        # side of a cyclic target counts the full scan and transports nothing
+        expected = Counter()
+        for search in (regular_subgroups_in_holomorph,
+                       _cyclic_regular_subgroups_up_to_aut):
+            for N in gs:
+                met = set()
+                for R in search(N):
+                    if R.elements not in met:
+                        expected[R] += 1
+                        met |= aut_class(R.elements, N)
         assert calls == expected
 
     def test_only_representatives_outlive_the_census(self, monkeypatch):
@@ -326,6 +388,46 @@ class TestSharedClassification:
                 for T in analysis._classify(search, N)[0]}
         assert len(refs) > len(reps)
         assert alive == reps
+
+    def test_class_sizes_and_disjointness_checked(self, monkeypatch):
+        # each Aut(N)-class gives one brace class of the matching size;
+        # the census refuses a repeated class and a wrong class size
+        classify = analysis._classify
+
+        def repeated(search, N):
+            reps, classes, members = classify(search, N)
+            return reps, classes * 2, members
+
+        def doubled(search, N):
+            reps, classes, members = classify(search, N)
+            return reps, tuple((k, theta, 2 * size)
+                               for k, theta, size in classes), members
+
+        for G in (group_by_name("Q8"), group_by_name("C4")):
+            for patch, what in ((repeated, "one brace class"),
+                                (doubled, "sizes disagree")):
+                analysis._enumerate_classes.cache_clear()
+                monkeypatch.setattr(analysis, "_classify", patch)
+                with pytest.raises(InternalInconsistency, match=what):
+                    analysis._enumerate_classes(G)
+        analysis._enumerate_classes.cache_clear()
+
+    def test_identity_catches_an_f_counting_classes(self, monkeypatch):
+        # e(Q8, C2xC2xC2) = 2 and f = 14 in one Aut(N)-class; counted per
+        # class, f reads 1 and 2 * 168 != 1 * 24
+        Q8, E8 = group_by_name("Q8"), group_by_name("C2xC2xC2")
+        assert byott_check(Q8, E8)
+
+        def per_class_f(circG, N):
+            search = regular_subgroups_in_holomorph
+            to_circ = analysis._onto(search, N, circG)
+            return sum(to_circ[k] is not None
+                       for k, _, _ in analysis._classify(search, N)[1])
+
+        assert (f_count(Q8, E8), per_class_f(Q8, E8)) == (14, 1)
+        monkeypatch.setattr(analysis, "f_count", per_class_f)
+        with pytest.raises(InternalInconsistency):
+            byott_check(Q8, E8)
 
     def test_f_count_at_incomplete_order_16(self, monkeypatch):
         # the n-cycle route serves a cyclic target at order 16, which the
@@ -356,12 +458,7 @@ class TestCensusScan:
             if N.name == "C2xC2":  # the census keeps 2 of 3
                 assert (len(census), len(full)) == (2, 3)
             for R in full:
-                conjugates = set()
-                for psi in automorphisms(N):
-                    inv = _invert(psi.images)
-                    conjugates.add(tuple(sorted(
-                        _compose(psi.images, _compose(r, inv)) for r in R)))
-                assert conjugates & census, N.name
+                assert aut_class(R, N) & census, N.name
 
     def test_stream_sizes_at_order_27(self):
         sizes = {N.name: sum(1 for _ in

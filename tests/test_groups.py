@@ -304,6 +304,36 @@ class TestAutomorphisms:
                                match="products are not distinct"):
                 read(N)
 
+    @pytest.mark.parametrize("name,size",
+                             [("C2xC2xC2", 2), ("C3xC3", 2),
+                              ("C3xC3xC3", 2), ("Heisenberg-27", 3)])
+    def test_generator_counts(self, name, size):
+        """Walked by descending order, few maps generate Aut(G); closing
+        them under composition gives every automorphism."""
+        G = group_by_name(name)
+        gens = groups._automorphism_generators(G)
+        assert len(gens) == size
+        reached = {tuple(range(G.order))}
+        todo = list(reached)
+        for x in todo:
+            for g in gens:
+                y = tuple(x[i] for i in g)
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
+        assert reached == {f.images for f in automorphisms(G)}
+
+    def test_generators_must_reach_every_map(self, monkeypatch):
+        """A walk holding a map twice is not Aut(G), and the generated
+        subgroup falls short of it."""
+        real = groups._automorphism_images
+        monkeypatch.setattr(groups, "_automorphism_images",
+                            lambda G: [*real(G), *real(G)])
+        with pytest.raises(InternalInconsistency,
+                           match="do not reach all of Aut"):
+            groups._automorphism_generators.__wrapped__(
+                group_by_name("C3xC3"))
+
     def test_order_divides_factorial(self):
         import math
         for order in range(2, 9):
