@@ -73,12 +73,24 @@ def _transport_table(table, images):
     return tuple(_compose(images, columns(table[a])) for a in inv)
 
 
+def _flat(table) -> bytes:
+    """A table as flat row-major bytes; values below 256 and rows of one
+    length make flat bytes sort as the row tuples do."""
+    return b"".join(map(bytes, table))
+
+
+def _rows(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    """The row tuples of a flat n*n table."""
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+
+
 def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
     """All operations making a skew brace with the given circ, as braces
     sorted by operation table."""
     classes = _enumerate_classes(circ)
     tables = sorted(t for _, orbit, _ in classes for t in orbit)
-    return tuple(SkewBrace(_trusted_group(t), circ) for t in tables)
+    return tuple(SkewBrace(_trusted_group(_rows(t, circ.order)), circ)
+                 for t in tables)
 
 
 def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
@@ -94,7 +106,7 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
         report = analyze(SkewBrace(_trusted_group(found), circ))
         for t, phi in orbit.items():
             out.append(report._replace(
-                operation=_trusted_group(t),
+                operation=_trusted_group(_rows(t, circ.order)),
                 image=tuple(sorted(tuple(sorted(phi[x] for x in s))
                                    for s in report.image)),
                 grouplikes=tuple(sorted(phi[x] for x in report.grouplikes)),
@@ -128,7 +140,7 @@ def _classify(search, N: FiniteGroup):
     the _orbit of the first R's table under the generators of Aut(N), and
     the first R alone is transported, bucketed by fingerprint and typed
     by one isomorphism call per bucket member tried.  Every later R is
-    found in a class by its table, which is R's sorted element tuple: its
+    found in a class by its table, R's sorted elements as flat bytes: its
     type is that of the class, proved by the relabeling.  The class
     tables live only while the call runs.  Without the catalog, and keyed
     on the search as well as N, so every census and count of one order
@@ -138,9 +150,10 @@ def _classify(search, N: FiniteGroup):
     buckets: dict[tuple, list[int]] = {}
     classes = []
     members = []
-    class_of: dict[tuple, int] = {}  # every table of a class met
+    class_of: dict[bytes, int] = {}  # every table of a class met
     for R in search(N):
-        c = class_of.get(R.elements)
+        key = _flat(R.elements)
+        c = class_of.get(key)
         if c is None:
             T = transport_operation(R)
             bucket = buckets.setdefault(fingerprint(T), [])
@@ -155,7 +168,7 @@ def _classify(search, N: FiniteGroup):
                 reps.append(T)
                 theta = tuple(range(N.order))
             c = len(classes)
-            orbit = _orbit(T.table, _automorphism_generators(N))
+            orbit = _orbit(key, _automorphism_generators(N), N.order)
             classes.append((k, theta, len(orbit)))
             class_of.update(dict.fromkeys(orbit, c))
         members.append(c)
@@ -168,19 +181,28 @@ def _onto(search, N: FiniteGroup, circ: FiniteGroup) -> tuple:
     return tuple(isomorphism(T, circ) for T in _classify(search, N)[0])
 
 
-def _orbit(found, gens) -> dict:
-    """The orbit of the table found under relabeling by the group gens
-    generate (Aut(circ) for a brace class, Aut(N) for a class of regular
-    subgroups), as {table: phi images} with phi a map of that group
-    carrying found to the table, reached breadth-first along gens; phi is
-    composed along the path, since relabeling by g after phi is
-    relabeling by g∘phi."""
-    orbit = {found: tuple(range(len(found)))}
+def _orbit(found: bytes, gens, n: int) -> dict:
+    """The orbit of the flat n*n table found under relabeling by the
+    group gens generate (Aut(circ) for a brace class, Aut(N) for a class
+    of regular subgroups), as {flat table: phi images} with phi a map of
+    that group carrying found to the table, reached breadth-first along
+    gens; phi is composed along the path, since relabeling by g after phi
+    is relabeling by g∘phi.  Relabeling t by g is
+    out[g[a]][g[b]] = g[t[a][b]]: translate the values along g, then take
+    the entries in the positions g sends to each cell, one itemgetter
+    built per generator."""
+    pad = bytes(range(n, 256))
+    steps = []
+    for g in gens:
+        inv = _invert(g)
+        steps.append((g, bytes(g) + pad,
+                      _itemgetter([a * n + b for a in inv for b in inv])))
+    orbit = {found: tuple(range(n))}
     todo = [found]
     for t in todo:
         phi = orbit[t]
-        for g in gens:
-            u = _transport_table(t, g)
+        for g, values, positions in steps:
+            u = bytes(positions(t.translate(values)))
             if u not in orbit:
                 orbit[u] = _compose(g, phi)
                 todo.append(u)
@@ -190,8 +212,9 @@ def _orbit(found, gens) -> dict:
 @functools.lru_cache(maxsize=None)
 def _enumerate_classes(circ: FiniteGroup):
     """Isomorphism classes of braces over circ, as (found, orbit, N)
-    triples sorted by the least table of the orbit; N is the catalog type
-    of the operations in the class.
+    triples sorted by the least table of the orbit; found is a table of
+    row tuples, orbit is keyed on flat tables (see _orbit), and N is the
+    catalog type of the operations in the class.
 
     Route: per catalog type N of the same order, the Aut(N)-classes of
     regular subgroups of Hol(N) are those of _classify(search, N); cyclic
@@ -225,9 +248,10 @@ def _enumerate_classes(circ: FiniteGroup):
             if iota is None:
                 continue
             dot_tab = _transport_table(N.table, _compose(iota.images, theta))
-            require(dot_tab not in seen,
+            flat = _flat(dot_tab)
+            require(flat not in seen,
                     "two Aut(N)-classes give one brace class")
-            orbit = _orbit(dot_tab, gens)
+            orbit = _orbit(flat, gens, n)
             stab = brace_automorphism_count(
                 SkewBrace(_trusted_group(dot_tab), circ))
             require(len(orbit) * stab == aut_count,

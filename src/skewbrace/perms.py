@@ -4,6 +4,15 @@ Permutations are image tuples acting on the points 0..n-1.  A subgroup of
 the symmetric group is regular when evaluation at 0 is a bijection onto
 the point set; equivalently, it is transitive with every non-identity
 element fixed-point-free.
+
+The regular-subgroup search works on permutations as `bytes` of length
+n, so a degree above 255 is refused: p∘q is q.translate(p + pad), with
+pad = bytes(range(n, 256)) filling the 256-byte table, so a product is
+formed in C.  Hol(N), the candidate pool and every partial subgroup are
+`bytes`; tuples come back where a RegularSubgroup is made and in the
+public holomorph.  All values are below 256 and all rows have length n,
+so bytes sort as the tuples do.  The n-cycle scan, transport and the
+public helpers stay on tuples.
 """
 
 from __future__ import annotations
@@ -11,9 +20,14 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import operator
 
-from .errors import NotNormalized, NotRegular, OrderTooLargeForOracle, require
+from .errors import (
+    BadParameters,
+    NotNormalized,
+    NotRegular,
+    OrderTooLargeForOracle,
+    require,
+)
 from .groups import (
     FiniteGroup,
     _automorphism_images,
@@ -34,27 +48,6 @@ Perm = tuple[int, ...]
 ORACLE_DEFAULT_BOUND = 8
 
 compose = _compose  # p after q, under its public name
-
-
-def perm_order(p: Perm) -> int:
-    n = len(p)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        order = order // math.gcd(order, length) * length
-    return order
-
-
-def is_fixed_point_free(p: Perm) -> bool:
-    return not any(map(operator.eq, p, range(len(p))))
 
 
 def left_translations(G: FiniteGroup) -> tuple[Perm, ...]:
@@ -99,17 +92,36 @@ def regular_subgroup(perms) -> RegularSubgroup:
     return RegularSubgroup(tuple(rows))
 
 
-def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
-    """The permutations tau -> a * phi(tau) for a in N, phi in Aut(N);
-    Aut(N) is streamed, not kept."""
+def _byte_degree(n: int) -> int:
+    """n, refused above 255: a point of the bytes kernel is one byte."""
+    if n > 255:
+        raise BadParameters(
+            f"degree {n} is above 255, the largest the search handles")
+    return n
+
+
+def _holomorph_bytes(N: FiniteGroup) -> list[bytes]:
+    """Hol(N) as sorted bytes; Aut(N) is streamed, not kept.  The row of
+    a translated along phi is tau -> phi(a*tau) = phi(a)*phi(tau), and
+    (phi(a), phi) runs over N x Aut(N) as (a, phi) does."""
+    n = _byte_degree(N.order)
+    rows = list(map(bytes, N.table))
+    pad = bytes(range(n, 256))
     perms = set()
     auts = 0
     for fi in _automorphism_images(N):
         auts += 1
-        perms.update(map(_itemgetter(fi), N.table))
-    out = tuple(sorted(perms))
-    require(len(out) == N.order * auts, "repeated holomorph perm")
+        perms.update(map(bytes.translate, rows,
+                         itertools.repeat(bytes(fi) + pad)))
+    out = sorted(perms)
+    require(len(out) == n * auts, "repeated holomorph perm")
     return out
+
+
+def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
+    """The permutations tau -> a * phi(tau) for a in N, phi in Aut(N),
+    sorted."""
+    return tuple(map(tuple, _holomorph_bytes(N)))
 
 
 def transport_operation(R: RegularSubgroup) -> FiniteGroup:
@@ -152,13 +164,28 @@ def _normalized_by_translations(elems, G: FiniteGroup) -> bool:
                for s in generating_set(G) for p in elems)
 
 
-def _candidate_pool(perms, n: int) -> dict[int, list[Perm]]:
-    """The perms that can be non-identity elements of a regular subgroup
-    of degree n (fixed-point-free, order dividing n), bucketed by the
-    image of 0 and sorted within each bucket."""
-    pool: dict[int, list[Perm]] = {}
+def _candidate_pool(perms, n: int) -> dict[int, list[bytes]]:
+    """The bytes perms that can be non-identity elements of a regular
+    subgroup of degree n (fixed-point-free, order dividing n), bucketed
+    by the image of 0 and sorted within each bucket."""
+    ident = bytes(range(n))
+    pad = bytes(range(n, 256))
+    # p XOR the identity, as integers, has a zero byte where p fixes a point
+    ident_int = int.from_bytes(ident, "big")
+    pool: dict[int, list[bytes]] = {}
     for p in perms:
-        if is_fixed_point_free(p) and n % perm_order(p) == 0:
+        if 0 in (int.from_bytes(p, "big") ^ ident_int).to_bytes(n, "big"):
+            continue
+        # p**n by square-and-multiply; powers of p commute
+        power, square, e = ident, p, n
+        while True:
+            if e & 1:
+                power = power.translate(square + pad)
+            e >>= 1
+            if not e:
+                break
+            square = square.translate(square + pad)
+        if power == ident:
             pool.setdefault(p[0], []).append(p)
     for lst in pool.values():
         lst.sort()
@@ -166,47 +193,51 @@ def _candidate_pool(perms, n: int) -> dict[int, list[Perm]]:
 
 
 def _grow_regular(candidates_by_start, n: int, accept) -> None:
-    """Backtracking core shared by both enumerators.
+    """Backtracking core shared by both enumerators, over bytes perms.
 
     Grows a closed, fixed-point-free partial subgroup one candidate at a
     time; the candidate always sends 0 to the least uncovered point, so
     every regular subgroup is reached along exactly one branch.  The
-    candidates taken so far generate the partial subgroup.
+    candidates taken so far generate the partial subgroup.  Every element
+    of a regular subgroup of degree n is fixed-point-free of order
+    dividing n, so a product outside the pool ends the branch.
     """
+    pool = set().union(*candidates_by_start.values())
+    tail = bytes(range(n, 256))
 
-    def close_with(members: dict[int, Perm], gens: tuple[Perm, ...]):
+    def close_with(members: dict[int, bytes], gens: tuple[bytes, ...]):
         # members maps value-at-0 to the unique element taking 0 there and
         # is closed under gens[:-1]; <members, c> for c = gens[-1] is reached
-        # breadth-first along x -> x*g: old members need only c, new ones
-        # every generator; x∘g is right(x) for right = _itemgetter(g)
+        # breadth-first along x -> x∘g = g.translate(x + tail): old members
+        # need only c, new ones every generator
         c = gens[-1]
-        rights = list(map(_itemgetter, gens))
         out = dict(members)
         out[c[0]] = c
         new = [c]
 
-        def add(r: Perm) -> bool:
+        def add(r: bytes) -> bool:
             known = out.get(r[0])
             if known is not None:
                 return known == r
-            if not is_fixed_point_free(r) or len(out) >= n:
+            if r not in pool or len(out) >= n:
                 return False
             out[r[0]] = r
             new.append(r)
             return True
 
         for x in members.values():
-            if not add(rights[-1](x)):
+            if not add(c.translate(x + tail)):
                 return None
         for x in new:
-            for right in rights:
-                if not add(right(x)):
+            padded = x + tail
+            for g in gens:
+                if not add(g.translate(padded)):
                     return None
         if n % len(out) != 0:
             return None
         return out
 
-    def grow(members: dict[int, Perm], gens: tuple[Perm, ...]) -> None:
+    def grow(members: dict[int, bytes], gens: tuple[bytes, ...]) -> None:
         if len(members) == n:
             accept(tuple(sorted(members.values())))
             return
@@ -217,16 +248,19 @@ def _grow_regular(candidates_by_start, n: int, accept) -> None:
             if grown is not None:
                 grow(grown, extended)
 
-    grow({0: tuple(range(n))}, ())
+    grow({0: bytes(range(n))}, ())
 
 
 def regular_subgroups_in_holomorph(N: FiniteGroup) \
         -> tuple[RegularSubgroup, ...]:
     """All regular subgroups of the holomorph of N, canonically sorted."""
     n = N.order
-    found: list[tuple[Perm, ...]] = []
-    _grow_regular(_candidate_pool(holomorph(N), n), n, found.append)
-    return tuple(RegularSubgroup(f) for f in sorted(found))
+    found: list[tuple[bytes, ...]] = []
+    _grow_regular(_candidate_pool(_holomorph_bytes(N), n), n, found.append)
+    # one tuple per distinct permutation, shared by the subgroups holding it
+    as_tuple = {p: tuple(p) for f in found for p in f}
+    return tuple(RegularSubgroup(tuple(map(as_tuple.__getitem__, f)))
+                 for f in sorted(found))
 
 
 def _n_cycle_subgroups(N: FiniteGroup, images):
@@ -315,10 +349,12 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
     if n > bound:
         raise OrderTooLargeForOracle(
             f"oracle bound is {bound}, got order {n}")
-    pool = _candidate_pool(itertools.permutations(range(n)), n)
+    _byte_degree(n)
+    pool = _candidate_pool(map(bytes, itertools.permutations(range(n))), n)
     found: list[tuple[Perm, ...]] = []
 
-    def accept(elems: tuple[Perm, ...]) -> None:
+    def accept(elems: tuple[bytes, ...]) -> None:
+        elems = tuple(map(tuple, elems))
         if _normalized_by_translations(elems, G):
             found.append(elems)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from conftest import refuse_searches, requires_heavy
 
-from skewbrace import analysis
+from skewbrace import analysis, perms
 from skewbrace.analysis import (
     HgsReport,
     all_surjective,
@@ -103,6 +103,11 @@ class TestEnumerate:
     def test_cyclic_targets_never_search_full_holomorph(self, monkeypatch):
         # the n-cycle scan serves every cyclic target
         refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
+
+        def refuse(N):
+            pytest.fail(f"Hol({N.name}) was built")
+
+        monkeypatch.setattr(perms, "_holomorph_bytes", refuse)
         analysis._enumerate_classes.cache_clear()
         analysis._classify.cache_clear()
         for G in SERVED:
@@ -282,11 +287,15 @@ class TestSharedClassification:
         for G in SERVED:
             auts = automorphisms(G)
             for found, orbit, _ in analysis._enumerate_classes(G):
+                # the orbit's flat bytes keys against the row-tuple relabeling
                 sweep = {analysis._transport_table(found, f.images)
                          for f in auts}
-                assert set(orbit) == sweep, G.name
+                assert {analysis._rows(t, G.order) for t in orbit} == sweep, \
+                    G.name
                 for t, phi in orbit.items():
-                    assert analysis._transport_table(found, phi) == t
+                    assert analysis._transport_table(found, phi) \
+                        == analysis._rows(t, G.order)
+                    assert analysis._flat(analysis._rows(t, G.order)) == t
 
     def test_counts_match_per_class_and_per_subgroup_definitions(self):
         def old_e(G, N):

@@ -10,6 +10,8 @@ no bare `TypeError`, `IndexError`, `KeyError`, `ValueError` or
 `quotient`, `is_subgroup` and `is_power_automorphism` are fed
 elements and images that are mostly integers, in range or not, and
 sometimes floats or lists, which are not elements.
+The regular-subgroup searches name a degree above 255, which a `bytes`
+permutation cannot hold.
 """
 
 import json
@@ -19,6 +21,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from skewbrace import perms
 from skewbrace.analysis import enumerate_reports, kohl_obstruction
 from skewbrace.braces import (
     SkewBrace,
@@ -28,7 +31,7 @@ from skewbrace.braces import (
     sub_brace,
     trivial_brace,
 )
-from skewbrace.catalog import group_by_name, groups_of_order
+from skewbrace.catalog import cyclic, group_by_name, groups_of_order
 from skewbrace.constructions import (
     cpr_cps_brace,
     psi_construction,
@@ -304,6 +307,19 @@ def image_maps(draw):
 @FEW
 def test_is_power_automorphism(args):
     named_errors_only(is_power_automorphism, *args, returns=bool)
+
+
+def test_degree_above_255_named_before_holomorph(monkeypatch):
+    def refuse(G, outer=None):
+        pytest.fail("an automorphism was streamed into the holomorph")
+
+    monkeypatch.setattr(perms, "_automorphism_images", refuse)
+    C256 = cyclic(256)
+    for search in (perms.regular_subgroups_in_holomorph, perms.holomorph,
+                   lambda G: perms.regular_subgroups_normalized_by(
+                       G, bound=256)):
+        with pytest.raises(BadParameters, match="degree 256"):
+            search(C256)
 
 
 def test_out_of_range_elements_named():

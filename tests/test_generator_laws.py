@@ -13,19 +13,23 @@ all ordered pairs of the groups among them, the regular-subgroup searches
 of small orders, the census braces of order <= 8, the `verify axioms`
 battery, and the catalog groups with relabeled copies.  The kernels that
 do the same work faster (the incremental, centre-filtered homomorphism
-search, the itemgetter compose and holomorph, and the checks that compare
-whole rows instead of single entries) are compared the same way with the
-code they replaced.  Above order 6 the squares are catalog tables with
-rows refilled at random, and the braces have their dot relabeled.
+search, the itemgetter compose, the `bytes` holomorph and regular-subgroup
+search, and the checks that compare whole rows instead of single entries)
+are compared the same way with the code they replaced.  Above order 6 the
+squares are catalog tables with rows refilled at random, and the braces
+have their dot relabeled.
 """
 
 import functools
 import itertools
+import math
+import operator
 import random
 import re
 
 import pytest
 
+from conftest import requires_heavy
 from skewbrace import braces, constructions
 from skewbrace.analysis import enumerate_operations, surjective_iff_power_auto
 from skewbrace.braces import (
@@ -51,6 +55,7 @@ from skewbrace.errors import (
 from skewbrace.groups import (
     GroupMap,
     _extensions,
+    _itemgetter,
     _respects_generators,
     automorphisms,
     center,
@@ -70,10 +75,10 @@ from skewbrace.groups import (
 )
 from skewbrace.perms import (
     _candidate_pool,
+    _grow_regular,
     _normalized_by_translations,
     compose,
     holomorph,
-    is_fixed_point_free,
     regular_subgroups_in_holomorph,
     regular_subgroups_normalized_by,
 )
@@ -203,6 +208,29 @@ def full_action_is_homomorphism(A, B, action):
                for b1 in range(B.order) for b2 in range(B.order))
 
 
+def perm_order(p):
+    """The order of the tuple permutation p, the lcm of its cycle
+    lengths."""
+    n = len(p)
+    seen = [False] * n
+    order = 1
+    for i in range(n):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        order = order // math.gcd(order, length) * length
+    return order
+
+
+def is_fixed_point_free(p):
+    return not any(map(operator.eq, p, range(len(p))))
+
+
 def pairwise_regular_search(candidates_by_start, n, accept):
     """The regular-subgroup backtracking with the old closure step: every
     product of a new element with every member, in both orders."""
@@ -240,6 +268,71 @@ def pairwise_regular_search(candidates_by_start, n, accept):
                 grow(grown)
 
     grow({0: tuple(range(n))})
+
+
+def tuple_candidate_pool(perms, n):
+    """The candidate pool of the tuple kernel: a Python-level fixed-point
+    scan and order walk per permutation."""
+    pool = {}
+    for p in perms:
+        if is_fixed_point_free(p) and n % perm_order(p) == 0:
+            pool.setdefault(p[0], []).append(p)
+    for lst in pool.values():
+        lst.sort()
+    return pool
+
+
+def tuple_grow_regular(candidates_by_start, n, accept):
+    """The regular-subgroup backtracking of the tuple kernel: products by
+    itemgetter, and a fixed-point scan of every new one."""
+
+    def close_with(members, gens):
+        c = gens[-1]
+        rights = list(map(_itemgetter, gens))
+        out = dict(members)
+        out[c[0]] = c
+        new = [c]
+
+        def add(r):
+            known = out.get(r[0])
+            if known is not None:
+                return known == r
+            if not is_fixed_point_free(r) or len(out) >= n:
+                return False
+            out[r[0]] = r
+            new.append(r)
+            return True
+
+        for x in members.values():
+            if not add(rights[-1](x)):
+                return None
+        for x in new:
+            for right in rights:
+                if not add(right(x)):
+                    return None
+        if n % len(out) != 0:
+            return None
+        return out
+
+    def grow(members, gens):
+        if len(members) == n:
+            accept(tuple(sorted(members.values())))
+            return
+        g = min(x for x in range(n) if x not in members)
+        for cand in candidates_by_start.get(g, ()):
+            extended = gens + (cand,)
+            grown = close_with(members, extended)
+            if grown is not None:
+                grow(grown, extended)
+
+    grow({0: tuple(range(n))}, ())
+
+
+def tuple_kernel_search(perms, n):
+    """The sorted regular subgroups the tuple kernel grows from perms."""
+    found = []
+    tuple_grow_regular(tuple_candidate_pool(perms, n), n, found.append)
+    return sorted(found)
 
 
 def pairwise_join_subgroups(G):
@@ -586,7 +679,8 @@ def test_brace_isomorphism_matches_full_loop_order6_classes():
 def test_holomorph_search_matches_pairwise_closure(N):
     n = N.order
     found = []
-    pairwise_regular_search(_candidate_pool(holomorph(N), n), n, found.append)
+    pairwise_regular_search(tuple_candidate_pool(holomorph(N), n), n,
+                            found.append)
     assert [R.elements for R in regular_subgroups_in_holomorph(N)] \
         == sorted(found)
 
@@ -596,11 +690,38 @@ def test_oracle_search_matches_pairwise_closure(G):
     n = G.order
     found = []
     pairwise_regular_search(
-        _candidate_pool(itertools.permutations(range(n)), n), n,
+        tuple_candidate_pool(itertools.permutations(range(n)), n), n,
         lambda elems: _normalized_by_translations(elems, G)
         and found.append(elems))
     assert [R.elements for R in regular_subgroups_normalized_by(G)] \
         == sorted(found)
+
+
+@pytest.mark.parametrize("N", small_catalog(15), ids=lambda G: G.name)
+def test_bytes_search_matches_tuple_kernel(N):
+    assert [R.elements for R in regular_subgroups_in_holomorph(N)] \
+        == tuple_kernel_search(generator_holomorph(N), N.order)
+
+
+@requires_heavy
+def test_bytes_search_matches_tuple_kernel_order_27():
+    for N in groups_of_order(27):
+        assert [R.elements for R in regular_subgroups_in_holomorph(N)] \
+            == tuple_kernel_search(generator_holomorph(N), 27), N.name
+
+
+@pytest.mark.parametrize(
+    "n", [*range(1, 8), pytest.param(8, marks=requires_heavy)])
+def test_bytes_search_matches_tuple_kernel_on_symmetric_pools(n):
+    # every regular subgroup of S_n, normalized by anything or not
+    points = list(itertools.permutations(range(n)))
+    pool = _candidate_pool(map(bytes, points), n)
+    assert {k: list(map(tuple, v)) for k, v in pool.items()} \
+        == tuple_candidate_pool(points, n)
+    found = []
+    _grow_regular(pool, n, found.append)
+    assert sorted(tuple(map(tuple, f)) for f in found) \
+        == tuple_kernel_search(points, n)
 
 
 def test_subgroups_are_normal_exactly_when_full_loop_says():

@@ -100,6 +100,7 @@ class TestRegularSubgroups:
             raise AssertionError("holomorph built")
 
         monkeypatch.setattr(perms, "holomorph", refuse)
+        monkeypatch.setattr(perms, "_holomorph_bytes", refuse)
         N = group_by_name("C3xC3xC3")
         assert cyclic_regular_subgroups_in_holomorph(N) == ()
 
