@@ -96,8 +96,7 @@ def cmd_analyze(args) -> int:
     B = make_brace(dot, circ)
     report = analysis.analyze(B)
     if args.format == "json":
-        payload = json.dumps(serialize.report_to_record(report),
-                             indent=2, sort_keys=True) + "\n"
+        payload = serialize.report_text(report)
     else:
         payload = _format_table([report])
     if args.out:

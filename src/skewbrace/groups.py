@@ -23,15 +23,15 @@ through the table or its transpose G.columns (columns[b] is a -> a*b),
 and _first_difference names the element at which two rows part.
 
 Homomorphisms, isomorphisms and automorphisms come from one backtracking
-search, _extensions, over the images of generating_set(G).  Each level
+search, _Extender, over the images of generating_set(G).  Each level
 spreads the map known on <g_0..g_{k-1}> to <g_0..g_k> incrementally, as
 _adjoin closes a subgroup, and is undone in place when it fails.  A
 bijective search tries for g_k only the images of its order that are
 central exactly when it is, and isomorphism compares the fingerprints
 and the centre sizes before it searches.  Aut(G) comes from the
 stabilizer chain on the generators: one transversal per level, taken
-from the first extensions the search finds, and the products of one
-element per level.  The chain is small (Σ|T_k| maps for Π|T_k|
+from the first extensions one search finds with g_0..g_{k-1} fixed,
+and the products of one element per level.  The chain is small (Σ|T_k| maps for Π|T_k|
 automorphisms) and is kept on G.  _automorphism_images(G) streams the
 products, so the holomorph and the cyclic scan keep no product;
 _automorphism_images_up_to_stabilizer(G) streams only one image of g_0
@@ -143,12 +143,21 @@ class FiniteGroup:
         """The stabilizer chain of Aut(G) that _automorphism_images
         describes, one transversal per generator: Σ|T_k| maps, where
         Aut(G) has Π|T_k|."""
-        gens, n = self._generators, self.order
-        return tuple(
-            tuple(f.images for h in range(n)
-                  for f in _extensions(self, self, gens[:k] + (h,),
-                                       bijective=True, first_only=True))
-            for k in range(len(gens)))
+        # one search: g_0..g_{k-1} -> themselves is spread once per level,
+        # and each candidate image of g_k is advanced, completed to the
+        # first automorphism and retreated
+        search = _Extender(self, self, bijective=True)
+        levels = []
+        for g, candidates in zip(search.gens, search.candidates):
+            for h in candidates:
+                new = search.advance(h)
+                if new is not None:
+                    search.complete(first_only=True)
+                    search.retreat(new)
+            levels.append(tuple(search.found))
+            search.found.clear()
+            search.advance(g)
+        return tuple(levels)
 
     @functools.cached_property
     def _fingerprint(self) -> tuple:
@@ -207,26 +216,31 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     n = len(rows)
     if n == 0:
         raise NoIdentityAtZero("empty table has no identity")
+    # each check runs on whole rows in C; an offender is named only once
+    # its check has failed
+    full = frozenset(range(n))
     for a, row in enumerate(rows):
         if row is None:
             raise NotLatinSquare(
                 f"row {a} is not a sequence of integers: {given[a]!r}")
         if len(row) != n:
             raise NotLatinSquare(f"row {a} has length {len(row)}, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise NotLatinSquare(f"row {a} contains out-of-range entry {x}")
-    for a in range(n):
-        if rows[0][a] != a:
-            raise NoIdentityAtZero(f"table[0][{a}] = {rows[0][a]} != {a}")
-        if rows[a][0] != a:
-            raise NoIdentityAtZero(f"table[{a}][0] = {rows[a][0]} != {a}")
-    full = frozenset(range(n))
-    for a in range(n):
-        if frozenset(rows[a]) != full:
+        if not full.issuperset(row):
+            x = next(x for x in row if not 0 <= x < n)
+            raise NotLatinSquare(f"row {a} contains out-of-range entry {x}")
+    columns = tuple(zip(*rows))
+    identity = tuple(range(n))
+    if rows[0] != identity or columns[0] != identity:
+        for a in range(n):
+            if rows[0][a] != a:
+                raise NoIdentityAtZero(f"table[0][{a}] = {rows[0][a]} != {a}")
+            if rows[a][0] != a:
+                raise NoIdentityAtZero(f"table[{a}][0] = {rows[a][0]} != {a}")
+    for a, row in enumerate(rows):
+        if len(set(row)) != n:
             raise NotLatinSquare(f"row {a} is not a permutation of 0..{n - 1}")
-    for b in range(n):
-        if len({rows[a][b] for a in range(n)}) != n:
+    for b, column in enumerate(columns):
+        if len(set(column)) != n:
             raise NotLatinSquare(f"column {b} is not a permutation of 0..{n - 1}")
     # Light's test: the c with (a*b)*c = a*(b*c) for all a, b are closed
     # under products, so checking the c that reach every element suffices;
@@ -536,42 +550,65 @@ def _extensions(G: FiniteGroup, H: FiniteGroup, prefix: tuple[int, ...], *,
                 bijective: bool, first_only: bool) -> list[GroupMap]:
     """The homomorphisms G -> H (injective when bijective) whose images of
     generating_set(G) begin with prefix, found by the backtracking that
-    homomorphisms describes.
+    homomorphisms describes.  A prefix that leaves the candidate images
+    of _Extender gives no maps."""
+    search = _Extender(G, H, bijective)
+    if all(h in level for h, level in zip(prefix, search.candidates)) \
+            and all(search.advance(h) is not None for h in prefix):
+        search.complete(first_only)
+    return [GroupMap(G, H, images) for images in search.found]
 
-    The candidate images of each generator are fixed first, and a prefix
-    that leaves them gives no maps: a bijective map keeps element orders
-    and sends the centre onto the centre, so its candidates for g are the
-    h of g's order that are central exactly when g is.  The spread adjoins
-    one generator at a time, as _adjoin does: members of <g_0..g_{k-1}>
-    need only g_k, and each newly reached member needs every generator up
-    to g_k.  A level is undone before the next candidate is tried.
+
+class _Extender:
+    """The state of one backtracking search for homomorphisms G -> H
+    (injective when bijective): the map known on <g_0..g_{k-1}>, where
+    g_0.. = generating_set(G) and k = len(gen_images), and the members of
+    that subgroup in the order they were reached.  advance spreads it to
+    <g_0..g_k>, retreat undoes the last advance in place, and complete
+    appends the image tuples of the maps that extend it to found.
+
+    The candidate images of each generator are fixed first: a bijective
+    map keeps element orders and sends the centre onto the centre, so its
+    candidates for g are the h of g's order that are central exactly when
+    g is; any map sends g to an h whose order divides g's.  The spread
+    adjoins one generator at a time, as _adjoin does: members of
+    <g_0..g_{k-1}> need only g_k, and each newly reached member needs
+    every generator up to g_k.
     """
-    gt, ht = G.table, H.table
-    gens = generating_set(G)
-    g_orders, h_orders = G.element_orders, H.element_orders
-    if bijective:
-        g_central, h_central = G.central, H.central
-        candidates = [[h for h in range(H.order)
-                       if h_orders[h] == g_orders[g]
-                       and h_central[h] == g_central[g]] for g in gens]
-    else:
-        candidates = [[h for h in range(H.order)
-                       if g_orders[g] % h_orders[h] == 0] for g in gens]
-    if any(h not in level for h, level in zip(prefix, candidates)):
-        return []
-    images = [-1] * G.order
-    images[0] = 0
-    # used[y]: y is the image of a reached element (read only if bijective)
-    used = [False] * H.order
-    used[0] = True
-    reached = [0]
-    gen_images: list[int] = []
-    found: list[GroupMap] = []
 
-    def spread(members, steps, new: list[int]) -> bool:
+    __slots__ = ("gt", "ht", "bijective", "gens", "candidates", "images",
+                 "used", "reached", "gen_images", "found")
+
+    def __init__(self, G: FiniteGroup, H: FiniteGroup, bijective: bool):
+        self.gt, self.ht, self.bijective = G.table, H.table, bijective
+        self.gens = gens = generating_set(G)
+        g_orders, h_orders = G.element_orders, H.element_orders
+        if bijective:
+            g_central, h_central = G.central, H.central
+            self.candidates = [[h for h in range(H.order)
+                                if h_orders[h] == g_orders[g]
+                                and h_central[h] == g_central[g]]
+                               for g in gens]
+        else:
+            self.candidates = [[h for h in range(H.order)
+                                if g_orders[g] % h_orders[h] == 0]
+                               for g in gens]
+        self.images = [-1] * G.order
+        self.images[0] = 0
+        # used[y]: y is the image of a reached element (read only if
+        # bijective)
+        self.used = [False] * H.order
+        self.used[0] = True
+        self.reached = [0]
+        self.gen_images: list[int] = []
+        self.found: list[tuple[int, ...]] = []
+
+    def _spread(self, members, steps, new: list[int]) -> bool:
         """Set f(x*g) = f(x)*h for x in members and (g, h) in steps,
-        appending each element first reached to new (members may be
-        new); False at a clash or, when bijective, a repeated image."""
+        appending each element first reached to new (members may be new);
+        False at a clash or, when bijective, a repeated image."""
+        gt, ht, images, used = self.gt, self.ht, self.images, self.used
+        bijective = self.bijective
         for x in members:
             row, fx = gt[x], ht[images[x]]
             for g, h in steps:
@@ -584,45 +621,50 @@ def _extensions(G: FiniteGroup, H: FiniteGroup, prefix: tuple[int, ...], *,
                     return False
         return True
 
-    def undo(new: list[int]) -> None:
+    def _undo(self, new: list[int]) -> None:
+        images, used = self.images, self.used
         for y in new:
             used[images[y]] = False
             images[y] = -1
 
-    def advance(h: int) -> list[int] | None:
-        """Spread f from <g_0..g_{k-1}> to <g_0..g_k> with f(g_k) = h, for
-        k the next level: the members it reaches, or None, with nothing
-        changed, when no homomorphism does that."""
-        g = gens[len(gen_images)]
+    def advance(self, h: int) -> list[int] | None:
+        """Spread f from <g_0..g_{k-1}> to <g_0..g_k> with f(g_k) = h: the
+        members it reaches, or None, with nothing changed, when no
+        homomorphism does that."""
+        gen_images = self.gen_images
+        g = self.gens[len(gen_images)]
         new: list[int] = []
-        if spread(reached, ((g, h),), new) \
-                and spread(new, tuple(zip(gens, gen_images + [h])), new):
+        if self._spread(self.reached, ((g, h),), new) and self._spread(
+                new, tuple(zip(self.gens, gen_images + [h])), new):
             gen_images.append(h)
-            reached.extend(new)
+            self.reached.extend(new)
             return new
-        undo(new)
+        self._undo(new)
         return None
 
-    def backtrack() -> bool:
-        level = len(gen_images)
-        if level == len(gens):
-            found.append(GroupMap(G, H, tuple(images)))
+    def retreat(self, new: list[int]) -> None:
+        """Undo the last advance, which reached new."""
+        self.gen_images.pop()
+        del self.reached[len(self.reached) - len(new):]
+        self._undo(new)
+
+    def complete(self, first_only: bool) -> bool:
+        """Append to found the image tuple of every map that extends the
+        known one (of the first, when first_only), candidates tried in
+        index order; True once first_only has found one."""
+        level = len(self.gen_images)
+        if level == len(self.gens):
+            self.found.append(tuple(self.images))
             return True
-        for h in candidates[level]:
-            new = advance(h)
+        for h in self.candidates[level]:
+            new = self.advance(h)
             if new is None:
                 continue
-            done = backtrack() and first_only
-            gen_images.pop()
-            del reached[len(reached) - len(new):]
-            undo(new)
+            done = self.complete(first_only) and first_only
+            self.retreat(new)
             if done:
                 return True
         return False
-
-    if all(advance(h) is not None for h in prefix):
-        backtrack()
-    return found
 
 
 def _automorphism_images(G: FiniteGroup, outer=None):

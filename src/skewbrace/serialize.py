@@ -1,13 +1,17 @@
 """File formats: Cayley-table files and census report files.
 
 Both formats are JSON, UTF-8, all integers decimal, with deterministic
-byte-for-byte output so golden fixtures diff cleanly.
+byte-for-byte output so golden fixtures diff cleanly.  Report text is
+laid out by _json_text, byte for byte as json.dumps(indent=2,
+sort_keys=True), whose pure-Python encoder it replaces: a list of plain
+ints is written by one str.join.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .analysis import HgsReport
@@ -89,11 +93,39 @@ def report_to_record(r: HgsReport) -> dict:
     }
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a JSON value whose
+    keys are strings, with each line after the first begun by pad, a
+    newline and the indent of the value's own level.  Keys are quoted as
+    json.dumps quotes them.  A plain int (no bool) is written by str, a
+    list of them by one str.join, and every other leaf (str, bool, None)
+    goes through json.dumps."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            items = map(str, value)
+        else:
+            items = (_json_text(x, inner) for x in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join(
+            _quote(k) + ": " + _json_text(value[k], inner)
+            for k in sorted(value)) + pad + "}"
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value)
+
+
 def report_chunks(reports):
     """The text of reports_to_text, one record at a time: reports (or
-    records) sorted by operation table, each encoded as json.dumps of the
-    whole list would place it, so no more than one record is ever held as
-    text."""
+    records) sorted by operation table, each laid out as json.dumps of
+    the whole list would place it, so no more than one record is ever
+    held as text."""
     items = sorted(reports, key=_operation_table)
     if not items:
         yield "[]\n"
@@ -101,11 +133,14 @@ def report_chunks(reports):
     sep = "[\n  "
     for r in items:
         rec = report_to_record(r) if isinstance(r, HgsReport) else r
-        # JSON strings escape newlines, so every newline is layout
-        yield sep + json.dumps(rec, indent=2, sort_keys=True) \
-            .replace("\n", "\n  ")
+        yield sep + _json_text(rec, "\n  ")
         sep = ",\n  "
     yield "\n]\n"
+
+
+def report_text(report: HgsReport) -> str:
+    """One report as a JSON object, the text of `skewbrace analyze`."""
+    return _json_text(report_to_record(report)) + "\n"
 
 
 def _operation_table(r) -> tuple:

@@ -6,9 +6,11 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewbrace import catalog
-from skewbrace.analysis import enumerate_reports
+from skewbrace.analysis import analyze, enumerate_reports
+from skewbrace.braces import make_brace
 from skewbrace.catalog import (
     GROUP_COUNTS,
     catalog_names,
@@ -27,7 +29,9 @@ from skewbrace.errors import (
     ValidationError,
 )
 from skewbrace.groups import isomorphism, make_group
+from skewbrace.cli import main
 from skewbrace.serialize import (
+    _json_text,
     read_group,
     read_reports,
     report_chunks,
@@ -298,3 +302,70 @@ class TestReportFiles:
         rec = report_to_record(cyclic_type[0])
         from fractions import Fraction
         assert record_ratio(rec) == Fraction(2, 3)
+
+
+# -- the report writer against json.dumps(indent=2, sort_keys=True) ----------
+
+# strings with quotes, backslashes, control and non-ASCII characters
+texts = st.text(alphabet=st.characters(codec="utf-8"), max_size=6) \
+    | st.sampled_from(['"', "\\", "\n", "é", "\u2603", "\U0001f600", ""])
+# lists of ints, bools among them, empty ones included
+int_lists = st.lists(st.integers(-3, 300) | st.booleans(), max_size=5)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20)
+    | st.floats(allow_nan=True) | texts | int_lists,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(texts, inner, max_size=4),
+    max_leaves=16)
+int_tables = st.lists(st.lists(st.integers(0, 30), max_size=4), max_size=4)
+
+
+# records of report_to_record's shape, with extra keys
+records = st.builds(
+    lambda fields, extra: {**extra, **fields},
+    st.fixed_dictionaries({
+        "operation_table": int_tables,
+        "type_name": texts,
+        "is_bi_skew": st.booleans(),
+        "image": int_tables,
+        "is_surjective": st.booleans(),
+        "gc_ratio": st.fixed_dictionaries({"num": st.integers(-9, 9),
+                                           "den": st.integers(1, 9)}),
+        "grouplikes": st.lists(st.integers(0, 30), max_size=4),
+        "iso_class_id": st.integers(0, 99),
+        "orbit_size": st.integers(1, 99),
+    }),
+    st.dictionaries(texts, json_values, max_size=3))
+
+
+WRITER = settings(max_examples=60, deadline=None)
+
+
+def dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(json_values)
+@WRITER
+def test_layout_matches_json_dumps(value):
+    assert _json_text(value) == dumps(value)
+    assert _json_text(value, "\n  ") == dumps(value).replace("\n", "\n  ")
+
+
+@given(st.lists(records, max_size=4))
+@WRITER
+def test_report_text_matches_json_dumps(records):
+    whole = dumps(sorted(records, key=lambda r: r["operation_table"])) + "\n"
+    assert reports_to_text(records) == whole
+
+
+@pytest.mark.parametrize("name", ["C4", "D3", "Q8"])
+def test_analyze_json_matches_json_dumps(name, tmp_path, capsys):
+    # the bytes `skewbrace analyze` printed through json.dumps
+    for i, report in enumerate(enumerate_reports(group_by_name(name))):
+        path = tmp_path / f"dot{i}.json"
+        write_group(report.operation, path)
+        assert main(["analyze", name, str(path)]) == 0
+        expected = analyze(make_brace(report.operation, group_by_name(name)))
+        assert capsys.readouterr().out \
+            == dumps(report_to_record(expected)) + "\n"

@@ -97,6 +97,13 @@ class TestEnumerate:
             0, "[]\ntotal=0 cyclic_type=0 surjective=0\n", "")
         assert served == ["Heisenberg-27"]
 
+    def test_c27_stdout_pinned(self, capsys):
+        # the report text and summary line of a cold `enumerate C27`
+        code, out, err = run(capsys, "enumerate", "C27")
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "612203b2e318a8b615ae69332d6c689d1fbe61010658e3d8e88c30fdd90a5189")
+
     @requires_heavy
     def test_m27_served_without_flag(self, capsys):
         # the bytes `enumerate M27 --enable-heavy-orders` printed when the

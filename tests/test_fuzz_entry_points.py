@@ -42,8 +42,11 @@ from skewbrace.errors import (
     NotAHomomorphism,
     NotALeftIdeal,
     NotAnIdeal,
+    NoIdentityAtZero,
+    NotAssociative,
     NotAutomorphism,
     NotBraceAutomorphismAction,
+    NotLatinSquare,
     NotNormal,
     ParseError,
     SkewbraceError,
@@ -51,6 +54,7 @@ from skewbrace.errors import (
 from skewbrace.groups import (
     FiniteGroup,
     GroupMap,
+    _ints,
     automorphisms,
     closure,
     cyclic_subgroup,
@@ -121,6 +125,79 @@ def named_errors_only(call, *args, returns):
 @FEW
 def test_make_group(table):
     named_errors_only(make_group, table, returns=FiniteGroup)
+
+
+@st.composite
+def damaged_tables(draw):
+    """A valid table of small order with up to three changes: an entry
+    set to an integer, in range or one past either end, or two entries
+    of a row swapped, which keeps the row a permutation."""
+    G = draw(st.sampled_from(SMALL))
+    n = G.order
+    rows = [list(row) for row in G.table]
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if draw(st.booleans()):
+            rows[a][b] = draw(st.integers(-1, n))
+        else:
+            rows[a][b], rows[a][c] = rows[a][c], rows[a][b]
+    return rows
+
+
+def entrywise_square_checks(table) -> None:
+    """make_group's checks before associativity as they were, entry by
+    entry and in the same order: each raises the error it names."""
+    try:
+        given = tuple(table)
+    except TypeError:
+        raise NotLatinSquare(f"table {table!r} is not a sequence of rows") \
+            from None
+    rows = tuple(map(_ints, given))
+    n = len(rows)
+    if n == 0:
+        raise NoIdentityAtZero("empty table has no identity")
+    for a, row in enumerate(rows):
+        if row is None:
+            raise NotLatinSquare(
+                f"row {a} is not a sequence of integers: {given[a]!r}")
+        if len(row) != n:
+            raise NotLatinSquare(f"row {a} has length {len(row)}, expected {n}")
+        for x in row:
+            if not 0 <= x < n:
+                raise NotLatinSquare(f"row {a} contains out-of-range entry {x}")
+    for a in range(n):
+        if rows[0][a] != a:
+            raise NoIdentityAtZero(f"table[0][{a}] = {rows[0][a]} != {a}")
+        if rows[a][0] != a:
+            raise NoIdentityAtZero(f"table[{a}][0] = {rows[a][0]} != {a}")
+    full = frozenset(range(n))
+    for a in range(n):
+        if frozenset(rows[a]) != full:
+            raise NotLatinSquare(f"row {a} is not a permutation of 0..{n - 1}")
+    for b in range(n):
+        if len({rows[a][b] for a in range(n)}) != n:
+            raise NotLatinSquare(f"column {b} is not a permutation of 0..{n - 1}")
+
+
+def raised(call, *args):
+    try:
+        call(*args)
+    except SkewbraceError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(tables | damaged_tables())
+@settings(max_examples=200, deadline=None)
+def test_make_group_names_what_the_entrywise_checks_name(table):
+    # the row-wise checks name the same error as the entry-wise ones, and
+    # a square they pass is refused only for associativity
+    expected = raised(entrywise_square_checks, table)
+    got = raised(make_group, table)
+    if expected is None:
+        assert got is None or got[0] is NotAssociative
+    else:
+        assert got == expected
 
 
 @given(st.text(max_size=30)

@@ -834,6 +834,28 @@ def test_prefixed_extensions_match_scratch_spread():
                                       first_only=True), (G.name, prefix)
 
 
+def per_h_transversals(G):
+    """The stabilizer chain of Aut(G) as it was built before one search
+    served each level: one first-only _extensions call per level k and
+    element h, each spreading the prefix g_0..g_{k-1}, h from the identity
+    again (its prefixes are checked against the scratch spread above)."""
+    gens = generating_set(G)
+    return tuple(
+        tuple(f.images for h in range(G.order)
+              for f in _extensions(G, G, gens[:k] + (h,), bijective=True,
+                                   first_only=True))
+        for k in range(len(gens)))
+
+
+@pytest.mark.parametrize("n", [*range(1, 16), 27])
+def test_transversals_match_per_h_extensions(n):
+    # map for map and in order, so the automorphism stream, its sorted
+    # and generator forms and every report keep their order
+    for G in groups_of_order(n):
+        for A in (G, relabeled(G, 3)):
+            assert A._transversals == per_h_transversals(A), (A.name, n)
+
+
 @pytest.mark.parametrize("n", [*range(1, 16), 27])
 def test_isomorphism_matches_unfiltered_search(n):
     gs = groups_of_order(n)

@@ -288,13 +288,23 @@ class TestAutomorphisms:
         which the stream refuses wherever it is read."""
         from skewbrace import perms
 
-        extensions = groups._extensions
+        complete = groups._Extender.complete
+        depth = 0
 
-        def twice_at_level_one(G, H, prefix, **kwargs):
-            found = extensions(G, H, prefix, **kwargs)
-            return found * 2 if len(prefix) == 2 else found
+        def twice_at_level_one(search, first_only):
+            # the chain's level loop calls complete at depth 0; at level 1
+            # g_0 and the tried image of g_1 are known
+            nonlocal depth
+            depth += 1
+            try:
+                done = complete(search, first_only)
+            finally:
+                depth -= 1
+            if depth == 0 and done and len(search.gen_images) == 2:
+                search.found.append(search.found[-1])
+            return done
 
-        monkeypatch.setattr(groups, "_extensions", twice_at_level_one)
+        monkeypatch.setattr(groups._Extender, "complete", twice_at_level_one)
         # a new instance, as each group keeps its chain once built
         N = make_group(group_by_name("C3xC3").table)
         for read in (automorphisms.__wrapped__, perms.holomorph,
@@ -303,6 +313,10 @@ class TestAutomorphisms:
             with pytest.raises(InternalInconsistency,
                                match="products are not distinct"):
                 read(N)
+        # the chain N keeps holds each level-1 map twice, level 0 once
+        outer, inner = N._transversals
+        assert len(set(outer)) == len(outer)
+        assert len(inner) == 2 * len(set(inner)) > 0
 
     @pytest.mark.parametrize("name,size",
                              [("C2xC2xC2", 2), ("C3xC3", 2),
