@@ -266,11 +266,14 @@ def _enumerate_classes(circ: FiniteGroup):
 
 def analyze(B: SkewBrace) -> HgsReport:
     """Correspondence analysis of one brace: the image is exactly the set
-    of left ideals, read as subgroups of circ.  A lone brace is class 0,
-    with orbit size |Aut(circ)| / |brace automorphisms|."""
+    of left ideals, read as subgroups of circ, and holds both ends of
+    that lattice, as every gamma value fixes 0 and permutes G.  A lone
+    brace is class 0, with orbit size |Aut(circ)| / |brace
+    automorphisms|."""
     image = left_ideals(B)
     subs = subgroups(B.circ)
-    require(set(image) <= set(subs), "a left ideal is not a circ-subgroup")
+    require((0,) in image and tuple(range(B.order)) in image,
+            "the trivial or the full subgroup is not a left ideal")
     surjective = len(image) == len(subs)
     ratio = Fraction(len(image), len(subs))
     require(surjective == (ratio == 1), "surjectivity disagrees with ratio")

@@ -16,6 +16,11 @@ property of gamma values that composition keeps (keeping a subgroup,
 fixing a point, respecting circ) holds for every gamma(s) once it holds
 for s in the generators of circ: left_ideals, fix and is_bi_skew test
 only those.
+
+The left ideals are read off the subgroups of circ, the lattice every
+brace on one target shares, as the Hopf-Galois correspondence lands
+there: a gamma-invariant circ-subgroup is a dot-subgroup, and the other
+way round, since a.b = a o gamma(a)^-1(b) and a o b = a.gamma(a)(b).
 """
 
 from __future__ import annotations
@@ -187,18 +192,22 @@ def _gamma_of_generators(B: SkewBrace) -> list[tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=None)
 def left_ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
-    """Subgroups of dot invariant under every gamma(sigma), tested on the
-    gamma values of the generators of circ.
+    """Subgroups of dot invariant under every gamma(sigma), found among
+    the subgroups of circ, which every brace on that circ shares, and
+    tested on the gamma values of the generators of circ.
 
-    Each one is verified to be a subgroup of circ as well.
+    They are the same sets, in the same canonical order: a.b =
+    a o gamma(a)^-1(b), so a circ-subgroup I that every gamma(a) permutes
+    is dot-closed; and a o b = a.gamma(a)(b), so a left ideal is
+    circ-closed.  Each one found is verified to be a subgroup of dot.
     """
     maps = _gamma_of_generators(B)
     out = []
-    for s in subgroups(B.dot):
+    for s in subgroups(B.circ):
         members = frozenset(s)
         # a gamma value is a bijection, so keeping s into s keeps it
         if all(members.issuperset(map(m.__getitem__, s)) for m in maps):
-            require(is_subgroup(B.circ, members), "left ideal not circ-closed")
+            require(is_subgroup(B.dot, members), "left ideal not dot-closed")
             out.append(s)
     return tuple(out)
 

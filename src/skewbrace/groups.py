@@ -1,15 +1,20 @@
 """Exact finite-group arithmetic on validated Cayley tables.
 
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
-is immutable.  Each FiniteGroup computes its hash, element orders, centre
-flags, generating set, fingerprint and the stabilizer chain of Aut(G)
-once, on the instance; only the heavy computations (subgroups,
-automorphisms, _automorphism_generators, distinguished_subgroups) are
-memoized per table, by lru_cache.  A table is validated once, where it
-enters, by make_group; a table derived from valid groups (a quotient, a
-subgroup, a semidirect product along a checked action, a relabeling
-along a bijection) is a group by construction and _trusted_group builds
-it as is.
+is immutable.  Each FiniteGroup computes its hash, transpose, element
+orders, centre flags, generating set, fingerprint and the stabilizer
+chain of Aut(G) once, on the instance; only the heavy computations
+(subgroups, automorphisms, _automorphism_generators,
+distinguished_subgroups) are memoized per table, by lru_cache.  There is
+one live instance per (table, name): _trusted_group hands out the one a
+weak registry, _LIVE, still holds, so every fact is computed once per
+table while any holder keeps the group, and the registry itself keeps
+nothing alive.  with_name carries the facts already known to the renamed
+instance.  A table is validated once, where it enters, by make_group,
+which runs every check on every call and registers the group only once
+they pass; a table derived from valid groups (a quotient, a subgroup, a
+semidirect product along a checked action, a relabeling along a
+bijection) is a group by construction and _trusted_group takes it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -57,6 +62,7 @@ import functools
 import itertools
 import math
 import operator
+import weakref
 
 from .errors import (
     BadParameters,
@@ -79,7 +85,9 @@ class FiniteGroup:
     dataclasses.FrozenInstanceError, and equality and hash are those of
     the table.  The hash, the transposed table, the element orders, the
     centre flags, the generating set, the fingerprint and the stabilizer
-    chain of Aut(G) are computed once per instance, on first use.
+    chain of Aut(G) are computed once per instance, on first use, and
+    kept in the instance's __dict__ under their own names; they depend on
+    the table alone.
     """
 
     def __init__(self, table, inverse, name: str | None = None) -> None:
@@ -193,7 +201,11 @@ class FiniteGroup:
         return math.lcm(*self.element_orders)
 
     def with_name(self, name: str) -> FiniteGroup:
-        return FiniteGroup(self.table, self.inverse, name)
+        """The live group of this table under name, knowing every fact
+        this instance has computed."""
+        facts = vars(self).copy()
+        del facts["table"], facts["name"]
+        return _trusted_group(self.table, name, **facts)
 
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"
@@ -204,9 +216,12 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     """Validate a Cayley table and return the group it defines.
 
     Raises NoIdentityAtZero, NotLatinSquare or NotAssociative, naming an
-    offending element or triple.  Associativity is Light's test on the
-    generators the square's own rows reach every element by.
+    offending element or triple, and BadParameters for a name that is
+    not a string.  Associativity is Light's test on the generators the
+    square's own rows reach every element by.
     """
+    if name is not None and not isinstance(name, str):
+        raise BadParameters(f"group name must be a string, got {name!r}")
     try:
         given = tuple(table)
     except TypeError:
@@ -245,24 +260,44 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     # Light's test: the c with (a*b)*c = a*(b*c) for all a, b are closed
     # under products, so checking the c that reach every element suffices;
     # per a and c, the rows b -> (a*b)*c and b -> a*(b*c).  The square is
-    # returned only once it passes.
-    G = _trusted_group(rows, name)
-    for c in generating_set(G):
-        right_c = G.columns[c]
+    # registered, with the columns and generators found here, only once
+    # it passes.
+    gens = _greedy_generators(rows)
+    for c in gens:
+        right_c = columns[c]
         times_c = _itemgetter(right_c)
         for a, ra in enumerate(rows):
             left, right = _compose(right_c, ra), times_c(ra)
             if left != right:
                 b = _first_difference(left, right)
                 raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    return G
+    return _trusted_group(rows, name, columns=columns, _generators=gens)
 
 
-def _trusted_group(table, name: str | None = None) -> FiniteGroup:
+# the live group of each (table, name), keyed on (hash of the table, name)
+_LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _trusted_group(table, name: str | None = None, **facts) -> FiniteGroup:
     """The group of a table already checked by make_group or derived from
-    valid groups: builds the inverse array and checks nothing."""
+    valid groups, checking nothing: the live instance of (table, name)
+    when there is one, else a new one, registered.  facts are values of
+    the instance's cached properties (and its inverse) already known; the
+    instance keeps those it does not have yet.  The table is hashed once,
+    for the key and the instance."""
     rows = tuple(map(tuple, table))
-    return FiniteGroup(rows, tuple(row.index(0) for row in rows), name)
+    if "_table_hash" not in facts:
+        facts["_table_hash"] = hash(rows)
+    key = facts["_table_hash"], name
+    G = _LIVE.get(key)
+    if G is None or G.table != rows:
+        inverse = facts.pop("inverse", None) \
+            or tuple(row.index(0) for row in rows)
+        G = _LIVE[key] = FiniteGroup(rows, inverse, name)
+    known = vars(G)
+    for fact, value in facts.items():
+        known.setdefault(fact, value)
+    return G
 
 
 def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -271,7 +306,10 @@ def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
-    return _trusted_group(opposite_table(G), f"{G.name}^op" if G.name else None)
+    """G with a*b read as b*a: its columns are G's rows, and an element
+    has the same inverse in both."""
+    return _trusted_group(opposite_table(G), f"{G.name}^op" if G.name else None,
+                          columns=G.table, inverse=G.inverse)
 
 
 def closure(G: FiniteGroup, seed) -> Subgroup:

@@ -1,8 +1,12 @@
 """Brace layer: the compatibility law, gamma, ideals, opposites, products."""
 
 import pytest
+from conftest import requires_heavy
 
+from skewbrace import analysis, braces
 from skewbrace.braces import (
+    GammaTable,
+    SkewBrace,
     almost_trivial_brace,
     brace_automorphism_count,
     brace_automorphisms,
@@ -23,19 +27,25 @@ from skewbrace.braces import (
     trivial_brace,
 )
 from skewbrace.catalog import group_by_name, groups_of_order
+from skewbrace.cli import _axiom_battery
 from skewbrace.constructions import cpr_cps_brace, semidirect_to_brace
 from skewbrace.errors import (
     BraceLawViolated,
     IdentityMismatch,
+    InternalInconsistency,
     NotAnIdeal,
     NotALeftIdeal,
     NotBiSkew,
     NotBraceAutomorphismAction,
 )
 from skewbrace.groups import (
+    _trusted_group,
     automorphisms,
     distinguished_subgroups,
+    generating_set,
     inversion_action,
+    is_normal,
+    is_subgroup,
     opposite_group,
     subgroups,
 )
@@ -162,6 +172,85 @@ class TestIdeals:
         assert fix(trivial_brace(Q8)) == tuple(range(8))
         assert fix(almost_trivial_brace(Q8)) == \
             distinguished_subgroups(Q8).center
+
+
+def dot_lattice_left_ideals(B):
+    """Oracle: left_ideals as read off the subgroups of dot, those that
+    gamma(s) keeps for every generator s of circ, each checked to be a
+    subgroup of circ."""
+    maps = [gamma(B)(s) for s in generating_set(B.circ)]
+    out = []
+    for s in subgroups(B.dot):
+        members = frozenset(s)
+        if all(members.issuperset(map(m.__getitem__, s)) for m in maps):
+            assert is_subgroup(B.circ, members)
+            out.append(s)
+    return tuple(out)
+
+
+def census_class_braces(orders):
+    """One brace per census class of every catalog target of the orders."""
+    return [SkewBrace(_trusted_group(found), G)
+            for n in orders for G in groups_of_order(n)
+            for found, _, _ in analysis._enumerate_classes(G)]
+
+
+def assert_left_ideals_match_dot_lattice(pool):
+    for B in pool:
+        expected = dot_lattice_left_ideals(B)
+        assert left_ideals(B) == expected
+        strong = tuple(s for s in expected if is_normal(B.dot, s))
+        assert strong_left_ideals(B) == strong
+        assert ideals(B) == tuple(s for s in strong if is_normal(B.circ, s))
+
+
+class TestLeftIdealsFromCircLattice:
+    """left_ideals filters the subgroups of circ; it gives the tuple the
+    filter of the subgroups of dot gave, as the gamma-invariant subgroups
+    of either operation are those of the other."""
+
+    def test_census_classes_up_to_order_15(self):
+        pool = census_class_braces(range(1, 16))
+        assert len(pool) > 100
+        assert any(set(subgroups(B.circ)) != set(subgroups(B.dot))
+                   for B in pool)
+        assert_left_ideals_match_dot_lattice(pool)
+
+    @requires_heavy
+    def test_census_classes_of_order_27(self):
+        assert_left_ideals_match_dot_lattice(census_class_braces([27]))
+
+    def test_axiom_battery_with_opposites_and_swaps(self):
+        battery = _axiom_battery()
+        pool = [*battery, *map(opposite, battery),
+                *(swap(B) for B in battery if is_bi_skew(B))]
+        assert len(pool) > len(battery) * 2
+        assert_left_ideals_match_dot_lattice(pool)
+
+    def test_a_gamma_breaking_dot_closure_is_caught(self, monkeypatch):
+        # with every gamma value the identity, every circ-subgroup passes
+        # the invariance test, and one that is no dot-subgroup must fire
+        B = next(B for B in census_class_braces(range(1, 9))
+                 if not set(subgroups(B.circ)) <= set(subgroups(B.dot)))
+        identity = GammaTable((tuple(range(B.order)),) * B.order)
+        monkeypatch.setattr(braces, "gamma", lambda X: identity)
+        left_ideals.cache_clear()
+        try:
+            with pytest.raises(InternalInconsistency,
+                               match="left ideal not dot-closed"):
+                left_ideals(B)
+        finally:
+            left_ideals.cache_clear()
+
+    @pytest.mark.parametrize("dropped", [1, 8])
+    def test_analyze_refuses_an_image_without_an_end(self, monkeypatch,
+                                                     dropped):
+        real = analysis.left_ideals
+        monkeypatch.setattr(analysis, "left_ideals", lambda X: tuple(
+            s for s in real(X) if len(s) != dropped))
+        with pytest.raises(InternalInconsistency,
+                           match="trivial or the full subgroup"):
+            analysis.analyze(trivial_brace(group_by_name("D4")))
 
 
 class TestBiSkew:

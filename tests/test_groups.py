@@ -6,13 +6,16 @@ library's algorithms.
 """
 
 import dataclasses
+import gc
 import itertools
+import weakref
 
 import pytest
 
 from skewbrace import groups
 from skewbrace.catalog import catalog_names, group_by_name, groups_of_order
 from skewbrace.errors import (
+    BadParameters,
     InternalInconsistency,
     NoIdentityAtZero,
     NotAHomomorphism,
@@ -117,9 +120,87 @@ class TestMakeGroup:
         assert orders.count(2) == 1  # unique involution
 
 
+# a Latin square with identity 0 that is not associative: (1*2)*2 = 4
+# but 1*(2*2) = 1
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+         (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+# every fact a FiniteGroup computes on first use
+FACTS = ("_table_hash", "columns", "element_orders", "central",
+         "_generators", "_fingerprint", "_transversals")
+
+
 class TestFiniteGroupContract:
     """Equality and hash are the table's; the hash, element orders and
-    centre flags are cached on first use and match a recomputation."""
+    centre flags are cached on first use and match a recomputation.
+    There is one live instance per (table, name), which the registry
+    does not keep alive."""
+
+    def test_one_live_table_gives_one_instance(self):
+        G = group_by_name("D4")
+        rows = [list(row) for row in G.table]
+        assert make_group(rows, "D4") is G
+        assert groups._trusted_group(rows, "D4") is G
+        assert G.with_name("D4") is G
+        H = make_group(rows)
+        assert H is not G and H == G and H.name is None
+        assert make_group(G.table) is H
+        assert groups.opposite_group(groups.opposite_group(H)) is H
+        assert groups.subgroup_group(H, range(8))[0] is H
+        assert groups.quotient(H, [0])[0] is H
+
+    def test_registry_keeps_no_group_alive(self):
+        table = tuple(tuple((a + b) % 7 for b in range(7)) for a in range(7))
+        G = make_group(table, "registry probe")
+        ref = weakref.ref(G)
+        assert generating_set(G) == (1,)
+        del G
+        gc.collect()
+        assert ref() is None
+        assert (table, "registry probe") not in {
+            (G.table, G.name) for G in list(groups._LIVE.values())}
+        again = make_group(table, "registry probe")
+        assert again.table == table and "element_orders" not in vars(again)
+
+    def test_non_associative_table_is_never_handed_out(self):
+        assert LOOP5[LOOP5[1][2]][2] != LOOP5[1][LOOP5[2][2]]
+        for _ in range(2):
+            for name in (None, "loop"):
+                with pytest.raises(NotAssociative):
+                    make_group(LOOP5, name)
+        assert all(G.table != LOOP5 for G in list(groups._LIVE.values()))
+        # every check runs, also when an instance of the table is live
+        trusted = groups._trusted_group(LOOP5)
+        with pytest.raises(NotAssociative):
+            make_group(LOOP5)
+        assert trusted.table == LOOP5
+
+    @pytest.mark.parametrize("name", [["D4"], 4, b"D4"])
+    def test_a_name_that_is_not_a_string_is_refused(self, name):
+        # the name is half of the registry key
+        with pytest.raises(BadParameters, match="must be a string"):
+            make_group(group_by_name("D4").table, name)
+
+    def test_make_group_keeps_the_transpose_it_checked(self):
+        # the units mod 11, the unit x as the element x - 1
+        rows = [[a * b % 11 - 1 for b in range(1, 11)] for a in range(1, 11)]
+        G = make_group(rows, "units mod 11")
+        fresh = groups.FiniteGroup(G.table, G.inverse, "fresh")
+        for fact in ("columns", "_generators"):
+            assert vars(G)[fact] == getattr(fresh, fact)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_with_name_facts_equal_a_recomputation(self, name):
+        G = group_by_name(name)
+        for fact in FACTS:
+            getattr(G, fact)
+        renamed = G.with_name(f"{name} renamed")
+        assert renamed is not G and renamed.name == f"{name} renamed"
+        known = vars(renamed)
+        fresh = groups.FiniteGroup(G.table, G.inverse, "fresh")
+        for fact in FACTS:
+            assert known[fact] == getattr(fresh, fact), fact
+        assert renamed.inverse == G.inverse == fresh.inverse
 
     def test_equal_tables_are_equal_and_hash_equal(self):
         G = group_by_name("D4")
