@@ -37,7 +37,6 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     _automorphism_count,
-    _automorphism_generators,
     _compose,
     _invert,
     _itemgetter,
@@ -168,7 +167,7 @@ def _classify(search, N: FiniteGroup):
                 reps.append(T)
                 theta = tuple(range(N.order))
             c = len(classes)
-            orbit = _orbit(key, _automorphism_generators(N), N.order)
+            orbit = _orbit(key, N)
             classes.append((k, theta, len(orbit)))
             class_of.update(dict.fromkeys(orbit, c))
         members.append(c)
@@ -181,27 +180,20 @@ def _onto(search, N: FiniteGroup, circ: FiniteGroup) -> tuple:
     return tuple(isomorphism(T, circ) for T in _classify(search, N)[0])
 
 
-def _orbit(found: bytes, gens, n: int) -> dict:
-    """The orbit of the flat n*n table found under relabeling by the
-    group gens generate (Aut(circ) for a brace class, Aut(N) for a class
-    of regular subgroups), as {flat table: phi images} with phi a map of
-    that group carrying found to the table, reached breadth-first along
-    gens; phi is composed along the path, since relabeling by g after phi
-    is relabeling by g∘phi.  Relabeling t by g is
-    out[g[a]][g[b]] = g[t[a][b]]: translate the values along g, then take
-    the entries in the positions g sends to each cell, one itemgetter
-    built per generator."""
-    pad = bytes(range(n, 256))
-    steps = []
-    for g in gens:
-        inv = _invert(g)
-        steps.append((g, bytes(g) + pad,
-                      _itemgetter([a * n + b for a in inv for b in inv])))
-    orbit = {found: tuple(range(n))}
+def _orbit(found: bytes, G: FiniteGroup) -> dict:
+    """The orbit of the flat table found, on G's labels, under relabeling
+    by Aut(G) (G is circ for a brace class, N for a class of regular
+    subgroups), as {flat table: phi images} with phi an automorphism of G
+    carrying found to the table, reached breadth-first along
+    _automorphism_generators(G); phi is composed along the path, since
+    relabeling by g after phi is relabeling by g∘phi.  Relabeling t by g
+    is out[g[a]][g[b]] = g[t[a][b]], one translate and one itemgetter
+    call along G._relabel_steps, which every orbit on G shares."""
+    orbit = {found: tuple(range(G.order))}
     todo = [found]
     for t in todo:
         phi = orbit[t]
-        for g, values, positions in steps:
+        for g, values, positions in G._relabel_steps:
             u = bytes(positions(t.translate(values)))
             if u not in orbit:
                 orbit[u] = _compose(g, phi)
@@ -237,7 +229,6 @@ def _enumerate_classes(circ: FiniteGroup):
     n = circ.order
     search = _regular_subgroup_search(circ)
     types = groups_of_order(n)  # raises if the catalog is not complete
-    gens = _automorphism_generators(circ)
     aut_count = len(automorphisms(circ))
     seen: set = set()
     classes = []
@@ -251,7 +242,7 @@ def _enumerate_classes(circ: FiniteGroup):
             flat = _flat(dot_tab)
             require(flat not in seen,
                     "two Aut(N)-classes give one brace class")
-            orbit = _orbit(flat, gens, n)
+            orbit = _orbit(flat, circ)
             stab = brace_automorphism_count(
                 SkewBrace(_trusted_group(dot_tab), circ))
             require(len(orbit) * stab == aut_count,

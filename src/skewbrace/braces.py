@@ -43,17 +43,17 @@ from .groups import (
     FiniteGroup,
     GroupMap,
     Subgroup,
+    _closed,
     _compose,
     _first_difference,
     _int_maps,
     _ints,
     _invert,
+    _is_normal,
     _respects_generators,
     automorphisms,
     direct_product,
     generating_set,
-    is_normal,
-    is_subgroup,
     isomorphism,
     make_group,
     opposite_group,
@@ -199,27 +199,29 @@ def left_ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
     They are the same sets, in the same canonical order: a.b =
     a o gamma(a)^-1(b), so a circ-subgroup I that every gamma(a) permutes
     is dot-closed; and a o b = a.gamma(a)(b), so a left ideal is
-    circ-closed.  Each one found is verified to be a subgroup of dot.
+    circ-closed.  Each one found is verified to be a subgroup of dot.  The
+    member sets are those circ keeps, shared by every brace on it.
     """
     maps = _gamma_of_generators(B)
     out = []
-    for s in subgroups(B.circ):
-        members = frozenset(s)
+    for s, members in B.circ._subgroup_members.items():
         # a gamma value is a bijection, so keeping s into s keeps it
         if all(members.issuperset(map(m.__getitem__, s)) for m in maps):
-            require(is_subgroup(B.dot, members), "left ideal not dot-closed")
+            require(_closed(B.dot, members), "left ideal not dot-closed")
             out.append(s)
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
 def strong_left_ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
-    return tuple(s for s in left_ideals(B) if is_normal(B.dot, s))
+    return tuple(s for s in left_ideals(B)
+                 if _is_normal(B.dot, B.circ._subgroup_members[s]))
 
 
 @functools.lru_cache(maxsize=None)
 def ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
-    return tuple(s for s in strong_left_ideals(B) if is_normal(B.circ, s))
+    return tuple(s for s in strong_left_ideals(B)
+                 if _is_normal(B.circ, B.circ._subgroup_members[s]))
 
 
 def fix(B: SkewBrace) -> Subgroup:

@@ -2,10 +2,12 @@
 
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
 is immutable.  Each FiniteGroup computes its hash, transpose, element
-orders, centre flags, generating set, fingerprint and the stabilizer
-chain of Aut(G) once, on the instance; only the heavy computations
-(subgroups, automorphisms, _automorphism_generators,
-distinguished_subgroups) are memoized per table, by lru_cache.  There is
+orders, centre flags, generating set, fingerprint, the stabilizer chain
+of Aut(G), subgroup member sets, cyclic subgroups with their generators,
+conjugation rows and orbit relabeling steps once, on the instance; only
+the heavy computations (subgroups, automorphisms,
+_automorphism_generators, distinguished_subgroups) are memoized per
+table, by lru_cache.  There is
 one live instance per (table, name): _trusted_group hands out the one a
 weak registry, _LIVE, still holds, so every fact is computed once per
 table while any holder keeps the group, and the registry itself keeps
@@ -84,10 +86,12 @@ class FiniteGroup:
     A frozen value: setting or deleting an attribute raises
     dataclasses.FrozenInstanceError, and equality and hash are those of
     the table.  The hash, the transposed table, the element orders, the
-    centre flags, the generating set, the fingerprint and the stabilizer
-    chain of Aut(G) are computed once per instance, on first use, and
-    kept in the instance's __dict__ under their own names; they depend on
-    the table alone.
+    centre flags, the generating set, the fingerprint, the stabilizer
+    chain of Aut(G), the subgroup member sets, the cyclic subgroups with
+    their generators, the conjugation rows and the orbit relabeling steps
+    are computed once per instance, on first use, and kept in the
+    instance's __dict__ under their own names; they depend on the table
+    alone, so with_name hands them on.
     """
 
     def __init__(self, table, inverse, name: str | None = None) -> None:
@@ -166,6 +170,38 @@ class FiniteGroup:
             search.found.clear()
             search.advance(g)
         return tuple(levels)
+
+    @functools.cached_property
+    def _subgroup_members(self) -> dict[Subgroup, frozenset[int]]:
+        """Each subgroup's member set, keyed on it, in subgroups(G) order."""
+        return {s: frozenset(s) for s in subgroups(self)}
+
+    @functools.cached_property
+    def _cyclic_powers(self) -> tuple[tuple[frozenset[int], list[int]], ...]:
+        """Each cyclic subgroup's member set with its generators in
+        increasing order, by least generator."""
+        by_set: dict[frozenset[int], list[int]] = {}
+        for a in range(len(self.table)):
+            by_set.setdefault(frozenset(_powers(self.table, a)), []).append(a)
+        return tuple(by_set.items())
+
+    @functools.cached_property
+    def _conjugation_rows(self) -> tuple[tuple[int, ...], ...]:
+        """_conjugation_rows[g][a] = g*a*g^-1: (x -> x*g^-1) after row g."""
+        t, cols, inv = self.table, self.columns, self.inverse
+        return tuple(_compose(cols[inv[g]], row) for g, row in enumerate(t))
+
+    @functools.cached_property
+    def _relabel_steps(self) -> tuple:
+        """analysis._orbit's step per map g of _automorphism_generators(G):
+        (g, g as a padded bytes.translate table, an itemgetter taking from
+        a flat n*n table the cells that g sends to each cell, in order)."""
+        n = len(self.table)
+        pad = bytes(range(n, 256))
+        gens = _automorphism_generators(self)
+        return tuple((g, bytes(g) + pad,
+                      _itemgetter([a * n + b for a in inv for b in inv]))
+                     for g, inv in zip(gens, map(_invert, gens)))
 
     @functools.cached_property
     def _fingerprint(self) -> tuple:
@@ -318,14 +354,21 @@ def closure(G: FiniteGroup, seed) -> Subgroup:
     adjoining one seed element at a time, as _greedy_generators does; in a
     finite group they already form a subgroup.  Raises BadParameters when
     a seed value is not an element of G."""
-    gens = _ints(seed)
-    if gens is None or not all(0 <= g < G.order for g in gens):
-        raise BadParameters(f"{seed!r} are not elements of {G!r}")
+    gens = _elements(G, seed)
     seen = [True] + [False] * (G.order - 1)
     reached = [0]
     for k in range(1, len(gens) + 1):
         reached += _adjoin(G.table, reached, seen, gens[:k])
     return tuple(sorted(reached))
+
+
+def _elements(G: FiniteGroup, values) -> tuple[int, ...]:
+    """The values as a tuple of elements of G, or BadParameters; a value
+    that operator.index rejects is not an element."""
+    elems = _ints(values)
+    if elems is None or not all(0 <= a < G.order for a in elems):
+        raise BadParameters(f"{values!r} are not elements of {G!r}")
+    return elems
 
 
 def cyclic_subgroup(G: FiniteGroup, a: int) -> Subgroup:
@@ -334,7 +377,7 @@ def cyclic_subgroup(G: FiniteGroup, a: int) -> Subgroup:
 
 def _powers(table, a: int) -> list[int]:
     """The powers 0, a, a^2, ... of the element a, its cyclic subgroup in
-    walk order.  element_orders and _cyclic_subgroups walk many elements,
+    walk order.  element_orders and _cyclic_powers walk many elements,
     where closure's input check and general walk cost five times as much."""
     powers = [0]
     x = a
@@ -344,29 +387,18 @@ def _powers(table, a: int) -> list[int]:
     return powers
 
 
-def _cyclic_subgroups(table):
-    """Yield each cyclic subgroup once, as (powers, gens): the _powers of
-    its least generator a, then its generators a^k, gcd(k, |a|) = 1."""
-    walked = [False] * len(table)
-    for a, done in enumerate(walked):
-        if done:
-            continue
-        powers = _powers(table, a)
-        m = len(powers)
-        gens = [x for k, x in enumerate(powers) if math.gcd(k, m) == 1]
-        for x in gens:
-            walked[x] = True
-        yield powers, gens
-
-
 def is_subgroup(G: FiniteGroup, elems) -> bool:
     """Whether elems is a subgroup; a value that operator.index rejects
     is not an element."""
-    s = set(_ints(elems) or ())
-    if 0 not in s or not s <= set(range(G.order)):
-        return False
-    within = _itemgetter(tuple(s))
-    return all(s.issuperset(within(G.table[a])) for a in s)
+    s = frozenset(_ints(elems) or ())
+    return 0 in s and s <= set(range(G.order)) and _closed(G, s)
+
+
+def _closed(G: FiniteGroup, members: frozenset[int]) -> bool:
+    """Whether the trusted elements members are closed under products,
+    one row a -> a*x over members per a."""
+    within = _itemgetter(tuple(members))
+    return all(members.issuperset(within(G.table[a])) for a in members)
 
 
 def _ints(values) -> tuple[int, ...] | None:
@@ -443,7 +475,7 @@ def subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """
     n = G.order
     cyclic = {tuple(sorted(powers)): gens[0]
-              for powers, gens in _cyclic_subgroups(G.table)}
+              for powers, gens in G._cyclic_powers}
     found = {C: (a,) for C, a in cyclic.items()}
     todo = list(found)
     for S in todo:
@@ -463,14 +495,23 @@ def subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 
 def is_normal(G: FiniteGroup, sub) -> bool:
-    s = set(sub)
-    return all(G.conj(a, g) in s for a in s for g in generating_set(G))
+    """Whether conjugation keeps sub; BadParameters for a non-element."""
+    return _is_normal(G, frozenset(_elements(G, sub)))
+
+
+def _is_normal(G: FiniteGroup, members: frozenset[int]) -> bool:
+    """is_normal for the trusted elements members, read off the
+    conjugation rows of the generators of G."""
+    rows = G._conjugation_rows
+    return all(members.issuperset(map(rows[g].__getitem__, members))
+               for g in generating_set(G))
 
 
 def normalizer(G: FiniteGroup, sub) -> Subgroup:
-    s = set(sub)
-    return tuple(g for g in range(G.order)
-                 if all(G.conj(a, g) in s for a in s))
+    """The g with g*sub*g^-1 in sub; BadParameters for a non-element."""
+    members = frozenset(_elements(G, sub))
+    return tuple(g for g, row in enumerate(G._conjugation_rows)
+                 if members.issuperset(map(row.__getitem__, members)))
 
 
 def center(G: FiniteGroup) -> Subgroup:
@@ -863,34 +904,36 @@ def distinguished_subgroups(G: FiniteGroup) -> DistinguishedSubgroups:
     that keep a subgroup form a subgroup of Aut(G), so a subgroup is
     characteristic when every map of _automorphism_generators(G) keeps
     it."""
-    subs = subgroups(G)
-    norm: set[int] = set(range(G.order))
-    for s in subs:
-        norm &= set(normalizer(G, s))
+    subs = G._subgroup_members.items()
+    norm = tuple(g for g, row in enumerate(G._conjugation_rows)
+                 if all(members.issuperset(map(row.__getitem__, s))
+                        for s, members in subs))
+    # a map is a bijection, so keeping s into s keeps it
     auts = _automorphism_generators(G)
-    characteristic = tuple(s for s in subs
-                           if all(frozenset(map(f.__getitem__, s))
-                                  == frozenset(s) for f in auts))
-    normal = tuple(s for s in subs if is_normal(G, s))
-    return DistinguishedSubgroups(center(G), tuple(sorted(norm)),
-                                  characteristic, normal)
+    characteristic = tuple(s for s, members in subs
+                           if all(members.issuperset(map(f.__getitem__, s))
+                                  for f in auts))
+    normal = tuple(s for s, members in subs if _is_normal(G, members))
+    return DistinguishedSubgroups(center(G), norm, characteristic, normal)
 
 
 def is_power_automorphism(G: FiniteGroup, f: GroupMap) -> bool:
     """True iff f maps every element into the cyclic subgroup it generates.
 
     Computes the elementwise characterisation, one cyclic subgroup and its
-    generators at a time, and the subgroupwise one, and insists they agree.
+    generators at a time, and the subgroupwise one, and insists they agree;
+    both read the member sets G keeps, as f is a bijection.
     """
     if f.source != G or f.target != G \
             or _ints(f.images) is None \
             or sorted(f.images) != list(range(G.order)) \
             or not is_homomorphism(f):
         raise NotAutomorphism("map is not an automorphism of the given group")
-    elementwise = all(set(powers).issuperset(map(f, gens))
-                      for powers, gens in _cyclic_subgroups(G.table))
-    subgroupwise = all(frozenset(f(a) for a in s) == frozenset(s)
-                       for s in subgroups(G))
+    image = f.images.__getitem__
+    elementwise = all(powers.issuperset(map(image, gens))
+                      for powers, gens in G._cyclic_powers)
+    subgroupwise = all(members.issuperset(map(image, s))
+                       for s, members in G._subgroup_members.items())
     require(elementwise == subgroupwise, "power tests disagree")
     return elementwise
 
@@ -904,7 +947,7 @@ def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupMap]:
     ns = _ints(N)
     if ns is None or not is_subgroup(G, ns):
         raise NotNormal(f"{N!r} is not a subgroup")
-    if not is_normal(G, ns):
+    if not _is_normal(G, frozenset(ns)):
         raise NotNormal(f"{N!r} is not normal")
     cosets: list[tuple[int, ...]] = []
     label_of = [-1] * G.order

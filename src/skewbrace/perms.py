@@ -192,15 +192,19 @@ def _candidate_pool(perms, n: int) -> dict[int, list[bytes]]:
     return pool
 
 
-def _grow_regular(candidates_by_start, n: int, accept) -> None:
+def _grow_regular(candidates_by_start, n: int, accept,
+                  conjugators=()) -> None:
     """Backtracking core shared by both enumerators, over bytes perms.
 
     Grows a closed, fixed-point-free partial subgroup one candidate at a
     time; the candidate always sends 0 to the least uncovered point, so
     every regular subgroup is reached along exactly one branch.  The
-    candidates taken so far generate the partial subgroup.  Every element
-    of a regular subgroup of degree n is fixed-point-free of order
-    dividing n, so a product outside the pool ends the branch.
+    candidates taken so far, with their conjugates, generate the partial
+    subgroup.  Every element of a regular subgroup of degree n is
+    fixed-point-free of order dividing n, so a product outside the pool
+    ends the branch.  Given (lam + pad, lam^-1) conjugators, each new
+    lam∘x∘lam^-1 of a generator x joins the generators, so only subgroups
+    the lam normalize are grown, and such a conjugate ends the branch too.
     """
     pool = set().union(*candidates_by_start.values())
     tail = bytes(range(n, 256))
@@ -237,6 +241,25 @@ def _grow_regular(candidates_by_start, n: int, accept) -> None:
             return None
         return out
 
+    def conjugation_closure(members: dict[int, bytes],
+                            gens: tuple[bytes, ...], k: int):
+        # members is <gens> and holds the conjugates of gens[:k]; those of
+        # later generators join as generators, or end the branch (None)
+        while k < len(gens):
+            x = gens[k]
+            k += 1
+            for lam, lam_inv in conjugators:
+                r = lam_inv.translate(x.translate(lam) + tail)
+                known = members.get(r[0])
+                if known is None and r in pool:
+                    gens += (r,)
+                    members = close_with(members, gens)
+                    if members is None:
+                        return None, gens
+                elif known != r:
+                    return None, gens
+        return members, gens
+
     def grow(members: dict[int, bytes], gens: tuple[bytes, ...]) -> None:
         if len(members) == n:
             accept(tuple(sorted(members.values())))
@@ -245,6 +268,9 @@ def _grow_regular(candidates_by_start, n: int, accept) -> None:
         for cand in candidates_by_start.get(g, ()):
             extended = gens + (cand,)
             grown = close_with(members, extended)
+            if grown is not None and conjugators:
+                grown, extended = conjugation_closure(grown, extended,
+                                                      len(gens))
             if grown is not None:
                 grow(grown, extended)
 
@@ -341,8 +367,9 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
     """Small-order oracle: all regular subgroups of the full symmetric
     group on G's points normalized by G's left translations.
 
-    Searches over fixed-point-free permutations of order dividing n and
-    filters complete subgroups by the normalization condition.
+    Searches over fixed-point-free permutations of order dividing n,
+    growing only subgroups that conjugation by lambda(s), s in
+    generating_set(G), keeps; every subgroup found is checked.
     """
     bound = _integer(bound, "oracle bound")
     n = G.order
@@ -351,12 +378,16 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
             f"oracle bound is {bound}, got order {n}")
     _byte_degree(n)
     pool = _candidate_pool(map(bytes, itertools.permutations(range(n))), n)
+    pad = bytes(range(n, 256))
+    conjugators = [(bytes(G.table[s]) + pad, bytes(G.table[G.inverse[s]]))
+                   for s in generating_set(G)]
     found: list[tuple[Perm, ...]] = []
 
     def accept(elems: tuple[bytes, ...]) -> None:
         elems = tuple(map(tuple, elems))
-        if _normalized_by_translations(elems, G):
-            found.append(elems)
+        require(_normalized_by_translations(elems, G),
+                "a grown subgroup is not normalized by the translations")
+        found.append(elems)
 
-    _grow_regular(pool, n, accept)
+    _grow_regular(pool, n, accept, conjugators)
     return tuple(RegularSubgroup(f) for f in sorted(found))

@@ -1,9 +1,9 @@
 """Acceptance criteria, one test per criterion, exact values throughout.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
-pass/fail lines.  Set SKEWBRACE_HEAVY=1 to include the degree-8
-symmetric-group oracle in criterion 4 (adds a few seconds) and the
-order-27 census of criterion 11 (about a minute).
+pass/fail lines.  Criterion 4 runs the symmetric-group oracle through
+degree 8.  Set SKEWBRACE_HEAVY=1 to include the order-27 census of
+criterion 11.
 """
 
 import time
@@ -123,7 +123,6 @@ def test_criterion_4_oracle_equivalence_small():
                 assert oracle == census, G.name
 
 
-@requires_heavy
 def test_criterion_4_oracle_equivalence_order8():
     with criterion("4+ permutation-oracle equivalence at order 8"):
         for G in groups_of_order(8):

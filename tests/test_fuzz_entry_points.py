@@ -3,13 +3,14 @@
 `group_from_text`, `make_group`, `regular_subgroup`, `make_brace`,
 `semidirect_product`, `product_brace`, `semidirect_to_brace`,
 `psi_construction`, `cpr_cps_brace`, `kohl_obstruction`, `quotient`,
-`closure`, `is_power_automorphism`, `sub_brace`, `quotient_brace` and
-`read_reports` either return their result or raise a `SkewbraceError`;
-no bare `TypeError`, `IndexError`, `KeyError`, `ValueError` or
-`ZeroDivisionError` may escape them.
-`quotient`, `is_subgroup` and `is_power_automorphism` are fed
-elements and images that are mostly integers, in range or not, and
-sometimes floats or lists, which are not elements.
+`closure`, `is_normal`, `normalizer`, `is_power_automorphism`,
+`sub_brace`, `quotient_brace` and `read_reports` either return their
+result or raise a `SkewbraceError`; no bare `TypeError`, `IndexError`,
+`KeyError`, `ValueError` or `ZeroDivisionError` may escape them.
+`quotient`, `is_subgroup`, `is_normal`, `normalizer` and
+`is_power_automorphism` are fed elements and images that are mostly
+integers, in range or not, and sometimes floats or lists, which are not
+elements.
 The regular-subgroup searches name a degree above 255, which a `bytes`
 permutation cannot hold.
 """
@@ -58,9 +59,11 @@ from skewbrace.groups import (
     automorphisms,
     closure,
     cyclic_subgroup,
+    is_normal,
     is_power_automorphism,
     is_subgroup,
     make_group,
+    normalizer,
     opposite_group,
     quotient,
     semidirect_product,
@@ -364,6 +367,29 @@ def test_quotient(args):
 @FEW
 def test_is_subgroup(args):
     assert isinstance(is_subgroup(*args), bool)
+
+
+@given(element_lists())
+@FEW
+def test_is_normal(args):
+    named_errors_only(is_normal, *args, returns=bool)
+
+
+@given(element_lists())
+@FEW
+def test_normalizer(args):
+    named_errors_only(normalizer, *args, returns=tuple)
+
+
+@pytest.mark.parametrize("elems", [[0, -1], [0, 7], [0, 6], [0, 1.0],
+                                   [[0]], 5])
+def test_normality_refuses_non_elements(elems):
+    # -1 used to be read as element 5 of D3, and 7 or 1.0 escaped as a
+    # bare IndexError or TypeError
+    D3 = group_by_name("D3")
+    for call in (is_normal, normalizer):
+        with pytest.raises(BadParameters, match="not elements of"):
+            call(D3, elems)
 
 
 @st.composite

@@ -3,7 +3,6 @@ oracle for small orders."""
 
 import pytest
 
-from conftest import requires_heavy
 from skewbrace import perms
 from skewbrace.catalog import group_by_name, groups_of_order
 from skewbrace.errors import NotNormalized, NotRegular, OrderTooLargeForOracle
@@ -218,7 +217,6 @@ class TestOracle:
         out = regular_subgroups_normalized_by(group_by_name("C9"), bound=9)
         assert len(out) >= 1
 
-    @requires_heavy
     def test_q8_census_cross_check(self):
         """Perm-level oracle and holomorph route agree on the induced
         operation census at order 8."""
