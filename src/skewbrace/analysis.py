@@ -41,7 +41,6 @@ from .groups import (
     _invert,
     _itemgetter,
     _trusted_group,
-    automorphisms,
     distinguished_subgroups,
     fingerprint,
     generating_set,
@@ -174,7 +173,6 @@ def _classify(search, N: FiniteGroup):
     return tuple(reps), tuple(classes), tuple(members)
 
 
-@functools.lru_cache(maxsize=None)
 def _onto(search, N: FiniteGroup, circ: FiniteGroup) -> tuple:
     """Per type of _classify(search, N), an isomorphism onto circ or None."""
     return tuple(isomorphism(T, circ) for T in _classify(search, N)[0])
@@ -229,7 +227,7 @@ def _enumerate_classes(circ: FiniteGroup):
     n = circ.order
     search = _regular_subgroup_search(circ)
     types = groups_of_order(n)  # raises if the catalog is not complete
-    aut_count = len(automorphisms(circ))
+    aut_count = _automorphism_count(circ)
     seen: set = set()
     classes = []
     for N in types:
@@ -277,7 +275,7 @@ def analyze(B: SkewBrace) -> HgsReport:
         gc_ratio=ratio,
         grouplikes=fix(B),
         iso_class_id=0,
-        orbit_size=len(automorphisms(B.circ)) // brace_automorphism_count(B),
+        orbit_size=_automorphism_count(B.circ) // brace_automorphism_count(B),
     )
 
 
@@ -337,13 +335,11 @@ def byott_check(circG: FiniteGroup, N: FiniteGroup) -> bool:
     """Exact integer identity e(G,N) * |Aut(N)| == f(G,N) * |Aut(G)|."""
     e = e_count(circG, N)
     f = f_count(circG, N)
-    lhs = e * len(automorphisms(N))
-    rhs = f * len(automorphisms(circG))
-    if lhs != rhs:
+    aut_n, aut_g = _automorphism_count(N), _automorphism_count(circG)
+    if e * aut_n != f * aut_g:
         raise InternalInconsistency(
             f"translation identity fails for ({circG.name}, {N.name}): "
-            f"{e} * {len(automorphisms(N))} != {f} * "
-            f"{len(automorphisms(circG))}")
+            f"{e} * {aut_n} != {f} * {aut_g}")
     return True
 
 

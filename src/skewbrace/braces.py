@@ -212,13 +212,11 @@ def left_ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
 def strong_left_ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
     return tuple(s for s in left_ideals(B)
                  if _is_normal(B.dot, B.circ._subgroup_members[s]))
 
 
-@functools.lru_cache(maxsize=None)
 def ideals(B: SkewBrace) -> tuple[Subgroup, ...]:
     return tuple(s for s in strong_left_ideals(B)
                  if _is_normal(B.circ, B.circ._subgroup_members[s]))

@@ -1,22 +1,20 @@
 """Exact finite-group arithmetic on validated Cayley tables.
 
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
-is immutable.  Each FiniteGroup computes its hash, transpose, element
-orders, centre flags, generating set, fingerprint, the stabilizer chain
-of Aut(G), subgroup member sets, cyclic subgroups with their generators,
-conjugation rows and orbit relabeling steps once, on the instance; only
-the heavy computations (subgroups, automorphisms,
-_automorphism_generators, distinguished_subgroups) are memoized per
-table, by lru_cache.  There is
-one live instance per (table, name): _trusted_group hands out the one a
-weak registry, _LIVE, still holds, so every fact is computed once per
-table while any holder keeps the group, and the registry itself keeps
-nothing alive.  with_name carries the facts already known to the renamed
-instance.  A table is validated once, where it enters, by make_group,
-which runs every check on every call and registers the group only once
-they pass; a table derived from valid groups (a quotient, a subgroup, a
-semidirect product along a checked action, a relabeling along a
-bijection) is a group by construction and _trusted_group takes it as is.
+is immutable.  Memoization follows one rule: a fact of one group lives on
+the group, and a result keyed on more than one value keeps a module
+cache.  So this layer has no module cache: each FiniteGroup computes its
+facts once, and subgroups, automorphisms, distinguished_subgroups and the
+like read one in one line.  There is one live instance per (table,
+name): _trusted_group hands out the one a weak registry, _LIVE, still
+holds, so every fact is computed once per table while any holder keeps
+the group, and nothing keeps a dropped group alive.  with_name carries
+the facts already known to the renamed instance.  A table is validated
+once, where it enters, by make_group, which runs every check on every
+call and registers the group only once they pass; a table derived from
+valid groups (a quotient, a subgroup, a semidirect product along a
+checked action, a relabeling along a bijection) is a group by
+construction and _trusted_group takes it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -85,13 +83,14 @@ class FiniteGroup:
 
     A frozen value: setting or deleting an attribute raises
     dataclasses.FrozenInstanceError, and equality and hash are those of
-    the table.  The hash, the transposed table, the element orders, the
-    centre flags, the generating set, the fingerprint, the stabilizer
-    chain of Aut(G), the subgroup member sets, the cyclic subgroups with
-    their generators, the conjugation rows and the orbit relabeling steps
-    are computed once per instance, on first use, and kept in the
-    instance's __dict__ under their own names; they depend on the table
-    alone, so with_name hands them on.
+    the table.  Every fact of one group lives on it, computed once per
+    instance on first use and kept in its __dict__ under its own name:
+    hash, transpose, element orders, centre flags, generating set,
+    fingerprint, the stabilizer chain of Aut(G), Aut(G) and a small
+    generating set of it, the subgroup lattice as member sets, the
+    distinguished subgroups, cyclic subgroups with their generators,
+    conjugation rows and orbit relabeling steps.  They depend on the
+    table alone, so with_name hands them on.
     """
 
     def __init__(self, table, inverse, name: str | None = None) -> None:
@@ -173,8 +172,23 @@ class FiniteGroup:
 
     @functools.cached_property
     def _subgroup_members(self) -> dict[Subgroup, frozenset[int]]:
-        """Each subgroup's member set, keyed on it, in subgroups(G) order."""
-        return {s: frozenset(s) for s in subgroups(self)}
+        """Each subgroup's member set, keyed on it; see subgroups(G)."""
+        cyclic = {tuple(sorted(powers)): gens[0]
+                  for powers, gens in self._cyclic_powers}
+        found = {C: (a,) for C, a in cyclic.items()}
+        todo = list(found)
+        for S in todo:
+            members = list(map(set(S).__contains__, range(self.order)))
+            for c in cyclic.values():
+                if members[c]:
+                    continue
+                gens = found[S] + (c,)
+                J = tuple(sorted(S + tuple(_adjoin(self.table, S,
+                                                   members.copy(), gens))))
+                if J not in found:
+                    found[J] = gens
+                    todo.append(J)
+        return {s: frozenset(s) for s in sorted(found)}
 
     @functools.cached_property
     def _cyclic_powers(self) -> tuple[tuple[frozenset[int], list[int]], ...]:
@@ -198,10 +212,61 @@ class FiniteGroup:
         a flat n*n table the cells that g sends to each cell, in order)."""
         n = len(self.table)
         pad = bytes(range(n, 256))
-        gens = _automorphism_generators(self)
+        gens = self._aut_generators
         return tuple((g, bytes(g) + pad,
                       _itemgetter([a * n + b for a in inv for b in inv]))
                      for g, inv in zip(gens, map(_invert, gens)))
+
+    @functools.cached_property
+    def _automorphisms(self) -> tuple[GroupMap, ...]:
+        key = operator.itemgetter(0, *generating_set(self))
+        return tuple(GroupMap(self, self, p)
+                     for p in sorted(_automorphism_images(self), key=key))
+
+    @functools.cached_property
+    def _aut_generators(self) -> tuple[tuple[int, ...], ...]:
+        gens = generating_set(self)
+        key = operator.itemgetter(0, *gens)
+
+        def rank(f):
+            return -math.lcm(*(_cycle_length(f, g) for g in gens)), key(f)
+
+        walk = sorted(_automorphism_images(self), key=rank)
+        out = []
+        # x∘g is right(x) for right = _itemgetter(g)
+        rights = []
+        reached = {tuple(range(self.order))}
+        for f in walk:
+            if f in reached:
+                continue
+            out.append(f)
+            rights.append(_itemgetter(f))
+            # the reached subgroup H is closed under the old generators, and
+            # H∘f is a new coset; each newly reached map needs every one
+            new = list(map(rights[-1], reached))
+            reached.update(new)
+            for x in new:
+                for right in rights:
+                    y = right(x)
+                    if y not in reached:
+                        reached.add(y)
+                        new.append(y)
+        require(len(reached) == len(walk),
+                "automorphism generators do not reach all of Aut(G)")
+        return tuple(out)
+
+    @functools.cached_property
+    def _distinguished(self) -> DistinguishedSubgroups:
+        subs = self._subgroup_members.items()
+        norm = tuple(g for g, row in enumerate(self._conjugation_rows)
+                     if all(members.issuperset(map(row.__getitem__, s))
+                            for s, members in subs))
+        # a map is a bijection, so keeping s into s keeps it
+        char = tuple(s for s, members in subs
+                     if all(members.issuperset(map(f.__getitem__, s))
+                            for f in self._aut_generators))
+        normal = tuple(s for s, members in subs if _is_normal(self, members))
+        return DistinguishedSubgroups(center(self), norm, char, normal)
 
     @functools.cached_property
     def _fingerprint(self) -> tuple:
@@ -463,7 +528,6 @@ def _invert(p) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@functools.lru_cache(maxsize=None)
 def subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     """All subgroups, as canonically sorted element tuples.
 
@@ -473,25 +537,7 @@ def subgroups(G: FiniteGroup) -> tuple[Subgroup, ...]:
     x -> x*g, keeping the generators S was reached by, as
     _greedy_generators does.
     """
-    n = G.order
-    cyclic = {tuple(sorted(powers)): gens[0]
-              for powers, gens in G._cyclic_powers}
-    found = {C: (a,) for C, a in cyclic.items()}
-    todo = list(found)
-    for S in todo:
-        members = [False] * n
-        for x in S:
-            members[x] = True
-        for c in cyclic.values():
-            if members[c]:
-                continue
-            gens = found[S] + (c,)
-            J = tuple(sorted(S + tuple(_adjoin(G.table, S, members.copy(),
-                                               gens))))
-            if J not in found:
-                found[J] = gens
-                todo.append(J)
-    return tuple(sorted(found))
+    return tuple(G._subgroup_members)
 
 
 def is_normal(G: FiniteGroup, sub) -> bool:
@@ -819,14 +865,11 @@ def _automorphism_images_up_to_stabilizer(G: FiniteGroup):
         G, [t for t in transversals[0] if least[t[g0]] == t[g0]])
 
 
-@functools.lru_cache(maxsize=None)
 def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
     """The full automorphism group as explicit maps (identity included):
     the maps of _automorphism_images(G), sorted by their generator
     images, the order homomorphisms(G, G, bijective=True) gives."""
-    key = operator.itemgetter(0, *generating_set(G))
-    return tuple(GroupMap(G, G, p)
-                 for p in sorted(_automorphism_images(G), key=key))
+    return G._automorphisms
 
 
 def _automorphism_count(G: FiniteGroup) -> int:
@@ -835,7 +878,6 @@ def _automorphism_count(G: FiniteGroup) -> int:
     return math.prod(map(len, G._transversals))
 
 
-@functools.lru_cache(maxsize=None)
 def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """A small generating set of Aut(G), as image tuples: walking the maps
     of _automorphism_images(G) by descending order, then by generator
@@ -845,37 +887,9 @@ def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     at once: 2 generators for C2xC2xC2, C3xC3 and C3xC3xC3, 3 for
     Heisenberg-27.  phi^k is the identity iff it fixes every generator,
     so the order of phi is the lcm of its cycle lengths through
-    generating_set(G).  The walk is dropped once read, so no cache holds
-    Aut(G) for a group whose generators alone are asked for."""
-    gens = generating_set(G)
-    key = operator.itemgetter(0, *gens)
-
-    def rank(f):
-        return -math.lcm(*(_cycle_length(f, g) for g in gens)), key(f)
-
-    walk = sorted(_automorphism_images(G), key=rank)
-    out = []
-    # x∘g is right(x) for right = _itemgetter(g)
-    rights = []
-    reached = {tuple(range(G.order))}
-    for f in walk:
-        if f in reached:
-            continue
-        out.append(f)
-        rights.append(_itemgetter(f))
-        # the reached subgroup H is closed under the old generators, and
-        # H∘f is a new coset; every newly reached map needs every generator
-        new = list(map(rights[-1], reached))
-        reached.update(new)
-        for x in new:
-            for right in rights:
-                y = right(x)
-                if y not in reached:
-                    reached.add(y)
-                    new.append(y)
-    require(len(reached) == len(walk),
-            "automorphism generators do not reach all of Aut(G)")
-    return tuple(out)
+    generating_set(G).  The walk is dropped once read, so G keeps no
+    map list when its generators alone are asked for."""
+    return G._aut_generators
 
 
 def fingerprint(G: FiniteGroup) -> tuple:
@@ -897,24 +911,13 @@ DistinguishedSubgroups = collections.namedtuple(
     "DistinguishedSubgroups", "center norm characteristic normal")
 
 
-@functools.lru_cache(maxsize=None)
 def distinguished_subgroups(G: FiniteGroup) -> DistinguishedSubgroups:
     """Center, norm (intersection of all subgroup normalizers),
     characteristic subgroups and normal subgroups.  The automorphisms
     that keep a subgroup form a subgroup of Aut(G), so a subgroup is
     characteristic when every map of _automorphism_generators(G) keeps
     it."""
-    subs = G._subgroup_members.items()
-    norm = tuple(g for g, row in enumerate(G._conjugation_rows)
-                 if all(members.issuperset(map(row.__getitem__, s))
-                        for s, members in subs))
-    # a map is a bijection, so keeping s into s keeps it
-    auts = _automorphism_generators(G)
-    characteristic = tuple(s for s, members in subs
-                           if all(members.issuperset(map(f.__getitem__, s))
-                                  for f in auts))
-    normal = tuple(s for s, members in subs if _is_normal(G, members))
-    return DistinguishedSubgroups(center(G), norm, characteristic, normal)
+    return G._distinguished
 
 
 def is_power_automorphism(G: FiniteGroup, f: GroupMap) -> bool:
@@ -974,8 +977,11 @@ def subgroup_group(G: FiniteGroup, sub) -> tuple[FiniteGroup, tuple[int, ...]]:
     """The subgroup as a group in its own right.
 
     Returns (group, elements): element i of the group is elements[i] in G.
+    Raises BadParameters when sub is not a subgroup of G.
     """
-    elems = tuple(sorted(set(sub)))
+    elems = tuple(sorted(set(_ints(sub) or ())))
+    if not is_subgroup(G, elems):
+        raise BadParameters(f"{sub!r} is not a subgroup of {G!r}")
     pos = {e: i for i, e in enumerate(elems)}
     table = [[pos[G.table[a][b]] for b in elems] for a in elems]
     return _trusted_group(table), elems

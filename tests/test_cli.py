@@ -203,19 +203,24 @@ class TestEntryPoint:
 
     def test_cold_c27_keeps_only_what_it_reads(self):
         """A cold `enumerate C27` holds Aut(N) for circ alone (every type
-        is streamed into the cyclic scan), builds the order-27 catalog
-        groups alone, and never loads OpenSSL for a fallback type name nor
-        dataclasses, with the inspect it pulls in, for its records."""
+        is streamed into the cyclic scan): the catalog's C27 is the only
+        live group holding the automorphism fact.  It builds the order-27
+        catalog groups alone, and never loads OpenSSL for a fallback type
+        name nor dataclasses, with the inspect it pulls in, for its
+        records."""
         code = (
-            "import contextlib, io, sys\n"
+            "import contextlib, gc, io, sys\n"
             "from skewbrace import catalog, cli, groups\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(['enumerate', 'C27'])\n"
-            "auts, built = groups.automorphisms, catalog._entries\n"
-            "held, orders = auts.cache_info(), built.cache_info()\n"
-            "auts(catalog.group_by_name('C27'))\n"
+            "gc.collect()\n"
+            "held = [G for G in list(groups._LIVE.values())\n"
+            "        if '_automorphisms' in vars(G)]\n"
+            "built = catalog._entries\n"
+            "orders = built.cache_info()\n"
+            "C27 = catalog.group_by_name('C27')\n"
             "print(code, '_hashlib' in sys.modules,\n"
-            "      held.currsize, auts.cache_info().misses - held.misses,\n"
+            "      len(held), held[0] is C27,\n"
             "      orders.currsize, built.cache_info().misses - orders.misses,\n"
             "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
         src = Path(__file__).resolve().parents[1] / "src"
@@ -223,5 +228,5 @@ class TestEntryPoint:
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False", "1", "0", "1", "0",
+        assert proc.stdout.split() == ["0", "False", "1", "True", "1", "0",
                                        "False", "False"]

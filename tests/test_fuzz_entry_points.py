@@ -3,11 +3,12 @@
 `group_from_text`, `make_group`, `regular_subgroup`, `make_brace`,
 `semidirect_product`, `product_brace`, `semidirect_to_brace`,
 `psi_construction`, `cpr_cps_brace`, `kohl_obstruction`, `quotient`,
-`closure`, `is_normal`, `normalizer`, `is_power_automorphism`,
-`sub_brace`, `quotient_brace` and `read_reports` either return their
-result or raise a `SkewbraceError`; no bare `TypeError`, `IndexError`,
-`KeyError`, `ValueError` or `ZeroDivisionError` may escape them.
-`quotient`, `is_subgroup`, `is_normal`, `normalizer` and
+`subgroup_group`, `closure`, `is_normal`, `normalizer`,
+`is_power_automorphism`, `sub_brace`, `quotient_brace` and `read_reports`
+either return their result or raise a `SkewbraceError`; no bare
+`TypeError`, `IndexError`, `KeyError`, `ValueError` or
+`ZeroDivisionError` may escape them.  `quotient`, `is_subgroup`,
+`subgroup_group`, `is_normal`, `normalizer` and
 `is_power_automorphism` are fed elements and images that are mostly
 integers, in range or not, and sometimes floats or lists, which are not
 elements.
@@ -20,7 +21,7 @@ import re
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skewbrace import perms
 from skewbrace.analysis import enumerate_reports, kohl_obstruction
@@ -67,6 +68,7 @@ from skewbrace.groups import (
     opposite_group,
     quotient,
     semidirect_product,
+    subgroup_group,
 )
 from skewbrace.perms import RegularSubgroup, regular_subgroup
 from skewbrace.serialize import (
@@ -364,9 +366,24 @@ def test_quotient(args):
 
 
 @given(element_lists())
+@example((group_by_name("C4"), []))
+@example((group_by_name("C4"), [0, 1]))
+@example((group_by_name("C4"), [0, 2, 7]))
+@example((group_by_name("C4"), ["a"]))
 @FEW
 def test_is_subgroup(args):
-    assert isinstance(is_subgroup(*args), bool)
+    # subgroup_group refuses exactly what is_subgroup rejects: on C4, []
+    # gave an order-0 group, and [0, 1], [0, 2, 7] and ["a"] escaped as a
+    # bare KeyError, IndexError and TypeError
+    found = is_subgroup(*args)
+    assert isinstance(found, bool)
+    sub = named_errors_only(subgroup_group, *args, returns=tuple)
+    assert (sub is not None) == found
+    if found:
+        assert sub[0].order == len(sub[1]) == len(set(args[1]))
+    else:
+        with pytest.raises(BadParameters, match="not a subgroup"):
+            subgroup_group(*args)
 
 
 @given(element_lists())

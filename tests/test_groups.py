@@ -125,9 +125,12 @@ class TestMakeGroup:
 LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
          (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
 
-# every fact a FiniteGroup computes on first use
+# every fact a FiniteGroup computes on first use that compares by value
+# (the relabeling steps hold itemgetters)
 FACTS = ("_table_hash", "columns", "element_orders", "central",
-         "_generators", "_fingerprint", "_transversals")
+         "_generators", "_fingerprint", "_transversals", "_subgroup_members",
+         "_cyclic_powers", "_conjugation_rows", "_automorphisms",
+         "_aut_generators", "_distinguished")
 
 
 class TestFiniteGroupContract:
@@ -154,6 +157,11 @@ class TestFiniteGroupContract:
         G = make_group(table, "registry probe")
         ref = weakref.ref(G)
         assert generating_set(G) == (1,)
+        # every fact lives on G; the maps of Aut(G) refer back to it, a
+        # cycle that gc.collect breaks
+        assert len(subgroups(G)) == 2 and len(automorphisms(G)) == 6
+        assert distinguished_subgroups(G).center == tuple(range(7))
+        assert len(groups._automorphism_generators(G)) == 1
         del G
         gc.collect()
         assert ref() is None
@@ -386,9 +394,10 @@ class TestAutomorphisms:
             return done
 
         monkeypatch.setattr(groups._Extender, "complete", twice_at_level_one)
-        # a new instance, as each group keeps its chain once built
-        N = make_group(group_by_name("C3xC3").table)
-        for read in (automorphisms.__wrapped__, perms.holomorph,
+        # a fresh instance, as each group keeps its chain once built
+        C3xC3 = group_by_name("C3xC3")
+        N = groups.FiniteGroup(C3xC3.table, C3xC3.inverse)
+        for read in (automorphisms, perms.holomorph,
                      perms.cyclic_regular_subgroups_in_holomorph,
                      perms._cyclic_regular_subgroups_up_to_aut):
             with pytest.raises(InternalInconsistency,
@@ -424,10 +433,12 @@ class TestAutomorphisms:
         real = groups._automorphism_images
         monkeypatch.setattr(groups, "_automorphism_images",
                             lambda G: [*real(G), *real(G)])
+        # a fresh instance, as each group keeps its generators once found
+        C3xC3 = group_by_name("C3xC3")
         with pytest.raises(InternalInconsistency,
                            match="do not reach all of Aut"):
-            groups._automorphism_generators.__wrapped__(
-                group_by_name("C3xC3"))
+            groups._automorphism_generators(
+                groups.FiniteGroup(C3xC3.table, C3xC3.inverse))
 
     def test_order_divides_factorial(self):
         import math
