@@ -51,7 +51,6 @@ from .groups import (
     _invert,
     _is_normal,
     _respects_generators,
-    automorphisms,
     direct_product,
     generating_set,
     isomorphism,
@@ -261,8 +260,8 @@ def brace_isomorphism(B1: SkewBrace, B2: SkewBrace) -> GroupMap | None:
     if f0 is None:
         return None
     gens = generating_set(B1.circ)
-    for a in automorphisms(B1.dot):
-        im = _compose(f0.images, a.images)
+    for a in B1.dot._automorphisms:
+        im = _compose(f0.images, a)
         if _respects_generators(im, B1.circ, B2.circ, gens):
             return GroupMap(B1.dot, B2.dot, im)
     return None
@@ -270,10 +269,10 @@ def brace_isomorphism(B1: SkewBrace, B2: SkewBrace) -> GroupMap | None:
 
 @functools.lru_cache(maxsize=None)
 def brace_automorphisms(B: SkewBrace) -> tuple[GroupMap, ...]:
-    """Automorphisms of circ that also preserve dot."""
-    gens = generating_set(B.dot)
-    return tuple(f for f in automorphisms(B.circ)
-                 if _respects_generators(f.images, B.dot, B.dot, gens))
+    """Automorphisms of circ that also preserve dot, as maps on circ."""
+    circ, gens = B.circ, generating_set(B.dot)
+    return tuple(GroupMap(circ, circ, f) for f in circ._automorphisms
+                 if _respects_generators(f, B.dot, B.dot, gens))
 
 
 def brace_automorphism_count(B: SkewBrace) -> int:

@@ -28,29 +28,20 @@ from .groups import (
     center,
     commutator_subgroup,
     direct_product,
-    distinguished_subgroups,
     generating_set,
     homomorphisms,
     inversion_action,
     is_homomorphism,
     is_power_automorphism,
-    quotient,
     semidirect_product,
-    subgroup_group,
 )
 
 
 def norm_mod_center(G: FiniteGroup):
     """The quotient N(G)/Z(G) and, per quotient element, its coset of
-    representatives inside G (sorted)."""
-    dist = distinguished_subgroups(G)
-    ngrp, nelems = subgroup_group(G, dist.norm)
-    z_local = tuple(sorted(nelems.index(z) for z in dist.center))
-    Q, proj = quotient(ngrp, z_local)
-    cosets: list[list[int]] = [[] for _ in range(Q.order)]
-    for local, g in enumerate(nelems):
-        cosets[proj(local)].append(g)
-    return Q, tuple(tuple(sorted(c)) for c in cosets)
+    representatives inside G (sorted).  A fact of G's table, computed
+    once per table whatever the instance's name."""
+    return G._norm_mod_center
 
 
 def psi_construction(G: FiniteGroup, psi, lift=None) -> SkewBrace:

@@ -1,17 +1,24 @@
 """Exact finite-group arithmetic on validated Cayley tables.
 
 Groups live on the element set 0..n-1 with 0 as the identity.  Everything
-is immutable.  Memoization follows one rule: a fact of one group lives on
-the group, and a result keyed on more than one value keeps a module
-cache.  So this layer has no module cache: each FiniteGroup computes its
-facts once, and subgroups, automorphisms, distinguished_subgroups and the
-like read one in one line.  There is one live instance per (table,
-name): _trusted_group hands out the one a weak registry, _LIVE, still
-holds, so every fact is computed once per table while any holder keeps
-the group, and nothing keeps a dropped group alive.  with_name carries
-the facts already known to the renamed instance.  A table is validated
-once, where it enters, by make_group, which runs every check on every
-call and registers the group only once they pass; a table derived from
+is immutable.  Memoization follows one rule: a fact of one table lives
+with the table, and a result keyed on more than one value keeps a module
+cache.  So this layer has no module cache: the facts of a table are
+computed once and kept in one store, a _Facts dict, which every named
+instance of the table shares as its __dict__ (the name sits in a slot),
+and subgroups, automorphisms, distinguished_subgroups and the like read
+one in one line.  A weak registry, _LIVE, keyed on the table alone, holds
+the store of every live table, so each fact is computed once per table,
+under any name, while any instance of it is held, and nothing keeps a
+dropped group alive.  A fact that names an instance, such as the GroupMaps
+of automorphisms(G), is kept as image tuples and built on the instance
+that asks.
+
+A table is validated once, where it enters.  make_group checks it in
+full and records in its store that it passed; on a table that has passed,
+make_group returns the live instance under the name asked for and checks
+nothing again.  A table that has never passed is checked in full on every
+call, also when it is live through _trusted_group.  A table derived from
 valid groups (a quotient, a subgroup, a semidirect product along a
 checked action, a relabeling along a bijection) is a group by
 construction and _trusted_group takes it as is.
@@ -78,23 +85,36 @@ from .errors import (
 Subgroup = tuple[int, ...]   # strictly increasing element indices, contains 0
 
 
+class _Facts(dict):
+    """The facts of one table: the __dict__ that every named instance of
+    it shares.  It holds the table, its inverse, each cached property once
+    computed, _checked once make_group's checks have passed, and _names,
+    a weak reference to the instance of each name."""
+
+    __slots__ = ("__weakref__",)
+
+
 class FiniteGroup:
     """A finite group as a Cayley table; table[a][b] = a*b, identity 0.
 
     A frozen value: setting or deleting an attribute raises
     dataclasses.FrozenInstanceError, and equality and hash are those of
-    the table.  Every fact of one group lives on it, computed once per
-    instance on first use and kept in its __dict__ under its own name:
-    hash, transpose, element orders, centre flags, generating set,
-    fingerprint, the stabilizer chain of Aut(G), Aut(G) and a small
+    the table.  Every fact of the table is computed once, on first use,
+    and kept under its own name in the table's _Facts, which is the
+    __dict__ of every instance of the table whatever its name: hash,
+    transpose, element orders, centre flags, generating set, fingerprint,
+    the stabilizer chain of Aut(G), Aut(G) as image tuples and a small
     generating set of it, the subgroup lattice as member sets, the
-    distinguished subgroups, cyclic subgroups with their generators,
-    conjugation rows and orbit relabeling steps.  They depend on the
-    table alone, so with_name hands them on.
+    distinguished subgroups, N(G)/Z(G), cyclic subgroups with their
+    generators, conjugation rows and orbit relabeling steps.  The name
+    alone is the instance's own.  A group made by calling FiniteGroup has
+    a store of its own, outside the registry.
     """
 
+    __slots__ = ("name", "__dict__", "__weakref__")
+
     def __init__(self, table, inverse, name: str | None = None) -> None:
-        vars(self).update(table=table, inverse=inverse, name=name)
+        _share(self, _Facts(table=table, inverse=inverse, _names={}), name)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -218,10 +238,10 @@ class FiniteGroup:
                      for g, inv in zip(gens, map(_invert, gens)))
 
     @functools.cached_property
-    def _automorphisms(self) -> tuple[GroupMap, ...]:
+    def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Aut(G) as image tuples, in the order automorphisms(G) gives."""
         key = operator.itemgetter(0, *generating_set(self))
-        return tuple(GroupMap(self, self, p)
-                     for p in sorted(_automorphism_images(self), key=key))
+        return tuple(sorted(_automorphism_images(self), key=key))
 
     @functools.cached_property
     def _aut_generators(self) -> tuple[tuple[int, ...], ...]:
@@ -269,6 +289,20 @@ class FiniteGroup:
         return DistinguishedSubgroups(center(self), norm, char, normal)
 
     @functools.cached_property
+    def _norm_mod_center(self) -> tuple[FiniteGroup, tuple[Subgroup, ...]]:
+        """N(G)/Z(G) and, per quotient element, its coset in G (sorted):
+        the quotient of the norm of _distinguished by the centre, read
+        through the norm as a group of its own."""
+        dist = self._distinguished
+        ngrp, nelems = subgroup_group(self, dist.norm)
+        z_local = tuple(sorted(nelems.index(z) for z in dist.center))
+        Q, proj = quotient(ngrp, z_local)
+        cosets: list[list[int]] = [[] for _ in range(Q.order)]
+        for local, g in enumerate(nelems):
+            cosets[proj(local)].append(g)
+        return Q, tuple(tuple(sorted(c)) for c in cosets)
+
+    @functools.cached_property
     def _fingerprint(self) -> tuple:
         return (self.order, self.is_abelian(),
                 tuple(sorted(self.element_orders)))
@@ -302,11 +336,9 @@ class FiniteGroup:
         return math.lcm(*self.element_orders)
 
     def with_name(self, name: str) -> FiniteGroup:
-        """The live group of this table under name, knowing every fact
-        this instance has computed."""
-        facts = vars(self).copy()
-        del facts["table"], facts["name"]
-        return _trusted_group(self.table, name, **facts)
+        """The live instance of this table under name: it shares this
+        instance's facts."""
+        return _instance(vars(self), name)
 
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"
@@ -319,7 +351,9 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     Raises NoIdentityAtZero, NotLatinSquare or NotAssociative, naming an
     offending element or triple, and BadParameters for a name that is
     not a string.  Associativity is Light's test on the generators the
-    square's own rows reach every element by.
+    square's own rows reach every element by.  A table that has passed
+    once is not checked again while it is live: its instance under name
+    is handed out.
     """
     if name is not None and not isinstance(name, str):
         raise BadParameters(f"group name must be a string, got {name!r}")
@@ -329,6 +363,22 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
         raise NotLatinSquare(f"table {table!r} is not a sequence of rows") \
             from None
     rows = tuple(map(_ints, given))
+    key = hash(rows)
+    known = _LIVE.get(key)
+    if known is not None and "_checked" in known and known["table"] == rows:
+        return _instance(known, name)
+    columns, gens = _check_table(rows, given)
+    # registered, with the columns and generators found here, only once
+    # every check has passed
+    return _trusted_group(rows, name, _table_hash=key, columns=columns,
+                          _generators=gens, _checked=True)
+
+
+def _check_table(rows, given) -> tuple[tuple[tuple[int, ...], ...],
+                                       tuple[int, ...]]:
+    """make_group's checks on rows, the given rows as integer tuples (None
+    where a row is not one): a Latin square with identity 0, then Light's
+    test.  Returns the columns and the generators it checked along."""
     n = len(rows)
     if n == 0:
         raise NoIdentityAtZero("empty table has no identity")
@@ -360,9 +410,7 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
             raise NotLatinSquare(f"column {b} is not a permutation of 0..{n - 1}")
     # Light's test: the c with (a*b)*c = a*(b*c) for all a, b are closed
     # under products, so checking the c that reach every element suffices;
-    # per a and c, the rows b -> (a*b)*c and b -> a*(b*c).  The square is
-    # registered, with the columns and generators found here, only once
-    # it passes.
+    # per a and c, the rows b -> (a*b)*c and b -> a*(b*c)
     gens = _greedy_generators(rows)
     for c in gens:
         right_c = columns[c]
@@ -372,33 +420,49 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
             if left != right:
                 b = _first_difference(left, right)
                 raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    return _trusted_group(rows, name, columns=columns, _generators=gens)
+    return columns, gens
 
 
-# the live group of each (table, name), keyed on (hash of the table, name)
+# the facts of each live table, keyed on the hash of the table
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _trusted_group(table, name: str | None = None, **facts) -> FiniteGroup:
     """The group of a table already checked by make_group or derived from
-    valid groups, checking nothing: the live instance of (table, name)
-    when there is one, else a new one, registered.  facts are values of
-    the instance's cached properties (and its inverse) already known; the
-    instance keeps those it does not have yet.  The table is hashed once,
-    for the key and the instance."""
+    valid groups, checking nothing: the instance under name of the live
+    table's facts when the table is live, else of new facts, registered.
+    facts are values of cached properties (and the inverse) already
+    known; the store keeps those it does not have yet.  The table is
+    hashed once, for the key and the store."""
     rows = tuple(map(tuple, table))
     if "_table_hash" not in facts:
         facts["_table_hash"] = hash(rows)
-    key = facts["_table_hash"], name
-    G = _LIVE.get(key)
-    if G is None or G.table != rows:
+    key = facts["_table_hash"]
+    known = _LIVE.get(key)
+    if known is None or known["table"] != rows:
         inverse = facts.pop("inverse", None) \
             or tuple(row.index(0) for row in rows)
-        G = _LIVE[key] = FiniteGroup(rows, inverse, name)
-    known = vars(G)
+        known = _LIVE[key] = _Facts(table=rows, inverse=inverse, _names={})
     for fact, value in facts.items():
         known.setdefault(fact, value)
+    return _instance(known, name)
+
+
+def _instance(facts: _Facts, name: str | None) -> FiniteGroup:
+    """The live instance of the table of facts under name, or a new one."""
+    ref = facts["_names"].get(name)
+    G = None if ref is None else ref()
+    if G is None:
+        G = object.__new__(FiniteGroup)
+        _share(G, facts, name)
     return G
+
+
+def _share(G: FiniteGroup, facts: _Facts, name: str | None) -> None:
+    """Make facts the __dict__ of the new instance G, named name."""
+    object.__setattr__(G, "__dict__", facts)
+    object.__setattr__(G, "name", name)
+    facts["_names"][name] = weakref.ref(G)
 
 
 def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -868,8 +932,9 @@ def _automorphism_images_up_to_stabilizer(G: FiniteGroup):
 def automorphisms(G: FiniteGroup) -> tuple[GroupMap, ...]:
     """The full automorphism group as explicit maps (identity included):
     the maps of _automorphism_images(G), sorted by their generator
-    images, the order homomorphisms(G, G, bijective=True) gives."""
-    return G._automorphisms
+    images, the order homomorphisms(G, G, bijective=True) gives.  The
+    table keeps the image tuples; the maps are built on G itself."""
+    return tuple(GroupMap(G, G, p) for p in G._automorphisms)
 
 
 def _automorphism_count(G: FiniteGroup) -> int:

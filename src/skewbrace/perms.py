@@ -192,6 +192,37 @@ def _candidate_pool(perms, n: int) -> dict[int, list[bytes]]:
     return pool
 
 
+def _symmetric_pool(n: int) -> dict[int, list[bytes]]:
+    """_candidate_pool of all of S_n, built from cycle types: the
+    fixed-point-free permutations whose cycle lengths all divide n, which
+    are those of order dividing n.  The cycle through the least point not
+    yet placed is chosen first, of each length, through each ordered
+    choice of its other points, so each permutation is made once (42,560
+    at n = 9, of 9! = 362,880)."""
+    lengths = [d for d in range(2, n + 1) if n % d == 0]
+    pool: dict[int, list[bytes]] = {}
+
+    def place(base: bytes, free: bytes) -> None:
+        # base fixes the points of free and no other; x is the least.  The
+        # cycle c sends c[i] to c[i+1], a translate table on the free points
+        x, rest = free[:1], free[1:]
+        for length in lengths:
+            if length > len(free):
+                break
+            for cycle in itertools.permutations(rest, length - 1):
+                c = x + bytes(cycle)
+                p = base.translate(bytes.maketrans(c, c[1:] + x))
+                if length == len(free):
+                    pool.setdefault(p[0], []).append(p)
+                else:
+                    place(p, rest.translate(None, c))
+
+    place(bytes(range(n)), bytes(range(n)))
+    for lst in pool.values():
+        lst.sort()
+    return pool
+
+
 def _grow_regular(candidates_by_start, n: int, accept,
                   conjugators=()) -> None:
     """Backtracking core shared by both enumerators, over bytes perms.
@@ -368,8 +399,9 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
     group on G's points normalized by G's left translations.
 
     Searches over fixed-point-free permutations of order dividing n,
-    growing only subgroups that conjugation by lambda(s), s in
-    generating_set(G), keeps; every subgroup found is checked.
+    made from their cycle types by _symmetric_pool, growing only
+    subgroups that conjugation by lambda(s), s in generating_set(G),
+    keeps; every subgroup found is checked.
     """
     bound = _integer(bound, "oracle bound")
     n = G.order
@@ -377,7 +409,7 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
         raise OrderTooLargeForOracle(
             f"oracle bound is {bound}, got order {n}")
     _byte_degree(n)
-    pool = _candidate_pool(map(bytes, itertools.permutations(range(n))), n)
+    pool = _symmetric_pool(n)
     pad = bytes(range(n, 256))
     conjugators = [(bytes(G.table[s]) + pad, bytes(G.table[G.inverse[s]]))
                    for s in generating_set(G)]

@@ -204,7 +204,7 @@ class TestEntryPoint:
     def test_cold_c27_keeps_only_what_it_reads(self):
         """A cold `enumerate C27` holds Aut(N) for circ alone (every type
         is streamed into the cyclic scan): the catalog's C27 is the only
-        live group holding the automorphism fact.  It builds the order-27
+        live table whose facts hold the automorphism fact.  It builds the order-27
         catalog groups alone, and never loads OpenSSL for a fallback type
         name nor dataclasses, with the inspect it pulls in, for its
         records."""
@@ -214,13 +214,13 @@ class TestEntryPoint:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(['enumerate', 'C27'])\n"
             "gc.collect()\n"
-            "held = [G for G in list(groups._LIVE.values())\n"
-            "        if '_automorphisms' in vars(G)]\n"
+            "held = [facts for facts in list(groups._LIVE.values())\n"
+            "        if '_automorphisms' in facts]\n"
             "built = catalog._entries\n"
             "orders = built.cache_info()\n"
             "C27 = catalog.group_by_name('C27')\n"
             "print(code, '_hashlib' in sys.modules,\n"
-            "      len(held), held[0] is C27,\n"
+            "      len(held), held[0] is vars(C27),\n"
             "      orders.currsize, built.cache_info().misses - orders.misses,\n"
             "      'dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
         src = Path(__file__).resolve().parents[1] / "src"

@@ -27,10 +27,14 @@ from skewbrace.errors import (
     NotClassTwo,
     NotIntoNormModCenter,
 )
+from skewbrace import groups
 from skewbrace.groups import (
+    FiniteGroup,
     distinguished_subgroups,
     inversion_action,
     isomorphism,
+    quotient,
+    subgroup_group,
     subgroups,
 )
 
@@ -58,6 +62,31 @@ class TestPsiConstruction:
         for name in ("Q8", "D4", "A4", "M27", "Heisenberg-27", "D6"):
             Q, _ = norm_mod_center(group_by_name(name))
             assert Q.is_abelian()
+
+    @pytest.mark.parametrize("name", ["Q8", "D4", "A4", "M27", "D6"])
+    def test_norm_mod_center_matches_the_quotient_of_the_norm(self, name):
+        G = group_by_name(name)
+        dist = distinguished_subgroups(G)
+        norm, elems = subgroup_group(G, dist.norm)
+        Q, proj = quotient(norm, [elems.index(z) for z in dist.center])
+        cosets = [tuple(g for local, g in enumerate(elems)
+                        if proj(local) == q) for q in range(Q.order)]
+        got, got_cosets = norm_mod_center(G)
+        assert got.table == Q.table and list(got_cosets) == cosets
+
+    def test_norm_mod_center_once_per_table(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(groups, "subgroup_group",
+                            lambda G, sub: made.append(G) or
+                            subgroup_group(G, sub))
+        Q8 = group_by_name("Q8")
+        fresh = FiniteGroup(Q8.table, Q8.inverse, "fresh")
+        first = norm_mod_center(fresh)
+        assert norm_mod_center(fresh.with_name("renamed")) is first
+        assert norm_mod_center(fresh) is first and len(made) == 1
+        M27 = group_by_name("M27")
+        assert norm_mod_center(M27.with_name("M27 renamed")) \
+            is norm_mod_center(M27)
 
     def test_quotient_types(self):
         Q, _ = norm_mod_center(group_by_name("Q8"))

@@ -6,13 +6,13 @@ library's algorithms.
 """
 
 import dataclasses
-import gc
 import itertools
 import weakref
 
 import pytest
 
 from skewbrace import groups
+from skewbrace.braces import make_brace
 from skewbrace.catalog import catalog_names, group_by_name, groups_of_order
 from skewbrace.errors import (
     BadParameters,
@@ -46,6 +46,19 @@ from skewbrace.groups import (
     subgroups,
     trivial_action,
 )
+
+
+def count_checks(monkeypatch):
+    """The rows of every table make_group checks from now on."""
+    checked = []
+    check = groups._check_table
+
+    def counted(rows, given):
+        checked.append(rows)
+        return check(rows, given)
+
+    monkeypatch.setattr(groups, "_check_table", counted)
+    return checked
 
 
 def brute_force_subgroups(G):
@@ -133,11 +146,18 @@ FACTS = ("_table_hash", "columns", "element_orders", "central",
          "_aut_generators", "_distinguished")
 
 
+def units_mod(p):
+    """The units mod the prime p, the unit x as the element x - 1: a
+    table no other test builds."""
+    return [[a * b % p - 1 for b in range(1, p)] for a in range(1, p)]
+
+
 class TestFiniteGroupContract:
     """Equality and hash are the table's; the hash, element orders and
     centre flags are cached on first use and match a recomputation.
-    There is one live instance per (table, name), which the registry
-    does not keep alive."""
+    Every instance of one table shares one store of facts, and there is
+    one live instance per (table, name); the registry keeps neither
+    alive.  make_group checks a table until it has passed once."""
 
     def test_one_live_table_gives_one_instance(self):
         G = group_by_name("D4")
@@ -153,20 +173,23 @@ class TestFiniteGroupContract:
         assert groups.quotient(H, [0])[0] is H
 
     def test_registry_keeps_no_group_alive(self):
-        table = tuple(tuple((a + b) % 7 for b in range(7)) for a in range(7))
+        # C7 with the labels 1 and 2 swapped, a table no other test holds:
+        # the facts of a table live while any instance of it does
+        swap = (0, 2, 1, 3, 4, 5, 6)
+        table = tuple(tuple(swap[(swap[a] + swap[b]) % 7] for b in range(7))
+                      for a in range(7))
         G = make_group(table, "registry probe")
         ref = weakref.ref(G)
         assert generating_set(G) == (1,)
-        # every fact lives on G; the maps of Aut(G) refer back to it, a
-        # cycle that gc.collect breaks
+        # every fact lives in the table's store, and none refers back to G:
+        # the maps of Aut(G) are built on each call
         assert len(subgroups(G)) == 2 and len(automorphisms(G)) == 6
         assert distinguished_subgroups(G).center == tuple(range(7))
         assert len(groups._automorphism_generators(G)) == 1
         del G
-        gc.collect()
         assert ref() is None
-        assert (table, "registry probe") not in {
-            (G.table, G.name) for G in list(groups._LIVE.values())}
+        assert table not in {
+            facts["table"] for facts in list(groups._LIVE.values())}
         again = make_group(table, "registry probe")
         assert again.table == table and "element_orders" not in vars(again)
 
@@ -176,16 +199,48 @@ class TestFiniteGroupContract:
             for name in (None, "loop"):
                 with pytest.raises(NotAssociative):
                     make_group(LOOP5, name)
-        assert all(G.table != LOOP5 for G in list(groups._LIVE.values()))
+        assert all(facts["table"] != LOOP5
+                   for facts in list(groups._LIVE.values()))
         # every check runs, also when an instance of the table is live
         trusted = groups._trusted_group(LOOP5)
         with pytest.raises(NotAssociative):
             make_group(LOOP5)
         assert trusted.table == LOOP5
 
+    def test_a_checked_table_is_not_checked_again(self, monkeypatch):
+        checked = count_checks(monkeypatch)
+        rows = units_mod(19)
+        G = make_group(rows, "units mod 19")
+        assert make_group(rows, "units mod 19") is G
+        H = make_group(rows)
+        assert H is not G and H == G and vars(H) is vars(G)
+        B = make_brace(rows, [list(row) for row in rows])
+        assert B.dot is H and B.circ is H
+        assert len(checked) == 1
+
+    def test_a_trusted_table_is_checked_once(self, monkeypatch):
+        checked = count_checks(monkeypatch)
+        rows = units_mod(23)
+        trusted = groups._trusted_group(rows)
+        assert "_checked" not in vars(trusted)
+        assert make_group(rows) is trusted
+        assert make_group(rows, "units mod 23").name == "units mod 23"
+        assert make_brace(rows, trusted).dot is trusted
+        assert len(checked) == 1 and vars(trusted)["_checked"]
+
+    def test_a_failing_table_is_checked_on_every_call(self, monkeypatch):
+        checked = count_checks(monkeypatch)
+        groups._trusted_group(LOOP5)
+        for k in range(1, 4):
+            with pytest.raises(NotAssociative):
+                make_group(LOOP5)
+            with pytest.raises(NotAssociative):
+                make_brace(LOOP5, LOOP5)
+            assert len(checked) == 2 * k
+
     @pytest.mark.parametrize("name", [["D4"], 4, b"D4"])
     def test_a_name_that_is_not_a_string_is_refused(self, name):
-        # the name is half of the registry key
+        # the name keys the instance within the table's store
         with pytest.raises(BadParameters, match="must be a string"):
             make_group(group_by_name("D4").table, name)
 
@@ -209,6 +264,17 @@ class TestFiniteGroupContract:
         for fact in FACTS:
             assert known[fact] == getattr(fresh, fact), fact
         assert renamed.inverse == G.inverse == fresh.inverse
+
+    def test_every_name_shares_the_facts_of_the_table(self):
+        G = group_by_name("C4")
+        automorphisms(G)
+        renamed = G.with_name("renamed")
+        assert renamed is not G and vars(renamed) is vars(G)
+        assert renamed.with_name("C4") is G and G.name == "C4"
+        assert all(f.source is renamed and f.target is renamed
+                   for f in automorphisms(renamed))
+        assert all(f.source is G for f in automorphisms(G))
+        assert automorphisms(renamed) == automorphisms(G)
 
     def test_equal_tables_are_equal_and_hash_equal(self):
         G = group_by_name("D4")

@@ -1,6 +1,8 @@
 """Holomorphs, regular subgroups, transport, and the symmetric-group
 oracle for small orders."""
 
+import itertools
+
 import pytest
 
 from skewbrace import perms
@@ -209,6 +211,12 @@ class TestOracle:
         assert lam == rho  # abelian
         assert lam.elements in {R.elements for R in out}
         assert len(out) == 4
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pool_from_cycle_types_equals_the_filter_of_s_n(self, n):
+        # the reference tests every one of the n! permutations
+        everything = map(bytes, itertools.permutations(range(n)))
+        assert perms._symmetric_pool(n) == perms._candidate_pool(everything, n)
 
     def test_bound_enforced(self):
         with pytest.raises(OrderTooLargeForOracle):
