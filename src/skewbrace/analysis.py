@@ -8,6 +8,8 @@ reports the structure type, the correspondence image (the left ideals),
 surjectivity, the exact image ratio and the grouplike set.  Operations
 in one Aut(circ)-orbit are one brace relabeled, so each class is analyzed
 once and its report is carried to the other members along their phi.
+From the key searches of skewbrace.perms to the orbits, a table is flat
+row-major `bytes`, relabeled by the one routine groups._relabeler.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .groups import (
     GroupMap,
     _automorphism_count,
     _compose,
-    _invert,
-    _itemgetter,
+    _relabeler,
     _trusted_group,
     distinguished_subgroups,
     fingerprint,
@@ -48,12 +49,7 @@ from .groups import (
     isomorphism,
     subgroups,
 )
-from .perms import (
-    _cyclic_regular_subgroups_up_to_aut,
-    cyclic_regular_subgroups_in_holomorph,
-    regular_subgroups_in_holomorph,
-    transport_operation,
-)
+from .perms import _cyclic_keys, _cyclic_keys_up_to_aut, _regular_subgroup_keys
 
 class HgsReport(collections.namedtuple(
         "HgsReport", "operation type_name is_bi_skew image is_surjective "
@@ -61,20 +57,6 @@ class HgsReport(collections.namedtuple(
     """Per-structure record: the operation, its type and correspondence."""
 
     __slots__ = ()
-
-
-def _transport_table(table, images):
-    """The table relabeled along images: out[images[a]][images[b]] =
-    images[table[a][b]], each row built by two C-level itemgetters."""
-    inv = _invert(images)
-    columns = _itemgetter(inv)
-    return tuple(_compose(images, columns(table[a])) for a in inv)
-
-
-def _flat(table) -> bytes:
-    """A table as flat row-major bytes; values below 256 and rows of one
-    length make flat bytes sort as the row tuples do."""
-    return b"".join(map(bytes, table))
 
 
 def _rows(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
@@ -100,8 +82,8 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
     keeps type, bi-skewness and the image ratio.
     """
     out = []
-    for class_id, (found, orbit, _) in enumerate(_enumerate_classes(circ)):
-        report = analyze(SkewBrace(_trusted_group(found), circ))
+    for class_id, (brace, orbit, _) in enumerate(_enumerate_classes(circ)):
+        report = analyze(brace)
         for t, phi in orbit.items():
             out.append(report._replace(
                 operation=_trusted_group(_rows(t, circ.order)),
@@ -115,13 +97,13 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
 
 
 def _regular_subgroup_search(circ: FiniteGroup):
-    """The search listing, for types N of circ's order, regular subgroups
-    of Hol(N) meeting every Aut(N)-class isomorphic to circ (one brace up
-    to isomorphism, which _enumerate_classes expands to its orbit): the
-    pruned n-cycle scan for a cyclic circ, the full search otherwise."""
+    """The key search listing, for types N of circ's order, regular
+    subgroups of Hol(N) meeting every Aut(N)-class isomorphic to circ (one
+    brace up to isomorphism, which _enumerate_classes expands to its orbit):
+    the pruned n-cycle scan for a cyclic circ, the full search otherwise."""
     if circ.is_cyclic():
-        return _cyclic_regular_subgroups_up_to_aut
-    return regular_subgroups_in_holomorph
+        return _cyclic_keys_up_to_aut
+    return _regular_subgroup_keys
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,26 +116,29 @@ def _classify(search, N: FiniteGroup):
     number of R in the class; members, per R in search order, the index
     of its class.
 
-    Conjugating R by phi in Aut(N) relabels T_R along phi, so a class is
-    the _orbit of the first R's table under the generators of Aut(N), and
-    the first R alone is transported, bucketed by fingerprint and typed
-    by one isomorphism call per bucket member tried.  Every later R is
-    found in a class by its table, R's sorted elements as flat bytes: its
-    type is that of the class, proved by the relabeling.  The class
-    tables live only while the call runs.  Without the catalog, and keyed
-    on the search as well as N, so every census and count of one order
-    that takes the same route shares it; no other T_R outlives the call.
+    R's key is the flat table of T_R once evaluation at 0 is checked to
+    be a bijection.  Conjugating R by phi in Aut(N) relabels T_R along
+    phi, so a class is the _orbit of the first R's key under the
+    generators of Aut(N), and the first R alone is transported, bucketed
+    by fingerprint and typed by one isomorphism call per bucket member
+    tried.  Every later R is found in a class by its key: its type is
+    that of the class, proved by the relabeling.  The class tables live
+    only while the call runs.  Without the catalog, and keyed on the
+    search as well as N, so every census and count of one order that
+    takes the same route shares it; no other T_R outlives the call.
     """
+    n = N.order
+    starts = bytes(range(n))
     reps: list[FiniteGroup] = []
     buckets: dict[tuple, list[int]] = {}
     classes = []
     members = []
     class_of: dict[bytes, int] = {}  # every table of a class met
-    for R in search(N):
-        key = _flat(R.elements)
+    for key in search(N):
         c = class_of.get(key)
         if c is None:
-            T = transport_operation(R)
+            require(key[::n] == starts, "evaluation at 0 is not a bijection")
+            T = _trusted_group(_rows(key, n))
             bucket = buckets.setdefault(fingerprint(T), [])
             for k in bucket:
                 iso = isomorphism(T, reps[k])
@@ -164,7 +149,7 @@ def _classify(search, N: FiniteGroup):
                 k = len(reps)
                 bucket.append(k)
                 reps.append(T)
-                theta = tuple(range(N.order))
+                theta = tuple(range(n))
             c = len(classes)
             orbit = _orbit(key, N)
             classes.append((k, theta, len(orbit)))
@@ -184,15 +169,15 @@ def _orbit(found: bytes, G: FiniteGroup) -> dict:
     subgroups), as {flat table: phi images} with phi an automorphism of G
     carrying found to the table, reached breadth-first along
     _automorphism_generators(G); phi is composed along the path, since
-    relabeling by g after phi is relabeling by g∘phi.  Relabeling t by g
-    is out[g[a]][g[b]] = g[t[a][b]], one translate and one itemgetter
-    call along G._relabel_steps, which every orbit on G shares."""
+    relabeling by g after phi is relabeling by g∘phi.  Each step is
+    groups._relabeler(g), kept in G._relabel_steps, which every orbit on
+    G shares; flat tables in, flat tables out."""
     orbit = {found: tuple(range(G.order))}
     todo = [found]
     for t in todo:
         phi = orbit[t]
-        for g, values, positions in G._relabel_steps:
-            u = bytes(positions(t.translate(values)))
+        for g, relabel in G._relabel_steps:
+            u = relabel(t)
             if u not in orbit:
                 orbit[u] = _compose(g, phi)
                 todo.append(u)
@@ -201,24 +186,24 @@ def _orbit(found: bytes, G: FiniteGroup) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_classes(circ: FiniteGroup):
-    """Isomorphism classes of braces over circ, as (found, orbit, N)
-    triples sorted by the least table of the orbit; found is a table of
-    row tuples, orbit is keyed on flat tables (see _orbit), and N is the
-    catalog type of the operations in the class.
+    """Isomorphism classes of braces over circ, as (brace, orbit, N)
+    triples sorted by the least table of the orbit; brace is the
+    SkewBrace found and checked, orbit is keyed on flat tables (see
+    _orbit), and N is the catalog type of the operations in the class.
 
     Route: per catalog type N of the same order, the Aut(N)-classes of
     regular subgroups of Hol(N) are those of _classify(search, N); cyclic
     ones, at least one R per class, for a cyclic circ.  Each
     representative type is mapped to circ once, by an isomorphism iota;
     the first R of each class of a type isomorphic to circ is a brace on
-    N, pulled back to circ's labels along iota∘theta; that is the found
-    table, and the class's only brace.  The full operation set is the
-    union of the orbits under the automorphism action
-    s ._phi t = phi(phi^-1(s) . phi^-1(t)), each built from generators of
-    Aut(circ); orbit maps each member to the images of an automorphism
-    phi that produces it from the found table.  Any two such phi differ
-    by a brace automorphism of the found brace, so the reports carried
-    along them agree.  Every table is a relabeling of a valid one, so none
+    N, pulled back to circ's labels by relabeling N's flat table along
+    iota∘theta; that is the found brace, and the class's only one.  The
+    full operation set is the union of the orbits under the automorphism
+    action s ._phi t = phi(phi^-1(s) . phi^-1(t)), each built from
+    generators of Aut(circ); orbit maps each member to the images of an
+    automorphism phi that produces it from the found table.  Any two such
+    phi differ by a brace automorphism of the found brace, so the reports
+    carried along them agree.  Every table is a relabeling of a valid one, so none
     is re-checked.  Distinct Aut(N)-classes are distinct brace classes
     (Guarnieri-Vendramin, Prop. 4.3), and the stabilizer of R in Aut(N)
     is the brace automorphism group, so |orbit| * |Aut N| =
@@ -232,22 +217,21 @@ def _enumerate_classes(circ: FiniteGroup):
     classes = []
     for N in types:
         to_circ = _onto(search, N, circ)
+        n_flat = b"".join(map(bytes, N.table))
         for k, theta, size in _classify(search, N)[1]:
             iota = to_circ[k]
             if iota is None:
                 continue
-            dot_tab = _transport_table(N.table, _compose(iota.images, theta))
-            flat = _flat(dot_tab)
+            flat = _relabeler(_compose(iota.images, theta))(n_flat)
             require(flat not in seen,
                     "two Aut(N)-classes give one brace class")
             orbit = _orbit(flat, circ)
-            stab = brace_automorphism_count(
-                SkewBrace(_trusted_group(dot_tab), circ))
-            require(len(orbit) * stab == aut_count,
+            brace = SkewBrace(_trusted_group(_rows(flat, n)), circ)
+            require(len(orbit) * brace_automorphism_count(brace) == aut_count,
                     "orbit-stabilizer identity fails")
             require(len(orbit) * _automorphism_count(N) == size * aut_count,
                     "brace class and Aut(N)-class sizes disagree")
-            classes.append((dot_tab, orbit, N))
+            classes.append((brace, orbit, N))
             seen |= orbit.keys()
     classes.sort(key=lambda c: min(c[1]))
     return tuple(classes)
@@ -318,14 +302,14 @@ def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     Every R is counted, or the identity would check nothing.  For a
     cyclic circG these are the cyclic ones, which the full n-cycle scan
     lists with no transport; otherwise every R of the full search, each
-    typed by its Aut(N)-class, and one isomorphism test per type.  Any
-    order is served, as _classify never reads the catalog;
-    f_count(D8, C2xC2xC2xC2) takes minutes."""
+    typed by its Aut(N)-class, and one isomorphism test per type; both
+    count keys.  Any order is served, as _classify never reads the
+    catalog; f_count(D8, C2xC2xC2xC2) takes minutes."""
     if circG.order != N.order:
         return 0
     if circG.is_cyclic():
-        return len(cyclic_regular_subgroups_in_holomorph(N))
-    search = regular_subgroups_in_holomorph
+        return len(_cyclic_keys(N))
+    search = _regular_subgroup_keys
     to_circ = _onto(search, N, circG)
     _, classes, members = _classify(search, N)
     return sum(to_circ[classes[c][0]] is not None for c in members)
@@ -350,8 +334,7 @@ def all_surjective(circ: FiniteGroup) -> bool:
     analyzes it.  Surjectivity is an Aut(circ)-orbit invariant, as an
     automorphism of circ maps left ideals to left ideals and permutes the
     subgroups of circ."""
-    reports = [analyze(SkewBrace(_trusted_group(found), circ))
-               for found, _, _ in _enumerate_classes(circ)]
+    reports = [analyze(brace) for brace, _, _ in _enumerate_classes(circ)]
     return all(r.is_surjective for r in reports)
 
 

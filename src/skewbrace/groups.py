@@ -58,8 +58,8 @@ lattice is grown from the cyclic subgroups by joining each subgroup found
 with one generator per cyclic subgroup, closed along the generators.
 
 This lowest layer keeps the one copy of the helpers the layers above
-share: _compose, _invert and _itemgetter on permutations as image
-tuples, and _ints and _int_maps for input that must be integers.
+share: _compose, _invert and _itemgetter on image tuples, _relabeler on
+flat tables, and _ints and _int_maps for input that must be integers.
 """
 
 from __future__ import annotations
@@ -228,14 +228,8 @@ class FiniteGroup:
     @functools.cached_property
     def _relabel_steps(self) -> tuple:
         """analysis._orbit's step per map g of _automorphism_generators(G):
-        (g, g as a padded bytes.translate table, an itemgetter taking from
-        a flat n*n table the cells that g sends to each cell, in order)."""
-        n = len(self.table)
-        pad = bytes(range(n, 256))
-        gens = self._aut_generators
-        return tuple((g, bytes(g) + pad,
-                      _itemgetter([a * n + b for a in inv for b in inv]))
-                     for g, inv in zip(gens, map(_invert, gens)))
+        (g, _relabeler(g)), which relabels flat n*n tables along g."""
+        return tuple((g, _relabeler(g)) for g in self._aut_generators)
 
     @functools.cached_property
     def _automorphisms(self) -> tuple[tuple[int, ...], ...]:
@@ -567,6 +561,17 @@ def _compose(p, q) -> tuple[int, ...]:
     if len(q) == 1:
         return (p[q[0]],)
     return operator.itemgetter(*q)(p)
+
+
+def _relabeler(g):
+    """The census's one relabel routine: flat row-major n*n tables along
+    the bijection g, t -> u with u[g[a]][g[b]] = g[t[a][b]], by one
+    translate through g and one itemgetter of the cells g sends there."""
+    n = len(g)
+    values = bytes(g) + bytes(range(n, 256))
+    inv = _invert(g)
+    positions = _itemgetter([a * n + b for a in inv for b in inv])
+    return lambda t: bytes(positions(t.translate(values)))
 
 
 def _first_difference(p, q) -> int:

@@ -9,10 +9,11 @@ The regular-subgroup search works on permutations as `bytes` of length
 n, so a degree above 255 is refused: p∘q is q.translate(p + pad), with
 pad = bytes(range(n, 256)) filling the 256-byte table, so a product is
 formed in C.  Hol(N), the candidate pool and every partial subgroup are
-`bytes`; tuples come back where a RegularSubgroup is made and in the
-public holomorph.  All values are below 256 and all rows have length n,
-so bytes sort as the tuples do.  The n-cycle scan, transport and the
-public helpers stay on tuples.
+`bytes`, and the census reads each regular subgroup R off a key search
+as its key b"".join(sorted elements), the flat row-major table of the
+transported group (row a is R's a-th sorted element).  Values below 256
+and rows of length n make keys sort as the tuples do.  Tuples come back
+in the public wrappers, the S_n oracle and the n-cycle scan.
 """
 
 from __future__ import annotations
@@ -308,23 +309,35 @@ def _grow_regular(candidates_by_start, n: int, accept,
     grow({0: bytes(range(n))}, ())
 
 
+def _regular_subgroup_keys(N: FiniteGroup) -> list[bytes]:
+    """Every regular subgroup of Hol(N) as its key, sorted."""
+    n = N.order
+    found: list[bytes] = []
+    _grow_regular(_candidate_pool(_holomorph_bytes(N), n), n,
+                  lambda elems: found.append(b"".join(elems)))
+    return sorted(found)
+
+
+def _regular_subgroups(keys, n: int) -> tuple[RegularSubgroup, ...]:
+    """The RegularSubgroups of sorted keys of degree n, with one tuple per
+    distinct permutation, shared by the subgroups holding it."""
+    rows = [[key[i:i + n] for i in range(0, n * n, n)] for key in keys]
+    as_tuple = {p: tuple(p) for r in rows for p in r}
+    return tuple(RegularSubgroup(tuple(map(as_tuple.__getitem__, r)))
+                 for r in rows)
+
+
 def regular_subgroups_in_holomorph(N: FiniteGroup) \
         -> tuple[RegularSubgroup, ...]:
     """All regular subgroups of the holomorph of N, canonically sorted."""
-    n = N.order
-    found: list[tuple[bytes, ...]] = []
-    _grow_regular(_candidate_pool(_holomorph_bytes(N), n), n, found.append)
-    # one tuple per distinct permutation, shared by the subgroups holding it
-    as_tuple = {p: tuple(p) for f in found for p in f}
-    return tuple(RegularSubgroup(tuple(map(as_tuple.__getitem__, f)))
-                 for f in sorted(found))
+    return _regular_subgroups(_regular_subgroup_keys(N), N.order)
 
 
-def _n_cycle_subgroups(N: FiniteGroup, images):
-    """The cyclic regular subgroups of Hol(N) that the n-cycles
-    tau -> a*phi(tau) generate, for a in N and phi in images, a stream of
-    automorphisms of N; and how many n-cycles of those subgroups the
-    stream did not meet.
+def _cyclic_keys(N: FiniteGroup, images=None) -> list[bytes]:
+    """The keys, sorted, of the cyclic regular subgroups of Hol(N) that
+    the n-cycles tau -> a*phi(tau) generate, for a in N and phi in images,
+    a stream of automorphisms of N.  By default the stream is all of
+    Aut(N), and every n-cycle of each subgroup found must be met.
 
     Equivalent to filtering for n-cycles, without building Hol(N):
     (a, phi)^m is a translation when phi has order m, so (a, phi) has
@@ -341,7 +354,7 @@ def _n_cycle_subgroups(N: FiniteGroup, images):
     found = set()
     covered = set()  # an n-cycle in a found subgroup generates that one
     cycles = 0
-    for fi in images:
+    for fi in _automorphism_images(N) if images is None else images:
         m = 1
         for g in gens:
             m = math.lcm(m, _cycle_length(fi, g))
@@ -363,33 +376,31 @@ def _n_cycle_subgroups(N: FiniteGroup, images):
                 q = compose(q, p)
             require(len(elems) == n, "an n-cycle does not have order n")
             covered.update(elems)
-            found.add(tuple(sorted(elems)))
+            found.add(b"".join(map(bytes, sorted(elems))))
     # each subgroup found has totient(n) generators, all of them n-cycles
     unmet = sum(math.gcd(k, n) == 1 for k in range(n)) * len(found) - cycles
     require(unmet >= 0, "an n-cycle met lies in no subgroup found")
-    return tuple(RegularSubgroup(f) for f in sorted(found)), unmet
+    require(unmet == 0 or images is not None,
+            "n-cycle count is not totient(n) per cyclic subgroup")
+    return sorted(found)
 
 
 def cyclic_regular_subgroups_in_holomorph(N: FiniteGroup) \
         -> tuple[RegularSubgroup, ...]:
-    """The cyclic regular subgroups of Hol(N): one per n-cycle generator,
-    found by scanning every element of Hol(N) that may be an n-cycle."""
-    found, unmet = _n_cycle_subgroups(N, _automorphism_images(N))
-    require(unmet == 0, "n-cycle count is not totient(n) per cyclic subgroup")
-    return found
+    """The cyclic regular subgroups of Hol(N) by the n-cycle scan, sorted."""
+    return _regular_subgroups(_cyclic_keys(N), N.order)
 
 
-def _cyclic_regular_subgroups_up_to_aut(N: FiniteGroup) \
-        -> tuple[RegularSubgroup, ...]:
-    """Cyclic regular subgroups of Hol(N), at least one of each
-    Aut(N)-conjugacy class, for the census of a cyclic target.
+def _cyclic_keys_up_to_aut(N: FiniteGroup) -> list[bytes]:
+    """The keys, sorted, of cyclic regular subgroups of Hol(N), at least
+    one of each Aut(N)-conjugacy class, for the census of a cyclic target.
 
     Only the (a, phi) with phi(g_0) the least of its Stab(g_0)-orbit are
     scanned.  An n-cycle (a, phi) has a conjugate (psi(a), psi∘phi∘psi^-1)
     by some psi in Stab(g_0) that moves phi(g_0) there, of the same order,
     so every class keeps a generator in the scan.
     """
-    return _n_cycle_subgroups(N, _automorphism_images_up_to_stabilizer(N))[0]
+    return _cyclic_keys(N, _automorphism_images_up_to_stabilizer(N))
 
 
 def regular_subgroups_normalized_by(G: FiniteGroup, *,
@@ -413,13 +424,12 @@ def regular_subgroups_normalized_by(G: FiniteGroup, *,
     pad = bytes(range(n, 256))
     conjugators = [(bytes(G.table[s]) + pad, bytes(G.table[G.inverse[s]]))
                    for s in generating_set(G)]
-    found: list[tuple[Perm, ...]] = []
+    found: list[bytes] = []
 
     def accept(elems: tuple[bytes, ...]) -> None:
-        elems = tuple(map(tuple, elems))
-        require(_normalized_by_translations(elems, G),
+        require(_normalized_by_translations(tuple(map(tuple, elems)), G),
                 "a grown subgroup is not normalized by the translations")
-        found.append(elems)
+        found.append(b"".join(elems))
 
     _grow_regular(pool, n, accept, conjugators)
-    return tuple(RegularSubgroup(f) for f in sorted(found))
+    return _regular_subgroups(sorted(found), n)

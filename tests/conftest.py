@@ -18,3 +18,21 @@ def refuse_searches(monkeypatch, *names):
     for name in names:
         monkeypatch.setattr(perms, name, refuse)
         monkeypatch.setattr(analysis, name, refuse)
+
+
+def transport_table(table, images):
+    """The table relabeled along the bijection images, as row tuples, by
+    its definition out[images[a]][images[b]] = images[table[a][b]]: the
+    reference for the census's one flat relabel routine,
+    groups._relabeler."""
+    n = len(images)
+    out = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[images[a]][images[b]] = images[table[a][b]]
+    return tuple(map(tuple, out))
+
+
+def flat(table) -> bytes:
+    """A table of row tuples as the census keys it: flat row-major bytes."""
+    return b"".join(map(bytes, table))

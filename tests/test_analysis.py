@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import refuse_searches, requires_heavy
+from conftest import flat, refuse_searches, requires_heavy, transport_table
 
 from skewbrace import analysis, braces, perms
 from skewbrace.analysis import (
@@ -42,14 +42,17 @@ from skewbrace.groups import (
     _automorphism_images_up_to_stabilizer,
     _compose,
     _invert,
-    _trusted_group,
     automorphisms,
     distinguished_subgroups,
+    fingerprint,
     isomorphism,
     subgroups,
 )
 from skewbrace.perms import (
-    _cyclic_regular_subgroups_up_to_aut,
+    RegularSubgroup,
+    _cyclic_keys,
+    _cyclic_keys_up_to_aut,
+    _regular_subgroup_keys,
     cyclic_regular_subgroups_in_holomorph,
     regular_subgroups_in_holomorph,
     transport_operation,
@@ -103,9 +106,8 @@ class TestEnumerate:
     def test_unservable_orders_refused(self, monkeypatch):
         # an order the catalog does not hold completely is refused on any
         # route, before any search
-        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph",
-                        "cyclic_regular_subgroups_in_holomorph",
-                        "_cyclic_regular_subgroups_up_to_aut")
+        refuse_searches(monkeypatch, "_regular_subgroup_keys",
+                        "_cyclic_keys", "_cyclic_keys_up_to_aut")
         cases = [(cyclic(30), UnsupportedOrder),
                  (dihedral(9), UnsupportedOrder),
                  (group_by_name("D8"), CatalogIncompleteForOrder)]
@@ -117,7 +119,7 @@ class TestEnumerate:
 
     def test_cyclic_targets_never_search_full_holomorph(self, monkeypatch):
         # the n-cycle scan serves every cyclic target
-        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
+        refuse_searches(monkeypatch, "_regular_subgroup_keys")
 
         def refuse(N):
             pytest.fail(f"Hol({N.name}) was built")
@@ -133,6 +135,24 @@ class TestEnumerate:
             assert len(ops) == len(reports) > 0
             assert e_count(G, G) > 0
             assert f_count(G, G) > 0
+
+    def test_census_builds_no_regular_subgroup(self, monkeypatch):
+        # from the search to the orbit the census and both counts read the
+        # key searches' flat tables; no RegularSubgroup is made
+        def refuse(cls, *args):
+            pytest.fail("a RegularSubgroup was built")
+
+        monkeypatch.setattr(RegularSubgroup, "__new__", refuse)
+        with pytest.raises(pytest.fail.Exception):
+            RegularSubgroup(((0,),))
+        analysis._enumerate_classes.cache_clear()
+        analysis._classify.cache_clear()
+        for G in SERVED:
+            assert len(enumerate_operations(G)) == len(enumerate_reports(G))
+            all_surjective(G)
+            assert e_count(G, G) > 0 and f_count(G, G) > 0
+        analysis._enumerate_classes.cache_clear()
+        analysis._classify.cache_clear()
 
     def test_incomplete_order_refused(self):
         with pytest.raises(CatalogIncompleteForOrder):
@@ -275,6 +295,12 @@ def aut_class(elements, N):
     return out
 
 
+def listed_subgroups(search, N):
+    """The regular subgroups a key search lists, in its order."""
+    return [RegularSubgroup(analysis._rows(key, N.order))
+            for key in search(N)]
+
+
 def per_subgroup_classification(listed):
     """The classification _classify replaced: every listed R transported
     and typed by its own isomorphism call against the first transported
@@ -301,22 +327,22 @@ class TestSharedClassification:
     def test_orbits_from_generators_match_full_sweep(self):
         for G in SERVED:
             auts = automorphisms(G)
-            for found, orbit, _ in analysis._enumerate_classes(G):
+            for brace, orbit, _ in analysis._enumerate_classes(G):
                 # the orbit's flat bytes keys against the row-tuple relabeling
-                sweep = {analysis._transport_table(found, f.images)
-                         for f in auts}
+                found = brace.dot.table
+                sweep = {transport_table(found, f.images) for f in auts}
                 assert {analysis._rows(t, G.order) for t in orbit} == sweep, \
                     G.name
                 for t, phi in orbit.items():
-                    assert analysis._transport_table(found, phi) \
+                    assert transport_table(found, phi) \
                         == analysis._rows(t, G.order)
-                    assert analysis._flat(analysis._rows(t, G.order)) == t
+                    assert flat(analysis._rows(t, G.order)) == t
 
     def test_counts_match_per_class_and_per_subgroup_definitions(self):
         def old_e(G, N):
             return sum(len(orbit)
-                       for found, orbit, _ in analysis._enumerate_classes(G)
-                       if isomorphism(_trusted_group(found), N) is not None)
+                       for brace, orbit, _ in analysis._enumerate_classes(G)
+                       if isomorphism(brace.dot, N) is not None)
 
         def old_f(G, N):
             # every regular subgroup, never the census's one per class; the
@@ -337,9 +363,8 @@ class TestSharedClassification:
     @pytest.mark.parametrize("order", range(1, 16))
     def test_class_typing_matches_per_subgroup_isomorphism(self, order):
         for N in groups_of_order(order):
-            for search in (regular_subgroups_in_holomorph,
-                           _cyclic_regular_subgroups_up_to_aut):
-                listed = search(N)
+            for search in (_regular_subgroup_keys, _cyclic_keys_up_to_aut):
+                listed = listed_subgroups(search, N)
                 reps, classes, members = analysis._classify(search, N)
                 old_reps, old_types = per_subgroup_classification(listed)
                 assert reps == old_reps, N.name
@@ -349,25 +374,25 @@ class TestSharedClassification:
                     own = [R for R, m in zip(listed, members) if m == c]
                     # theta relabels the first R's group onto its type
                     T = transport_operation(own[0])
-                    assert analysis._transport_table(T.table, theta) == \
-                        reps[k].table
+                    assert transport_table(T.table, theta) == reps[k].table
                     closure = aut_class(own[0].elements, N)
                     assert len(closure) == size, N.name
                     assert {R.elements for R in own} <= closure, N.name
                     closures.append(closure)
                 union = set().union(*closures)
                 assert len(union) == sum(map(len, closures)), N.name
-                if search is regular_subgroups_in_holomorph:
+                if search is _regular_subgroup_keys:
                     assert union == {R.elements for R in listed}, N.name
 
     def test_one_transport_per_route_type_and_aut_class(self, monkeypatch):
+        # _classify types each transported T_R once, by its fingerprint
         calls = Counter()
 
-        def counting(R):
-            calls[R] += 1
-            return transport_operation(R)
+        def counting(T):
+            calls[flat(T.table)] += 1
+            return fingerprint(T)
 
-        monkeypatch.setattr(analysis, "transport_operation", counting)
+        monkeypatch.setattr(analysis, "fingerprint", counting)
         analysis._enumerate_classes.cache_clear()
         analysis._classify.cache_clear()
         gs = groups_of_order(8)
@@ -379,14 +404,14 @@ class TestSharedClassification:
         # per route and N, the first listed R of each Aut(N)-class; the f
         # side of a cyclic target counts the full scan and transports nothing
         expected = Counter()
-        for search in (regular_subgroups_in_holomorph,
-                       _cyclic_regular_subgroups_up_to_aut):
+        for search in (_regular_subgroup_keys, _cyclic_keys_up_to_aut):
             for N in gs:
                 met = set()
-                for R in search(N):
-                    if R.elements not in met:
-                        expected[R] += 1
-                        met |= aut_class(R.elements, N)
+                for key in search(N):
+                    if key not in met:
+                        expected[key] += 1
+                        met |= set(map(flat, aut_class(
+                            analysis._rows(key, N.order), N)))
         assert calls == expected
 
     def test_only_representatives_outlive_the_census(self, monkeypatch):
@@ -397,12 +422,11 @@ class TestSharedClassification:
         # more: every other live T is a representative
         refs = []
 
-        def recording(R):
-            T = transport_operation(R)
+        def recording(T):
             refs.append(weakref.ref(T))
-            return T
+            return fingerprint(T)
 
-        monkeypatch.setattr(analysis, "transport_operation", recording)
+        monkeypatch.setattr(analysis, "fingerprint", recording)
         analysis._enumerate_classes.cache_clear()
         analysis._classify.cache_clear()
         gs = groups_of_order(8)
@@ -448,7 +472,7 @@ class TestSharedClassification:
         assert byott_check(Q8, E8)
 
         def per_class_f(circG, N):
-            search = regular_subgroups_in_holomorph
+            search = _regular_subgroup_keys
             to_circ = analysis._onto(search, N, circG)
             return sum(to_circ[k] is not None
                        for k, _, _ in analysis._classify(search, N)[1])
@@ -461,7 +485,7 @@ class TestSharedClassification:
     def test_f_count_at_incomplete_order_16(self, monkeypatch):
         # the n-cycle route serves a cyclic target at order 16, which the
         # catalog does not hold completely; the values are pinned as found
-        refuse_searches(monkeypatch, "regular_subgroups_in_holomorph")
+        refuse_searches(monkeypatch, "_regular_subgroup_keys")
         C16 = group_by_name("C16")
         expected = {"C16": 4, "C8xC2": 0, "D8": 16, "Q16": 16, "M16": 0,
                     "C4xC4": 0}
@@ -479,8 +503,8 @@ class TestCensusScan:
         for N in groups_of_order(order):
             full = {R.elements
                     for R in cyclic_regular_subgroups_in_holomorph(N)}
-            census = {R.elements
-                      for R in _cyclic_regular_subgroups_up_to_aut(N)}
+            census = {analysis._rows(key, order)
+                      for key in _cyclic_keys_up_to_aut(N)}
             assert census <= full, N.name
             if N.is_cyclic():  # Stab(g_0) is trivial, C1 included
                 assert census == full, N.name
@@ -508,8 +532,7 @@ class TestCensusScan:
                      reports_to_text(enumerate_reports(G))) for G in targets]
 
         pruned = census()
-        monkeypatch.setattr(analysis, "_cyclic_regular_subgroups_up_to_aut",
-                            cyclic_regular_subgroups_in_holomorph)
+        monkeypatch.setattr(analysis, "_cyclic_keys_up_to_aut", _cyclic_keys)
         full = census()
         analysis._enumerate_classes.cache_clear()
         analysis._classify.cache_clear()
@@ -520,8 +543,7 @@ class TestCensusScan:
         # and 1 * 6 != 2 * 2
         C4, V4 = group_by_name("C4"), group_by_name("C2xC2")
         assert byott_check(C4, V4)
-        monkeypatch.setattr(analysis, "cyclic_regular_subgroups_in_holomorph",
-                            _cyclic_regular_subgroups_up_to_aut)
+        monkeypatch.setattr(analysis, "_cyclic_keys", _cyclic_keys_up_to_aut)
         with pytest.raises(InternalInconsistency):
             byott_check(C4, V4)
 
@@ -575,9 +597,14 @@ class TestAllSurjective:
         for G in (group_by_name("Q8"), group_by_name("C6")):
             calls.clear()
             all_surjective(G)
+            # each class's own checked brace, not a rebuilt one, here and
+            # in enumerate_reports
             classes = analysis._enumerate_classes(G)
-            assert [B.dot.table for B in calls] \
-                == [found for found, _, _ in classes]
+            checked = [id(brace) for brace, _, _ in classes]
+            assert list(map(id, calls)) == checked
+            calls.clear()
+            enumerate_reports(G)
+            assert list(map(id, calls)) == checked
 
     @requires_heavy
     def test_matches_per_operation_definition_on_non_cyclic_order_27(self):

@@ -6,7 +6,6 @@ from conftest import requires_heavy
 from skewbrace import analysis, braces
 from skewbrace.braces import (
     GammaTable,
-    SkewBrace,
     almost_trivial_brace,
     brace_automorphism_count,
     brace_automorphisms,
@@ -39,7 +38,6 @@ from skewbrace.errors import (
     NotBraceAutomorphismAction,
 )
 from skewbrace.groups import (
-    _trusted_group,
     automorphisms,
     distinguished_subgroups,
     generating_set,
@@ -190,9 +188,8 @@ def dot_lattice_left_ideals(B):
 
 def census_class_braces(orders):
     """One brace per census class of every catalog target of the orders."""
-    return [SkewBrace(_trusted_group(found), G)
-            for n in orders for G in groups_of_order(n)
-            for found, _, _ in analysis._enumerate_classes(G)]
+    return [brace for n in orders for G in groups_of_order(n)
+            for brace, _, _ in analysis._enumerate_classes(G)]
 
 
 def assert_left_ideals_match_dot_lattice(pool):

@@ -29,7 +29,7 @@ import re
 
 import pytest
 
-from conftest import requires_heavy
+from conftest import flat, requires_heavy
 from skewbrace import braces, constructions
 from skewbrace.analysis import enumerate_operations, surjective_iff_power_auto
 from skewbrace.braces import (
@@ -75,8 +75,11 @@ from skewbrace.groups import (
 )
 from skewbrace.perms import (
     _candidate_pool,
+    _cyclic_keys,
+    _cyclic_keys_up_to_aut,
     _grow_regular,
     _normalized_by_translations,
+    _regular_subgroup_keys,
     compose,
     holomorph,
     regular_subgroups_in_holomorph,
@@ -697,17 +700,41 @@ def test_oracle_search_matches_pairwise_closure(G):
         == sorted(found)
 
 
+def is_n_cycle(p):
+    """Whether the permutation p walks 0 through every point."""
+    seen, x = {0}, p[0]
+    while x not in seen:
+        seen.add(x)
+        x = p[x]
+    return len(seen) == len(p)
+
+
+def assert_searches_match_tuple_kernel(N):
+    """The public search and the key searches against the tuple kernel: a
+    key is the subgroup's sorted elements joined as flat bytes, the full
+    n-cycle scan lists the kernel's cyclic subgroups, and the census scan
+    some of them."""
+    n = N.order
+    kernel = tuple_kernel_search(generator_holomorph(N), n)
+    assert [R.elements for R in regular_subgroups_in_holomorph(N)] \
+        == kernel, N.name
+    assert _regular_subgroup_keys(N) == list(map(flat, kernel)), N.name
+    cyclic = [flat(elems) for elems in kernel
+              if any(map(is_n_cycle, elems))]
+    assert _cyclic_keys(N) == cyclic, N.name
+    census = _cyclic_keys_up_to_aut(N)
+    assert census == sorted(census) and set(census) <= set(cyclic), N.name
+
+
 @pytest.mark.parametrize("N", small_catalog(15), ids=lambda G: G.name)
 def test_bytes_search_matches_tuple_kernel(N):
-    assert [R.elements for R in regular_subgroups_in_holomorph(N)] \
-        == tuple_kernel_search(generator_holomorph(N), N.order)
+    assert_searches_match_tuple_kernel(N)
 
 
 @requires_heavy
 def test_bytes_search_matches_tuple_kernel_order_27():
     for N in groups_of_order(27):
-        assert [R.elements for R in regular_subgroups_in_holomorph(N)] \
-            == tuple_kernel_search(generator_holomorph(N), 27), N.name
+        assert_searches_match_tuple_kernel(N)
 
 
 @pytest.mark.parametrize(

@@ -465,7 +465,7 @@ class TestAutomorphisms:
         N = groups.FiniteGroup(C3xC3.table, C3xC3.inverse)
         for read in (automorphisms, perms.holomorph,
                      perms.cyclic_regular_subgroups_in_holomorph,
-                     perms._cyclic_regular_subgroups_up_to_aut):
+                     perms._cyclic_keys_up_to_aut):
             with pytest.raises(InternalInconsistency,
                                match="products are not distinct"):
                 read(N)

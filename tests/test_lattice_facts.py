@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from conftest import requires_heavy
+from conftest import flat, requires_heavy, transport_table
 from skewbrace import analysis, perms
 from skewbrace.braces import (
     SkewBrace,
@@ -34,6 +34,7 @@ from skewbrace.groups import (
     _compose,
     _invert,
     _itemgetter,
+    _relabeler,
     _trusted_group,
     automorphisms,
     cyclic_subgroup,
@@ -222,13 +223,13 @@ def census_braces(orders):
     relabeled along a bijection fixing 0 that is no automorphism."""
     out = []
     for G in catalog_of(orders):
-        for found, _, _ in analysis._enumerate_classes(G):
-            out.append(SkewBrace(_trusted_group(found), G))
+        for brace, _, _ in analysis._enumerate_classes(G):
+            out.append(brace)
+            found = brace.dot.table
             for images in bijections(G, 1):
                 out.append(SkewBrace(
-                    _trusted_group(analysis._transport_table(found, images)),
-                    _trusted_group(analysis._transport_table(G.table,
-                                                             images))))
+                    _trusted_group(transport_table(found, images)),
+                    _trusted_group(transport_table(G.table, images))))
     return out
 
 
@@ -248,16 +249,20 @@ def test_cached_orbit_steps_equal_fresh_ones(orders):
     for G in catalog_of(orders):
         n = G.order
         gens = _automorphism_generators(G)
-        # itemgetters compare by identity: compare what they take
-        cells = tuple(range(n * n))
-        assert [(g, values, positions(cells))
-                for g, values, positions in G._relabel_steps] \
-            == [(g, values, positions(cells))
-                for g, values, positions in old_orbit_steps(gens, n)], G.name
-        for found, orbit, _ in analysis._enumerate_classes(G):
-            flat = analysis._flat(found)
-            assert analysis._orbit(flat, G) == old_orbit(flat, gens, n)
-            assert analysis._orbit(flat, G) == orbit
+        steps = old_orbit_steps(gens, n)
+        # each cached step is the shared routine _relabeler(g); closures
+        # compare by identity, so compare what they make
+        assert [g for g, _ in G._relabel_steps] \
+            == [g for g, _, _ in steps], G.name
+        table = flat(G.table)
+        for (g, relabel), (_, values, positions) in zip(G._relabel_steps,
+                                                         steps):
+            assert relabel(table) == _relabeler(g)(table) \
+                == bytes(positions(table.translate(values))), G.name
+        for brace, orbit, _ in analysis._enumerate_classes(G):
+            found = flat(brace.dot.table)
+            assert analysis._orbit(found, G) == old_orbit(found, gens, n)
+            assert analysis._orbit(found, G) == orbit
 
 
 # -- the facts themselves ----------------------------------------------------------

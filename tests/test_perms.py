@@ -2,13 +2,20 @@
 oracle for small orders."""
 
 import itertools
+import random
 
 import pytest
 
+from conftest import flat, transport_table
 from skewbrace import perms
 from skewbrace.catalog import group_by_name, groups_of_order
 from skewbrace.errors import NotNormalized, NotRegular, OrderTooLargeForOracle
-from skewbrace.groups import automorphisms, isomorphism, opposite_table
+from skewbrace.groups import (
+    _relabeler,
+    automorphisms,
+    isomorphism,
+    opposite_table,
+)
 from skewbrace.perms import (
     RegularSubgroup,
     compose,
@@ -196,6 +203,40 @@ class TestTransport:
             except NotNormalized:
                 rejected += 1
         assert (ok, rejected) == (1, 2)
+
+
+class TestFlatTables:
+    """The census's one table format: each key search gives a regular
+    subgroup R as the flat table of transport_operation(R), and one
+    routine relabels flat tables.  The public wrappers and the row-tuple
+    relabeling by its definition are the references."""
+
+    @pytest.mark.parametrize("order", range(1, 16))
+    def test_keys_are_transported_tables(self, order):
+        for N in groups_of_order(order):
+            for keys, listed in (
+                    (perms._regular_subgroup_keys(N),
+                     regular_subgroups_in_holomorph(N)),
+                    (perms._cyclic_keys(N),
+                     cyclic_regular_subgroups_in_holomorph(N))):
+                assert keys == [flat(transport_operation(R).table)
+                                for R in listed], N.name
+            census = perms._cyclic_keys_up_to_aut(N)
+            assert census == sorted(census), N.name
+            assert set(census) <= set(perms._cyclic_keys(N)), N.name
+
+    @pytest.mark.parametrize("order", range(1, 16))
+    def test_relabeler_matches_row_tuple_reference(self, order):
+        rng = random.Random(order)
+        for N in groups_of_order(order):
+            n = N.order
+            for _ in range(4):
+                rest = list(range(1, n))
+                rng.shuffle(rest)
+                g = (0, *rest)
+                for table in (N.table, opposite_table(N)):
+                    assert _relabeler(g)(flat(table)) \
+                        == flat(transport_table(table, g)), N.name
 
 
 class TestOracle:
