@@ -43,7 +43,6 @@ from .groups import (
     _relabeler,
     _trusted_group,
     distinguished_subgroups,
-    fingerprint,
     generating_set,
     is_power_automorphism,
     isomorphism,
@@ -119,18 +118,18 @@ def _classify(search, N: FiniteGroup):
     R's key is the flat table of T_R once evaluation at 0 is checked to
     be a bijection.  Conjugating R by phi in Aut(N) relabels T_R along
     phi, so a class is the _orbit of the first R's key under the
-    generators of Aut(N), and the first R alone is transported, bucketed
-    by fingerprint and typed by one isomorphism call per bucket member
-    tried.  Every later R is found in a class by its key: its type is
-    that of the class, proved by the relabeling.  The class tables live
-    only while the call runs.  Without the catalog, and keyed on the
+    generators of Aut(N), and the first R alone is transported and typed
+    by isomorphism against each of reps in turn; a T_R joins reps only
+    when none matches, so reps are pairwise non-isomorphic and at most
+    one matches.  Every later R is found in a class by its key: its type
+    is that of the class, proved by the relabeling.  The class tables
+    live only while the call runs.  Without the catalog, and keyed on the
     search as well as N, so every census and count of one order that
     takes the same route shares it; no other T_R outlives the call.
     """
     n = N.order
     starts = bytes(range(n))
     reps: list[FiniteGroup] = []
-    buckets: dict[tuple, list[int]] = {}
     classes = []
     members = []
     class_of: dict[bytes, int] = {}  # every table of a class met
@@ -139,15 +138,13 @@ def _classify(search, N: FiniteGroup):
         if c is None:
             require(key[::n] == starts, "evaluation at 0 is not a bijection")
             T = _trusted_group(_rows(key, n))
-            bucket = buckets.setdefault(fingerprint(T), [])
-            for k in bucket:
-                iso = isomorphism(T, reps[k])
+            for k, rep in enumerate(reps):
+                iso = isomorphism(T, rep)
                 if iso is not None:
                     theta = iso.images
                     break
             else:
                 k = len(reps)
-                bucket.append(k)
                 reps.append(T)
                 theta = tuple(range(n))
             c = len(classes)

@@ -7,9 +7,10 @@ groups are indexed by the rotation order (D4 has order 8).
 The catalog is one static table, _CATALOG: per order, each name with
 the constructor of its group, in catalog order.  Adding a group is one
 (name, constructor) entry on its order's line, usually a _metacyclic
-call.  The groups of an order are built, checked and fingerprinted the
-first time that order is asked for, so a census of one order pays for
-that order's groups only.
+call.  The groups of an order are built and checked pairwise
+non-isomorphic the first time that order is asked for, so a census of
+one order pays for that order's groups only.  A group is typed by
+isomorphism alone, against each catalog group of its order in turn.
 """
 
 from __future__ import annotations
@@ -167,13 +168,18 @@ require(len(_ORDER_OF) == sum(map(len, _CATALOG.values())),
 
 @functools.lru_cache(maxsize=None)
 def _entries(order: int) -> dict[str, FiniteGroup]:
-    """The catalog groups of one order by name, built on first use."""
+    """The catalog groups of one order by name, built on first use and
+    checked pairwise non-isomorphic, so type_name's first match is the
+    only one."""
     table = {}
     for name, build in _CATALOG.get(order, ()):
         G = build()
         require(G.order == order,
                 f"catalog group {name} of order {G.order} is filed "
                 f"under order {order}")
+        for H in table.values():
+            require(isomorphism(G, H) is None,
+                    f"catalog groups {H.name} and {name} are isomorphic")
         table[name] = G.with_name(name)
     return table
 
@@ -213,33 +219,20 @@ def groups_of_order(order: int) -> tuple[FiniteGroup, ...]:
     raise UnsupportedOrder(f"no catalog groups of order {order}")
 
 
-@functools.lru_cache(maxsize=None)
-def _by_fingerprint(order: int) -> dict[tuple, FiniteGroup]:
-    """The catalog groups of one order under their fingerprints, which
-    tell them apart."""
-    out: dict[tuple, FiniteGroup] = {}
-    for H in _entries(order).values():
-        first = out.setdefault(fingerprint(H), H)
-        require(first is H,
-                f"catalog groups {first.name} and {H.name} share a fingerprint")
-    return out
-
-
 def type_name(G: FiniteGroup) -> str:
-    """Catalog label of the isomorphism class, or a stable fallback.  Only
-    the catalog group with G's fingerprint can be isomorphic to G; one
-    isomorphism call confirms it."""
-    key = fingerprint(G)
-    # an order without names builds nothing, so the caches keep no entry
-    H = _by_fingerprint(G.order).get(key) if G.order in _CATALOG else None
-    if H is not None and isomorphism(G, H) is not None:
-        return H.name
+    """Catalog label of the isomorphism class, or a stable fallback: the
+    first catalog group of G's order, in catalog order, that isomorphism
+    matches."""
+    # an order without names builds nothing, so the cache keeps no entry
+    for H in _entries(G.order).values() if G.order in _CATALOG else ():
+        if isomorphism(G, H) is not None:
+            return H.name
     # imported here, as only this fallback hashes: importing hashlib loads
     # OpenSSL, which a census of a catalog order never needs
     import hashlib
 
     # element orders in list form, so recorded fallback names keep their bytes
-    order, abelian, orders = key
+    order, abelian, orders = fingerprint(G)
     text = repr((order, abelian, list(orders)))
     digest = hashlib.sha256(text.encode()).hexdigest()[:8]
     return f"unknown-order-{G.order}-#{digest}"

@@ -1,5 +1,6 @@
 """Catalog completeness and the two file formats."""
 
+import functools
 import hashlib
 import json
 import re
@@ -28,7 +29,13 @@ from skewbrace.errors import (
     UnsupportedOrder,
     ValidationError,
 )
-from skewbrace.groups import isomorphism, make_group
+from skewbrace.groups import (
+    _automorphism_count,
+    direct_product,
+    fingerprint,
+    isomorphism,
+    make_group,
+)
 from skewbrace.cli import main
 from skewbrace.serialize import (
     _json_text,
@@ -90,6 +97,17 @@ M27 93214debab2183606a53c7cb10aa537b8583cd48d6faf2e6bf555839c1f99660
 """.strip().splitlines())
 
 
+def cycled(G):
+    """G relabeled by cycling the labels 1..n-1, validated afresh."""
+    n = G.order
+    perm = [0, *range(2, n), 1]
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[G.table[a][b]]
+    return make_group(table)
+
+
 class TestCatalog:
     def test_tables_pinned(self):
         assert tuple(TABLE_SHA256) == catalog_names()
@@ -143,6 +161,36 @@ class TestCatalog:
         with pytest.raises(InternalInconsistency, match="filed under order 5"):
             catalog._entries.__wrapped__(5)
 
+    def test_one_group_under_two_names_refused(self, monkeypatch):
+        # C2xC4 is C4xC2 on other labels: isomorphism, not the table,
+        # refuses it
+        monkeypatch.setitem(catalog._CATALOG, 8, (
+            *catalog._CATALOG[8], ("C2xC4", lambda: catalog._abelian(2, 4))))
+        with pytest.raises(InternalInconsistency,
+                           match="catalog groups C4xC2 and C2xC4 are "
+                                 "isomorphic"):
+            catalog._entries.__wrapped__(8)
+
+    def test_fingerprint_tie_typed_by_isomorphism(self, monkeypatch):
+        # C4:C4 and Q8xC2 share the fingerprint and a centre of order 4,
+        # and differ in |Aut|: each is still named by its own entry
+        c4c4 = catalog._metacyclic(4, 4, 3)
+        q8c2 = direct_product(catalog.dicyclic(2), cyclic(2))
+        assert fingerprint(c4c4) == fingerprint(q8c2)
+        assert sum(c4c4.central) == sum(q8c2.central) == 4
+        assert _automorphism_count(c4c4) == 32
+        assert _automorphism_count(q8c2) == 192
+        monkeypatch.setitem(catalog._CATALOG, 16, (
+            *catalog._CATALOG[16],
+            ("C4:C4", lambda: c4c4), ("Q8xC2", lambda: q8c2)))
+        # a fresh cache, so the patched order is built here and dropped
+        monkeypatch.setattr(catalog, "_entries", functools.lru_cache(
+            catalog._entries.__wrapped__))
+        for name, G in (("C4:C4", c4c4), ("Q8xC2", q8c2)):
+            H = cycled(G)
+            assert H.table != G.table
+            assert type_name(H) == name
+
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             group_by_name("E8")
@@ -171,15 +219,10 @@ class TestCatalog:
     def test_partial_order_sixteen(self):
         with pytest.raises(CatalogIncompleteForOrder):
             groups_of_order(16)
-        # its entries still name their class: relabel by cycling 1..15
-        perm = [0, *range(2, 16), 1]
+        # its entries still name their class
         for name in ("C16", "D8", "Q16"):
             G = group_by_name(name)
-            table = [[0] * 16 for _ in range(16)]
-            for a in range(16):
-                for b in range(16):
-                    table[perm[a]][perm[b]] = perm[G.table[a][b]]
-            H = make_group(table)
+            H = cycled(G)
             assert H.table != G.table
             assert type_name(H) == name
 
@@ -197,13 +240,12 @@ class TestCatalog:
 
     def test_type_name_off_catalog_caches_nothing(self):
         from skewbrace.catalog import dihedral
-        caches = (catalog._entries, catalog._by_fingerprint)
-        before = [c.cache_info().currsize for c in caches]
+        before = catalog._entries.cache_info().currsize
         names = [type_name(dihedral(k)) for k in (9, 10, 11)]
         assert names == ["unknown-order-18-#3b0b6c49",
                          "unknown-order-20-#30603d8d",
                          "unknown-order-22-#0c724bd5"]
-        assert [c.cache_info().currsize for c in caches] == before
+        assert catalog._entries.cache_info().currsize == before
 
 
 class TestGroupFiles:

@@ -178,7 +178,15 @@ class TestVerify:
     def test_bijection_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "bijection")
         assert code == 0
-        assert "PASS bijection" in out
+        assert out == "PASS bijection: oracle equivalence on 8 groups\n"
+
+    def test_heavy_orders_option_refused(self, capsys):
+        # the bijection suite checks orders 1-6 and takes no option; the
+        # order-8 oracle is test_criterion_4_oracle_equivalence_order8
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "bijection", "--enable-heavy-orders"])
+        assert exc.value.code == 2
+        assert "--enable-heavy-orders" in capsys.readouterr().err
 
     def test_paper_numbers_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "paper-numbers")
