@@ -267,14 +267,16 @@ def brace_isomorphism(B1: SkewBrace, B2: SkewBrace) -> GroupMap | None:
     return None
 
 
-@functools.lru_cache(maxsize=None)
 def brace_automorphisms(B: SkewBrace) -> tuple[GroupMap, ...]:
-    """Automorphisms of circ that also preserve dot, as maps on circ."""
+    """Automorphisms of circ that also preserve dot, as maps on the
+    asking B.circ.  Not cached: a cache keyed on the brace's value would
+    hand another caller maps that name its own circ."""
     circ, gens = B.circ, generating_set(B.dot)
     return tuple(GroupMap(circ, circ, f) for f in circ._automorphisms
                  if _respects_generators(f, B.dot, B.dot, gens))
 
 
+@functools.lru_cache(maxsize=None)
 def brace_automorphism_count(B: SkewBrace) -> int:
     return len(brace_automorphisms(B))
 

@@ -40,7 +40,7 @@ from .groups import (
 def norm_mod_center(G: FiniteGroup):
     """The quotient N(G)/Z(G) and, per quotient element, its coset of
     representatives inside G (sorted).  A fact of G's table, computed
-    once per table whatever the instance's name."""
+    once per table whatever the handle's name."""
     return G._norm_mod_center
 
 

@@ -4,24 +4,25 @@ Groups live on the element set 0..n-1 with 0 as the identity.  Everything
 is immutable.  Memoization follows one rule: a fact of one table lives
 with the table, and a result keyed on more than one value keeps a module
 cache.  So this layer has no module cache: the facts of a table are
-computed once and kept in one store, a _Facts dict, which every named
-instance of the table shares as its __dict__ (the name sits in a slot),
-and subgroups, automorphisms, distinguished_subgroups and the like read
-one in one line.  A weak registry, _LIVE, keyed on the table alone, holds
-the store of every live table, so each fact is computed once per table,
-under any name, while any instance of it is held, and nothing keeps a
-dropped group alive.  A fact that names an instance, such as the GroupMaps
-of automorphisms(G), is kept as image tuples and built on the instance
-that asks.
+computed once and kept in one store, a _Facts dict.  A FiniteGroup is a
+plain named handle on it: the store is its __dict__ and the name sits in
+a slot, so any number of handles, under any names, share one store, and
+subgroups, automorphisms, distinguished_subgroups and the like read one
+fact in one line.  A weak registry, _LIVE, keyed on the table alone,
+holds the store of every live table, so each fact is computed once per
+table while any handle on it is held, and nothing keeps a dropped group
+alive: a store refers to no handle on its own table.  A fact that names
+a group, such as the GroupMaps of automorphisms(G), is kept as image
+tuples and built on the handle that asks.
 
 A table is validated once, where it enters.  make_group checks it in
 full and records in its store that it passed; on a table that has passed,
-make_group returns the live instance under the name asked for and checks
-nothing again.  A table that has never passed is checked in full on every
-call, also when it is live through _trusted_group.  A table derived from
-valid groups (a quotient, a subgroup, a semidirect product along a
-checked action, a relabeling along a bijection) is a group by
-construction and _trusted_group takes it as is.
+make_group returns a new handle on the store under the name asked for
+and checks nothing again.  A table that has never passed is checked in
+full on every call, also when it is live through _trusted_group.  A
+table derived from valid groups (a quotient, a subgroup, a semidirect
+product along a checked action, a relabeling along a bijection) is a
+group by construction and _trusted_group takes it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -86,10 +87,9 @@ Subgroup = tuple[int, ...]   # strictly increasing element indices, contains 0
 
 
 class _Facts(dict):
-    """The facts of one table: the __dict__ that every named instance of
-    it shares.  It holds the table, its inverse, each cached property once
-    computed, _checked once make_group's checks have passed, and _names,
-    a weak reference to the instance of each name."""
+    """The facts of one table: the __dict__ that every handle on it
+    shares.  It holds the table, its inverse, each cached property once
+    computed, and _checked once make_group's checks have passed."""
 
     __slots__ = ("__weakref__",)
 
@@ -99,22 +99,23 @@ class FiniteGroup:
 
     A frozen value: setting or deleting an attribute raises
     dataclasses.FrozenInstanceError, and equality and hash are those of
-    the table.  Every fact of the table is computed once, on first use,
-    and kept under its own name in the table's _Facts, which is the
-    __dict__ of every instance of the table whatever its name: hash,
-    transpose, element orders, centre flags, generating set, fingerprint,
-    the stabilizer chain of Aut(G), Aut(G) as image tuples and a small
-    generating set of it, the subgroup lattice as member sets, the
-    distinguished subgroups, N(G)/Z(G), cyclic subgroups with their
-    generators, conjugation rows and orbit relabeling steps.  The name
-    alone is the instance's own.  A group made by calling FiniteGroup has
-    a store of its own, outside the registry.
+    the table.  An instance is a plain named handle: every fact of the
+    table is computed once, on first use, and kept under its own name in
+    the table's _Facts, which is the __dict__ of every handle on the table
+    whatever its name: hash, transpose, element orders, centre flags,
+    generating set, fingerprint, the stabilizer chain of Aut(G), Aut(G)
+    as image tuples and a small generating set of it, the subgroup
+    lattice as member sets, the distinguished subgroups, N(G)/Z(G),
+    cyclic subgroups with their generators, conjugation rows and orbit
+    relabeling steps.  The name alone is the handle's own; handles are
+    made freely and compared by value.  A group made by calling
+    FiniteGroup has a store of its own, outside the registry.
     """
 
     __slots__ = ("name", "__dict__", "__weakref__")
 
     def __init__(self, table, inverse, name: str | None = None) -> None:
-        _share(self, _Facts(table=table, inverse=inverse, _names={}), name)
+        _handle(_Facts(table=table, inverse=inverse), name, self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -330,9 +331,9 @@ class FiniteGroup:
         return math.lcm(*self.element_orders)
 
     def with_name(self, name: str) -> FiniteGroup:
-        """The live instance of this table under name: it shares this
-        instance's facts."""
-        return _instance(vars(self), name)
+        """A handle on this table under name: it shares this group's
+        facts."""
+        return _handle(vars(self), name)
 
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"
@@ -346,8 +347,8 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     offending element or triple, and BadParameters for a name that is
     not a string.  Associativity is Light's test on the generators the
     square's own rows reach every element by.  A table that has passed
-    once is not checked again while it is live: its instance under name
-    is handed out.
+    once is not checked again while it is live: a new handle on its store,
+    under name, is handed out.
     """
     if name is not None and not isinstance(name, str):
         raise BadParameters(f"group name must be a string, got {name!r}")
@@ -360,7 +361,7 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     key = hash(rows)
     known = _LIVE.get(key)
     if known is not None and "_checked" in known and known["table"] == rows:
-        return _instance(known, name)
+        return _handle(known, name)
     columns, gens = _check_table(rows, given)
     # registered, with the columns and generators found here, only once
     # every check has passed
@@ -423,8 +424,8 @@ _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 def _trusted_group(table, name: str | None = None, **facts) -> FiniteGroup:
     """The group of a table already checked by make_group or derived from
-    valid groups, checking nothing: the instance under name of the live
-    table's facts when the table is live, else of new facts, registered.
+    valid groups, checking nothing: a new handle, under name, on the live
+    table's facts when the table is live, else on new facts, registered.
     facts are values of cached properties (and the inverse) already
     known; the store keeps those it does not have yet.  The table is
     hashed once, for the key and the store."""
@@ -436,27 +437,21 @@ def _trusted_group(table, name: str | None = None, **facts) -> FiniteGroup:
     if known is None or known["table"] != rows:
         inverse = facts.pop("inverse", None) \
             or tuple(row.index(0) for row in rows)
-        known = _LIVE[key] = _Facts(table=rows, inverse=inverse, _names={})
+        known = _LIVE[key] = _Facts(table=rows, inverse=inverse)
     for fact, value in facts.items():
         known.setdefault(fact, value)
-    return _instance(known, name)
+    return _handle(known, name)
 
 
-def _instance(facts: _Facts, name: str | None) -> FiniteGroup:
-    """The live instance of the table of facts under name, or a new one."""
-    ref = facts["_names"].get(name)
-    G = None if ref is None else ref()
+def _handle(facts: _Facts, name: str | None,
+            G: FiniteGroup | None = None) -> FiniteGroup:
+    """G, or a new FiniteGroup, made a handle named name on the table's
+    store facts, which keeps no reference to it."""
     if G is None:
         G = object.__new__(FiniteGroup)
-        _share(G, facts, name)
-    return G
-
-
-def _share(G: FiniteGroup, facts: _Facts, name: str | None) -> None:
-    """Make facts the __dict__ of the new instance G, named name."""
     object.__setattr__(G, "__dict__", facts)
     object.__setattr__(G, "name", name)
-    facts["_names"][name] = weakref.ref(G)
+    return G
 
 
 def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -736,20 +731,8 @@ def homomorphisms(G: FiniteGroup, H: FiniteGroup, *, bijective: bool = False,
     """
     if bijective and G.order != H.order:
         return []
-    return _extensions(G, H, (), bijective=bijective,
-                       first_only=first_only)
-
-
-def _extensions(G: FiniteGroup, H: FiniteGroup, prefix: tuple[int, ...], *,
-                bijective: bool, first_only: bool) -> list[GroupMap]:
-    """The homomorphisms G -> H (injective when bijective) whose images of
-    generating_set(G) begin with prefix, found by the backtracking that
-    homomorphisms describes.  A prefix that leaves the candidate images
-    of _Extender gives no maps."""
     search = _Extender(G, H, bijective)
-    if all(h in level for h, level in zip(prefix, search.candidates)) \
-            and all(search.advance(h) is not None for h in prefix):
-        search.complete(first_only)
+    search.complete(first_only)
     return [GroupMap(G, H, images) for images in search.found]
 
 
@@ -868,7 +851,7 @@ def _automorphism_images(G: FiniteGroup, outer=None):
     Built from the stabilizer chain on gens = generating_set(G), which G
     keeps.  Level k is a transversal T_k: for each h, the first
     automorphism that fixes g_0..g_{k-1} and sends g_k to h, if there is
-    one (_extensions tries only the h of g_k's order that are central
+    one (_Extender tries only the h of g_k's order that are central
     exactly when g_k is).  Every automorphism is t_0∘t_1∘…∘t_{d-1} for
     exactly one choice of t_k in T_k, so the search stops at Σ|T_k|
     first-found extensions and the rest is composition.  The products

@@ -10,6 +10,17 @@ requires_heavy = pytest.mark.skipif(
     not HEAVY, reason="set SKEWBRACE_HEAVY=1 to run the expensive checks")
 
 
+@pytest.fixture
+def fresh_census():
+    """Reset the census caches of skewbrace.analysis before and after the
+    test body, so it neither reads nor leaves a classification."""
+    analysis._enumerate_classes.cache_clear()
+    analysis._classify.cache_clear()
+    yield
+    analysis._enumerate_classes.cache_clear()
+    analysis._classify.cache_clear()
+
+
 def refuse_searches(monkeypatch, *names):
     """Make the named regular-subgroup searches of skewbrace.perms fail the
     test if run, also where skewbrace.analysis imported them."""

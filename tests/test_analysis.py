@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from conftest import flat, refuse_searches, requires_heavy, transport_table
 
-from skewbrace import analysis, braces, perms
+from skewbrace import analysis, perms
 from skewbrace.analysis import (
     HgsReport,
     all_surjective,
@@ -80,21 +80,6 @@ def classify_transports(monkeypatch, record):
     monkeypatch.setattr(analysis, "_trusted_group", hook)
 
 
-def cached_braces():
-    """The braces that the lru_caches of skewbrace.braces hold as keys,
-    read from each cache's dict (a referent of the C wrapper, keyed on
-    the argument tuple)."""
-    out = []
-    for f in vars(braces).values():
-        if hasattr(f, "cache_info"):
-            for ref in gc.get_referents(f):
-                if isinstance(ref, dict):
-                    out += [key[0] for key in ref
-                            if isinstance(key, tuple) and key
-                            and isinstance(key[0], SkewBrace)]
-    return out
-
-
 class TestEnumerate:
     def test_c2_single_structure(self):
         ops = enumerate_operations(group_by_name("C2"))
@@ -132,6 +117,7 @@ class TestEnumerate:
                 with pytest.raises(error):
                     census(G)
 
+    @pytest.mark.usefixtures("fresh_census")
     def test_cyclic_targets_never_search_full_holomorph(self, monkeypatch):
         # the n-cycle scan serves every cyclic target
         refuse_searches(monkeypatch, "_regular_subgroup_keys")
@@ -140,8 +126,6 @@ class TestEnumerate:
             pytest.fail(f"Hol({N.name}) was built")
 
         monkeypatch.setattr(perms, "_holomorph_bytes", refuse)
-        analysis._enumerate_classes.cache_clear()
-        analysis._classify.cache_clear()
         for G in SERVED:
             if not G.is_cyclic():
                 continue
@@ -151,6 +135,7 @@ class TestEnumerate:
             assert e_count(G, G) > 0
             assert f_count(G, G) > 0
 
+    @pytest.mark.usefixtures("fresh_census")
     def test_census_builds_no_regular_subgroup(self, monkeypatch):
         # from the search to the orbit the census and both counts read the
         # key searches' flat tables; no RegularSubgroup is made
@@ -160,14 +145,10 @@ class TestEnumerate:
         monkeypatch.setattr(RegularSubgroup, "__new__", refuse)
         with pytest.raises(pytest.fail.Exception):
             RegularSubgroup(((0,),))
-        analysis._enumerate_classes.cache_clear()
-        analysis._classify.cache_clear()
         for G in SERVED:
             assert len(enumerate_operations(G)) == len(enumerate_reports(G))
             all_surjective(G)
             assert e_count(G, G) > 0 and f_count(G, G) > 0
-        analysis._enumerate_classes.cache_clear()
-        analysis._classify.cache_clear()
 
     def test_incomplete_order_refused(self):
         with pytest.raises(CatalogIncompleteForOrder):
@@ -399,13 +380,12 @@ class TestSharedClassification:
                 if search is _regular_subgroup_keys:
                     assert union == {R.elements for R in listed}, N.name
 
+    @pytest.mark.usefixtures("fresh_census")
     def test_one_transport_per_route_type_and_aut_class(self, monkeypatch):
         # _classify builds each transported T_R once, to type it
         calls = Counter()
         classify_transports(monkeypatch,
                             lambda T: calls.update([flat(T.table)]))
-        analysis._enumerate_classes.cache_clear()
-        analysis._classify.cache_clear()
         gs = groups_of_order(8)
         for G in gs:
             enumerate_reports(G)
@@ -425,28 +405,25 @@ class TestSharedClassification:
                             analysis._rows(key, N.order), N)))
         assert calls == expected
 
+    @pytest.mark.usefixtures("fresh_census")
     def test_only_representatives_outlive_the_census(self, monkeypatch):
         # a transported group that is not its type's representative is
-        # dropped once classified; no cache may keep it.  One live group
-        # per table means such a T can be the very dot of a class brace
-        # that a cache of skewbrace.braces holds, which keeps nothing
-        # more: every other live T is a representative
+        # dropped once classified, and no cache keeps it: a group is a
+        # handle of its own, whatever other handle shares its table, so
+        # the live transported groups are exactly the representatives
         refs = []
         classify_transports(monkeypatch, lambda T: refs.append(weakref.ref(T)))
-        analysis._enumerate_classes.cache_clear()
-        analysis._classify.cache_clear()
-        gs = groups_of_order(8)
-        for G in gs:
+        targets = [*groups_of_order(8), group_by_name("C27")]
+        for G in targets:
             enumerate_reports(G)
         gc.collect()
         alive = {id(T) for T in (r() for r in refs) if T is not None}
-        searches = {analysis._regular_subgroup_search(G) for G in gs}
-        reps = {id(T) for search in searches for N in gs
+        searches = {(analysis._regular_subgroup_search(G), G.order)
+                    for G in targets}
+        reps = {id(T) for search, n in searches for N in groups_of_order(n)
                 for T in analysis._classify(search, N)[0]}
-        dots = {id(B.dot) for B in cached_braces()}
         assert len(refs) > len(reps)
-        assert reps <= alive
-        assert alive - reps <= dots
+        assert alive == reps
 
     def test_class_sizes_and_disjointness_checked(self, monkeypatch):
         # each Aut(N)-class gives one brace class of the matching size;
@@ -527,6 +504,7 @@ class TestCensusScan:
                          "Heisenberg-27": 432, "M27": 36}
         assert len(automorphisms(group_by_name("C3xC3xC3"))) == 11232
 
+    @pytest.mark.usefixtures("fresh_census")
     def test_census_equals_full_scan_census(self, monkeypatch):
         targets = [G for G in SERVED if G.is_cyclic()]
         assert len(targets) == 16
@@ -540,8 +518,6 @@ class TestCensusScan:
         pruned = census()
         monkeypatch.setattr(analysis, "_cyclic_keys_up_to_aut", _cyclic_keys)
         full = census()
-        analysis._enumerate_classes.cache_clear()
-        analysis._classify.cache_clear()
         assert full == pruned
 
     def test_identity_catches_a_pruned_f(self, monkeypatch):

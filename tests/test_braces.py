@@ -6,6 +6,7 @@ from conftest import requires_heavy
 from skewbrace import analysis, braces
 from skewbrace.braces import (
     GammaTable,
+    SkewBrace,
     almost_trivial_brace,
     brace_automorphism_count,
     brace_automorphisms,
@@ -279,6 +280,19 @@ class TestBraceIsomorphism:
             G = group_by_name(name)
             assert brace_automorphism_count(trivial_brace(G)) == \
                 len(automorphisms(G))
+
+    def test_automorphisms_name_the_asking_circ(self):
+        # equal braces on two handles of one table: the maps are built on
+        # the circ asked about, whichever brace was asked first
+        G = group_by_name("C4")
+        R = G.with_name("renamed")
+        first = brace_automorphisms(trivial_brace(G))
+        maps = brace_automorphisms(SkewBrace(R, R))
+        assert all(f.source is G and f.target is G for f in first)
+        assert all(f.source is R and f.target is R for f in maps)
+        assert [f.images for f in maps] == [f.images for f in first]
+        assert brace_automorphism_count(SkewBrace(R, R)) \
+            == brace_automorphism_count(trivial_brace(G)) == len(maps) == 2
 
     def test_non_isomorphic_dots(self):
         B1 = trivial_brace(group_by_name("C4"))

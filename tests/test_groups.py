@@ -154,23 +154,26 @@ def units_mod(p):
 
 class TestFiniteGroupContract:
     """Equality and hash are the table's; the hash, element orders and
-    centre flags are cached on first use and match a recomputation.
-    Every instance of one table shares one store of facts, and there is
-    one live instance per (table, name); the registry keeps neither
-    alive.  make_group checks a table until it has passed once."""
+    centre flags are cached on first use and match a recomputation.  A
+    group is a plain named handle: every handle on a live table, made
+    under any name by any route, shares the table's one store of facts,
+    and the registry keeps no handle and no store alive.  make_group
+    checks a table until it has passed once."""
 
     def test_one_live_table_gives_one_instance(self):
+        # one live table has one store, whichever route hands it out
         G = group_by_name("D4")
         rows = [list(row) for row in G.table]
-        assert make_group(rows, "D4") is G
-        assert groups._trusted_group(rows, "D4") is G
-        assert G.with_name("D4") is G
+        for same in (make_group(rows, "D4"), groups._trusted_group(rows, "D4"),
+                     G.with_name("D4")):
+            assert same == G and vars(same) is vars(G) and same.name == "D4"
         H = make_group(rows)
-        assert H is not G and H == G and H.name is None
-        assert make_group(G.table) is H
-        assert groups.opposite_group(groups.opposite_group(H)) is H
-        assert groups.subgroup_group(H, range(8))[0] is H
-        assert groups.quotient(H, [0])[0] is H
+        assert H == G and vars(H) is vars(G) and H.name is None
+        for same in (make_group(G.table),
+                     groups.opposite_group(groups.opposite_group(H)),
+                     groups.subgroup_group(H, range(8))[0],
+                     groups.quotient(H, [0])[0]):
+            assert same == H and vars(same) is vars(H) and same.name is None
 
     def test_registry_keeps_no_group_alive(self):
         # C7 with the labels 1 and 2 swapped, a table no other test holds:
@@ -211,11 +214,14 @@ class TestFiniteGroupContract:
         checked = count_checks(monkeypatch)
         rows = units_mod(19)
         G = make_group(rows, "units mod 19")
-        assert make_group(rows, "units mod 19") is G
+        again = make_group(rows, "units mod 19")
+        assert again == G and vars(again) is vars(G)
+        assert again.name == "units mod 19"
         H = make_group(rows)
-        assert H is not G and H == G and vars(H) is vars(G)
+        assert H == G and vars(H) is vars(G) and H.name is None
         B = make_brace(rows, [list(row) for row in rows])
-        assert B.dot is H and B.circ is H
+        assert B.dot == B.circ == G
+        assert vars(B.dot) is vars(G) and vars(B.circ) is vars(G)
         assert len(checked) == 1
 
     def test_a_trusted_table_is_checked_once(self, monkeypatch):
@@ -223,9 +229,12 @@ class TestFiniteGroupContract:
         rows = units_mod(23)
         trusted = groups._trusted_group(rows)
         assert "_checked" not in vars(trusted)
-        assert make_group(rows) is trusted
-        assert make_group(rows, "units mod 23").name == "units mod 23"
-        assert make_brace(rows, trusted).dot is trusted
+        G = make_group(rows)
+        assert G == trusted and vars(G) is vars(trusted) and G.name is None
+        named = make_group(rows, "units mod 23")
+        assert vars(named) is vars(trusted) and named.name == "units mod 23"
+        dot = make_brace(rows, trusted).dot
+        assert dot == trusted and vars(dot) is vars(trusted)
         assert len(checked) == 1 and vars(trusted)["_checked"]
 
     def test_a_failing_table_is_checked_on_every_call(self, monkeypatch):
@@ -240,7 +249,7 @@ class TestFiniteGroupContract:
 
     @pytest.mark.parametrize("name", [["D4"], 4, b"D4"])
     def test_a_name_that_is_not_a_string_is_refused(self, name):
-        # the name keys the instance within the table's store
+        # the name is the handle's own, beside the table's store
         with pytest.raises(BadParameters, match="must be a string"):
             make_group(group_by_name("D4").table, name)
 
@@ -269,8 +278,10 @@ class TestFiniteGroupContract:
         G = group_by_name("C4")
         automorphisms(G)
         renamed = G.with_name("renamed")
-        assert renamed is not G and vars(renamed) is vars(G)
-        assert renamed.with_name("C4") is G and G.name == "C4"
+        assert renamed == G and vars(renamed) is vars(G)
+        assert renamed.name == "renamed" and G.name == "C4"
+        back = renamed.with_name("C4")
+        assert back == G and vars(back) is vars(G) and back.name == "C4"
         assert all(f.source is renamed and f.target is renamed
                    for f in automorphisms(renamed))
         assert all(f.source is G for f in automorphisms(G))
