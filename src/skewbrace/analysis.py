@@ -78,31 +78,20 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
     Each class is analyzed once, on the operation the search found; every
     other member is that brace relabeled along its automorphism phi of
     circ, which carries left ideals and grouplikes to their phi-images and
-    keeps type, bi-skewness and the image ratio.
+    keeps type, bi-skewness, the image ratio and the orbit size.
     """
     out = []
-    for class_id, (brace, orbit, _) in enumerate(_enumerate_classes(circ)):
-        report = analyze(brace)
+    for class_id, (dot, orbit, _) in enumerate(_enumerate_classes(circ)):
+        report = analyze(SkewBrace(dot, circ))
         for t, phi in orbit.items():
             out.append(report._replace(
                 operation=_trusted_group(_rows(t, circ.order)),
                 image=tuple(sorted(tuple(sorted(phi[x] for x in s))
                                    for s in report.image)),
                 grouplikes=tuple(sorted(phi[x] for x in report.grouplikes)),
-                iso_class_id=class_id,
-                orbit_size=len(orbit)))
+                iso_class_id=class_id))
     out.sort(key=lambda r: r.operation.table)
     return tuple(out)
-
-
-def _regular_subgroup_search(circ: FiniteGroup):
-    """The key search listing, for types N of circ's order, regular
-    subgroups of Hol(N) meeting every Aut(N)-class isomorphic to circ (one
-    brace up to isomorphism, which _enumerate_classes expands to its orbit):
-    the pruned n-cycle scan for a cyclic circ, the full search otherwise."""
-    if circ.is_cyclic():
-        return _cyclic_keys_up_to_aut
-    return _regular_subgroup_keys
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,7 +154,7 @@ def _orbit(found: bytes, G: FiniteGroup) -> dict:
     by Aut(G) (G is circ for a brace class, N for a class of regular
     subgroups), as {flat table: phi images} with phi an automorphism of G
     carrying found to the table, reached breadth-first along
-    _automorphism_generators(G); phi is composed along the path, since
+    G._aut_generators; phi is composed along the path, since
     relabeling by g after phi is relabeling by g∘phi.  Each step is
     groups._relabeler(g), kept in G._relabel_steps, which every orbit on
     G shares; flat tables in, flat tables out."""
@@ -183,10 +172,12 @@ def _orbit(found: bytes, G: FiniteGroup) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _enumerate_classes(circ: FiniteGroup):
-    """Isomorphism classes of braces over circ, as (brace, orbit, N)
-    triples sorted by the least table of the orbit; brace is the
-    SkewBrace found and checked, orbit is keyed on flat tables (see
+    """Isomorphism classes of braces over circ, as (dot, orbit, N)
+    triples sorted by the least table of the orbit; dot is the unnamed
+    operation found and checked, orbit is keyed on flat tables (see
     _orbit), and N is the catalog type of the operations in the class.
+    Keyed on circ by value, a record holds no caller's handle: each
+    caller pairs dot with its own circ.
 
     Route: per catalog type N of the same order, the Aut(N)-classes of
     regular subgroups of Hol(N) are those of _classify(search, N); cyclic
@@ -200,14 +191,16 @@ def _enumerate_classes(circ: FiniteGroup):
     generators of Aut(circ); orbit maps each member to the images of an
     automorphism phi that produces it from the found table.  Any two such
     phi differ by a brace automorphism of the found brace, so the reports
-    carried along them agree.  Every table is a relabeling of a valid one, so none
-    is re-checked.  Distinct Aut(N)-classes are distinct brace classes
-    (Guarnieri-Vendramin, Prop. 4.3), and the stabilizer of R in Aut(N)
-    is the brace automorphism group, so |orbit| * |Aut N| =
-    |Aut(N)-class| * |Aut circ|; both are checked per class.
+    carried along them agree.  Every table is a relabeling of a valid
+    one, so none is re-checked.  Distinct Aut(N)-classes are distinct
+    brace classes (Guarnieri-Vendramin, Prop. 4.3), and the stabilizer of
+    R in Aut(N) is the brace automorphism group, so |orbit| * |Aut N| =
+    |Aut(N)-class| * |Aut circ| and |orbit| = |Aut circ| / |brace
+    automorphisms|; both are checked per class.
     """
     n = circ.order
-    search = _regular_subgroup_search(circ)
+    search = (_cyclic_keys_up_to_aut if circ.is_cyclic()
+              else _regular_subgroup_keys)
     types = groups_of_order(n)  # raises if the catalog is not complete
     aut_count = _automorphism_count(circ)
     seen: set = set()
@@ -223,12 +216,12 @@ def _enumerate_classes(circ: FiniteGroup):
             require(flat not in seen,
                     "two Aut(N)-classes give one brace class")
             orbit = _orbit(flat, circ)
-            brace = SkewBrace(_trusted_group(_rows(flat, n)), circ)
-            require(len(orbit) * brace_automorphism_count(brace) == aut_count,
-                    "orbit-stabilizer identity fails")
+            dot = _trusted_group(_rows(flat, n))
+            require(len(orbit) * brace_automorphism_count(SkewBrace(dot, circ))
+                    == aut_count, "orbit-stabilizer identity fails")
             require(len(orbit) * _automorphism_count(N) == size * aut_count,
                     "brace class and Aut(N)-class sizes disagree")
-            classes.append((brace, orbit, N))
+            classes.append((dot, orbit, N))
             seen |= orbit.keys()
     classes.sort(key=lambda c: min(c[1]))
     return tuple(classes)
@@ -245,7 +238,7 @@ def analyze(B: SkewBrace) -> HgsReport:
     require((0,) in image and tuple(range(B.order)) in image,
             "the trivial or the full subgroup is not a left ideal")
     surjective = len(image) == len(subs)
-    ratio = Fraction(len(image), len(subs))
+    ratio = gc_ratio(B)
     require(surjective == (ratio == 1), "surjectivity disagrees with ratio")
     return HgsReport(
         operation=B.dot,
@@ -331,7 +324,8 @@ def all_surjective(circ: FiniteGroup) -> bool:
     analyzes it.  Surjectivity is an Aut(circ)-orbit invariant, as an
     automorphism of circ maps left ideals to left ideals and permutes the
     subgroups of circ."""
-    reports = [analyze(brace) for brace, _, _ in _enumerate_classes(circ)]
+    reports = [analyze(SkewBrace(dot, circ))
+               for dot, _, _ in _enumerate_classes(circ)]
     return all(r.is_surjective for r in reports)
 
 

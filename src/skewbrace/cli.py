@@ -84,7 +84,10 @@ def cmd_enumerate(args) -> int:
     else:
         sys.stdout.writelines(chunks)
     total = len(reports)
-    cyclic = sum(1 for r in reports if r.operation.is_cyclic())
+    # the type is an orbit invariant: one test per class
+    operations = {r.iso_class_id: r.operation for r in reports}
+    cyclic_classes = {c for c, op in operations.items() if op.is_cyclic()}
+    cyclic = sum(1 for r in reports if r.iso_class_id in cyclic_classes)
     surjective = sum(1 for r in reports if r.is_surjective)
     print(f"total={total} cyclic_type={cyclic} surjective={surjective}")
     return 0

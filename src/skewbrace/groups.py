@@ -4,25 +4,28 @@ Groups live on the element set 0..n-1 with 0 as the identity.  Everything
 is immutable.  Memoization follows one rule: a fact of one table lives
 with the table, and a result keyed on more than one value keeps a module
 cache.  So this layer has no module cache: the facts of a table are
-computed once and kept in one store, a _Facts dict.  A FiniteGroup is a
-plain named handle on it: the store is its __dict__ and the name sits in
-a slot, so any number of handles, under any names, share one store, and
-subgroups, automorphisms, distinguished_subgroups and the like read one
-fact in one line.  A weak registry, _LIVE, keyed on the table alone,
-holds the store of every live table, so each fact is computed once per
-table while any handle on it is held, and nothing keeps a dropped group
-alive: a store refers to no handle on its own table.  A fact that names
-a group, such as the GroupMaps of automorphisms(G), is kept as image
+computed once, from the table alone, and kept in one store, a _Facts dict,
+which is made from the table and its hash and seeded with nothing else.  A
+FiniteGroup is a plain named handle on it: the store is its __dict__ and
+the name sits in a slot, so any number of handles, under any names, share
+one store, and subgroups, automorphisms, distinguished_subgroups and the
+like read one fact in one line.  A weak registry, _LIVE, keyed on the
+table alone, holds the store of every live table, so each fact is computed
+once per table while any handle on it is held, and nothing keeps a dropped
+group alive: a store refers to no handle on its own table.  A fact that
+names a group, such as the GroupMaps of automorphisms(G), is kept as image
 tuples and built on the handle that asks.
 
-A table is validated once, where it enters.  make_group checks it in
-full and records in its store that it passed; on a table that has passed,
-make_group returns a new handle on the store under the name asked for
-and checks nothing again.  A table that has never passed is checked in
-full on every call, also when it is live through _trusted_group.  A
-table derived from valid groups (a quotient, a subgroup, a semidirect
-product along a checked action, a relabeling along a bijection) is a
-group by construction and _trusted_group takes it as is.
+A table is validated once, where it enters.  make_group checks it in full,
+on a handle on its store, and records in the store that it passed; the
+checks read the transpose and the generating set as facts of that handle,
+so they build the very facts the group keeps.  On a table that has passed,
+make_group returns a new handle on the store under the name asked for and
+checks nothing again.  A table that has never passed is checked in full on
+every call, also when it is live through _trusted_group.  A table derived
+from valid groups (a quotient, a subgroup, a semidirect product along a
+checked action, a relabeling along a bijection) is a group by construction
+and _trusted_group takes it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -40,23 +43,23 @@ search, _Extender, over the images of generating_set(G).  Each level
 spreads the map known on <g_0..g_{k-1}> to <g_0..g_k> incrementally, as
 _adjoin closes a subgroup, and is undone in place when it fails.  A
 bijective search tries for g_k only the images of its order that are
-central exactly when it is, and isomorphism compares the fingerprints
-and the centre sizes before it searches.  Aut(G) comes from the
-stabilizer chain on the generators: one transversal per level, taken
-from the first extensions one search finds with g_0..g_{k-1} fixed,
-and the products of one element per level.  The chain is small (Σ|T_k| maps for Π|T_k|
+central exactly when it is, and isomorphism compares the fingerprints and
+the centre sizes before it searches.  Aut(G) comes from the stabilizer
+chain on the generators: one transversal per level, taken from the first
+extensions one search finds with g_0..g_{k-1} fixed, and the products of
+one element per level.  The chain is small (Σ|T_k| maps for Π|T_k|
 automorphisms) and is kept on G.  _automorphism_images(G) streams the
 products, so the holomorph and the cyclic scan keep no product;
-_automorphism_images_up_to_stabilizer(G) streams only one image of g_0
-per Stab(g_0)-orbit.  automorphisms(G) sorts the products by their
-generator images and keeps them; _automorphism_count(G) is Π|T_k|.
-_automorphism_generators(G) is a small generating set of Aut(G), adjoined
-greedily from the stream by descending element order (2 maps for
-C2xC2xC2, C3xC3 and C3xC3xC3, 3 for Heisenberg-27), and keeps no other
-map; the census relabels along it, and a subgroup is characteristic when
-those maps keep it.  The subgroup
-lattice is grown from the cyclic subgroups by joining each subgroup found
-with one generator per cyclic subgroup, closed along the generators.
+_automorphism_images_up_to_stabilizer(G) streams only one image of g_0 per
+Stab(g_0)-orbit.  automorphisms(G) sorts the products by their generator
+images and keeps them; _automorphism_count(G) is Π|T_k|.
+G._aut_generators is a small generating set of Aut(G), adjoined greedily
+from the stream by descending element order (2 maps for C2xC2xC2, C3xC3
+and C3xC3xC3, 3 for Heisenberg-27), and keeps no other map; the census
+relabels along it, and a subgroup is characteristic when those maps keep
+it.  The subgroup lattice is grown from the cyclic subgroups by joining
+each subgroup found with one generator per cyclic subgroup, closed along
+the generators.
 
 This lowest layer keeps the one copy of the helpers the layers above
 share: _compose, _invert and _itemgetter on image tuples, _relabeler on
@@ -88,8 +91,8 @@ Subgroup = tuple[int, ...]   # strictly increasing element indices, contains 0
 
 class _Facts(dict):
     """The facts of one table: the __dict__ that every handle on it
-    shares.  It holds the table, its inverse, each cached property once
-    computed, and _checked once make_group's checks have passed."""
+    shares.  Made from the table (and its hash) alone, it holds each
+    cached property once computed, and _checked once make_group passed."""
 
     __slots__ = ("__weakref__",)
 
@@ -102,20 +105,21 @@ class FiniteGroup:
     the table.  An instance is a plain named handle: every fact of the
     table is computed once, on first use, and kept under its own name in
     the table's _Facts, which is the __dict__ of every handle on the table
-    whatever its name: hash, transpose, element orders, centre flags,
-    generating set, fingerprint, the stabilizer chain of Aut(G), Aut(G)
-    as image tuples and a small generating set of it, the subgroup
+    whatever its name: hash, transpose, inverses, element orders, centre
+    flags, generating set, fingerprint, the stabilizer chain of Aut(G),
+    Aut(G) as image tuples and a small generating set of it, the subgroup
     lattice as member sets, the distinguished subgroups, N(G)/Z(G),
     cyclic subgroups with their generators, conjugation rows and orbit
     relabeling steps.  The name alone is the handle's own; handles are
     made freely and compared by value.  A group made by calling
-    FiniteGroup has a store of its own, outside the registry.
+    FiniteGroup(table, name) has a store of its own, outside the registry,
+    and is not checked: make_group validates a table.
     """
 
     __slots__ = ("name", "__dict__", "__weakref__")
 
-    def __init__(self, table, inverse, name: str | None = None) -> None:
-        _handle(_Facts(table=table, inverse=inverse), name, self)
+    def __init__(self, table, name: str | None = None) -> None:
+        _handle(_Facts(table=table), name, self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -140,6 +144,11 @@ class FiniteGroup:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """The transposed table: columns[b][a] = a*b, the map x -> x*b."""
         return tuple(zip(*self.table))
+
+    @functools.cached_property
+    def inverse(self) -> tuple[int, ...]:
+        """inverse[a] is the inverse of a: the b with a*b = 0."""
+        return tuple(row.index(0) for row in self.table)
 
     @functools.cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -228,7 +237,7 @@ class FiniteGroup:
 
     @functools.cached_property
     def _relabel_steps(self) -> tuple:
-        """analysis._orbit's step per map g of _automorphism_generators(G):
+        """analysis._orbit's step per map g of G._aut_generators:
         (g, _relabeler(g)), which relabels flat n*n tables along g."""
         return tuple((g, _relabeler(g)) for g in self._aut_generators)
 
@@ -240,6 +249,17 @@ class FiniteGroup:
 
     @functools.cached_property
     def _aut_generators(self) -> tuple[tuple[int, ...], ...]:
+        """A small generating set of Aut(G), as image tuples: walking the
+        maps of _automorphism_images(G) by descending order, then by
+        generator images, each map not yet generated is adjoined and the
+        generated subgroup is grown along x -> x∘g, as _greedy_generators
+        does for group elements.  Maps of large order come first and
+        reach many maps at once: 2 generators for C2xC2xC2, C3xC3 and
+        C3xC3xC3, 3 for Heisenberg-27.  phi^k is the identity iff it fixes
+        every generator, so the order of phi is the lcm of its cycle
+        lengths through generating_set(G).  The walk is dropped once
+        read, so G keeps no map list when its generators alone are asked
+        for."""
         gens = generating_set(self)
         key = operator.itemgetter(0, *gens)
 
@@ -348,7 +368,8 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     not a string.  Associativity is Light's test on the generators the
     square's own rows reach every element by.  A table that has passed
     once is not checked again while it is live: a new handle on its store,
-    under name, is handed out.
+    under name, is handed out.  Any other table is checked on a handle
+    on its store, registered only once every check has passed.
     """
     if name is not None and not isinstance(name, str):
         raise BadParameters(f"group name must be a string, got {name!r}")
@@ -359,21 +380,22 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
             from None
     rows = tuple(map(_ints, given))
     key = hash(rows)
-    known = _LIVE.get(key)
-    if known is not None and "_checked" in known and known["table"] == rows:
-        return _handle(known, name)
-    columns, gens = _check_table(rows, given)
-    # registered, with the columns and generators found here, only once
-    # every check has passed
-    return _trusted_group(rows, name, _table_hash=key, columns=columns,
-                          _generators=gens, _checked=True)
+    facts = _LIVE.get(key)
+    if facts is None or facts["table"] != rows:
+        facts = _Facts(table=rows, _table_hash=key)
+    G = _handle(facts, name)
+    if "_checked" not in facts:
+        _check_table(G, given)
+        facts["_checked"] = True
+        _LIVE[key] = facts
+    return G
 
 
-def _check_table(rows, given) -> tuple[tuple[tuple[int, ...], ...],
-                                       tuple[int, ...]]:
-    """make_group's checks on rows, the given rows as integer tuples (None
-    where a row is not one): a Latin square with identity 0, then Light's
-    test.  Returns the columns and the generators it checked along."""
+def _check_table(G: FiniteGroup, given) -> None:
+    """make_group's checks on G.table, the given rows as integer tuples
+    (None where a row is not one): a Latin square with identity 0, then
+    Light's test, along G.columns and G._generators, facts G keeps."""
+    rows = G.table
     n = len(rows)
     if n == 0:
         raise NoIdentityAtZero("empty table has no identity")
@@ -389,7 +411,7 @@ def _check_table(rows, given) -> tuple[tuple[tuple[int, ...], ...],
         if not full.issuperset(row):
             x = next(x for x in row if not 0 <= x < n)
             raise NotLatinSquare(f"row {a} contains out-of-range entry {x}")
-    columns = tuple(zip(*rows))
+    columns = G.columns
     identity = tuple(range(n))
     if rows[0] != identity or columns[0] != identity:
         for a in range(n):
@@ -406,8 +428,7 @@ def _check_table(rows, given) -> tuple[tuple[tuple[int, ...], ...],
     # Light's test: the c with (a*b)*c = a*(b*c) for all a, b are closed
     # under products, so checking the c that reach every element suffices;
     # per a and c, the rows b -> (a*b)*c and b -> a*(b*c)
-    gens = _greedy_generators(rows)
-    for c in gens:
+    for c in G._generators:
         right_c = columns[c]
         times_c = _itemgetter(right_c)
         for a, ra in enumerate(rows):
@@ -415,32 +436,23 @@ def _check_table(rows, given) -> tuple[tuple[tuple[int, ...], ...],
             if left != right:
                 b = _first_difference(left, right)
                 raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-    return columns, gens
 
 
 # the facts of each live table, keyed on the hash of the table
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _trusted_group(table, name: str | None = None, **facts) -> FiniteGroup:
+def _trusted_group(table, name: str | None = None) -> FiniteGroup:
     """The group of a table already checked by make_group or derived from
     valid groups, checking nothing: a new handle, under name, on the live
     table's facts when the table is live, else on new facts, registered.
-    facts are values of cached properties (and the inverse) already
-    known; the store keeps those it does not have yet.  The table is
-    hashed once, for the key and the store."""
+    The table is hashed once, for the key and the store."""
     rows = tuple(map(tuple, table))
-    if "_table_hash" not in facts:
-        facts["_table_hash"] = hash(rows)
-    key = facts["_table_hash"]
-    known = _LIVE.get(key)
-    if known is None or known["table"] != rows:
-        inverse = facts.pop("inverse", None) \
-            or tuple(row.index(0) for row in rows)
-        known = _LIVE[key] = _Facts(table=rows, inverse=inverse)
-    for fact, value in facts.items():
-        known.setdefault(fact, value)
-    return _handle(known, name)
+    key = hash(rows)
+    facts = _LIVE.get(key)
+    if facts is None or facts["table"] != rows:
+        facts = _LIVE[key] = _Facts(table=rows, _table_hash=key)
+    return _handle(facts, name)
 
 
 def _handle(facts: _Facts, name: str | None,
@@ -460,10 +472,9 @@ def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
-    """G with a*b read as b*a: its columns are G's rows, and an element
-    has the same inverse in both."""
-    return _trusted_group(opposite_table(G), f"{G.name}^op" if G.name else None,
-                          columns=G.table, inverse=G.inverse)
+    """G with a*b read as b*a."""
+    return _trusted_group(opposite_table(G),
+                          f"{G.name}^op" if G.name else None)
 
 
 def closure(G: FiniteGroup, seed) -> Subgroup:
@@ -931,20 +942,6 @@ def _automorphism_count(G: FiniteGroup) -> int:
     return math.prod(map(len, G._transversals))
 
 
-def _automorphism_generators(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """A small generating set of Aut(G), as image tuples: walking the maps
-    of _automorphism_images(G) by descending order, then by generator
-    images, each map not yet generated is adjoined and the generated
-    subgroup is grown along x -> x∘g, as _greedy_generators does for
-    group elements.  Maps of large order come first and reach many maps
-    at once: 2 generators for C2xC2xC2, C3xC3 and C3xC3xC3, 3 for
-    Heisenberg-27.  phi^k is the identity iff it fixes every generator,
-    so the order of phi is the lcm of its cycle lengths through
-    generating_set(G).  The walk is dropped once read, so G keeps no
-    map list when its generators alone are asked for."""
-    return G._aut_generators
-
-
 def fingerprint(G: FiniteGroup) -> tuple:
     """(order, abelian, sorted element orders): a hashable isomorphism
     invariant that tells every two catalog groups apart."""
@@ -968,8 +965,7 @@ def distinguished_subgroups(G: FiniteGroup) -> DistinguishedSubgroups:
     """Center, norm (intersection of all subgroup normalizers),
     characteristic subgroups and normal subgroups.  The automorphisms
     that keep a subgroup form a subgroup of Aut(G), so a subgroup is
-    characteristic when every map of _automorphism_generators(G) keeps
-    it."""
+    characteristic when every map of G._aut_generators keeps it."""
     return G._distinguished
 
 

@@ -323,9 +323,9 @@ class TestSharedClassification:
     def test_orbits_from_generators_match_full_sweep(self):
         for G in SERVED:
             auts = automorphisms(G)
-            for brace, orbit, _ in analysis._enumerate_classes(G):
+            for dot, orbit, _ in analysis._enumerate_classes(G):
                 # the orbit's flat bytes keys against the row-tuple relabeling
-                found = brace.dot.table
+                found = dot.table
                 sweep = {transport_table(found, f.images) for f in auts}
                 assert {analysis._rows(t, G.order) for t in orbit} == sweep, \
                     G.name
@@ -337,8 +337,8 @@ class TestSharedClassification:
     def test_counts_match_per_class_and_per_subgroup_definitions(self):
         def old_e(G, N):
             return sum(len(orbit)
-                       for brace, orbit, _ in analysis._enumerate_classes(G)
-                       if isomorphism(brace.dot, N) is not None)
+                       for dot, orbit, _ in analysis._enumerate_classes(G)
+                       if isomorphism(dot, N) is not None)
 
         def old_f(G, N):
             # every regular subgroup, never the census's one per class; the
@@ -418,8 +418,9 @@ class TestSharedClassification:
             enumerate_reports(G)
         gc.collect()
         alive = {id(T) for T in (r() for r in refs) if T is not None}
-        searches = {(analysis._regular_subgroup_search(G), G.order)
-                    for G in targets}
+        # the route _enumerate_classes takes for each target
+        searches = {(_cyclic_keys_up_to_aut if G.is_cyclic()
+                     else _regular_subgroup_keys, G.order) for G in targets}
         reps = {id(T) for search, n in searches for N in groups_of_order(n)
                 for T in analysis._classify(search, N)[0]}
         assert len(refs) > len(reps)
@@ -568,7 +569,12 @@ class TestAllSurjective:
             answers[answer] += 1
         assert answers[True] and answers[False]
 
+    @pytest.mark.usefixtures("fresh_census")
     def test_one_analysis_per_class(self, monkeypatch):
+        # the census cache is keyed on circ's value and keeps no caller's
+        # handle: after a census of C4 under another name, every brace
+        # analyzed for C4 is on the asking circ, and each class is
+        # analyzed once, on the operation its class record holds
         calls = []
 
         def counting(B):
@@ -576,17 +582,16 @@ class TestAllSurjective:
             return analyze(B)
 
         monkeypatch.setattr(analysis, "analyze", counting)
-        for G in (group_by_name("Q8"), group_by_name("C6")):
-            calls.clear()
-            all_surjective(G)
-            # each class's own checked brace, not a rebuilt one, here and
-            # in enumerate_reports
-            classes = analysis._enumerate_classes(G)
-            checked = [id(brace) for brace, _, _ in classes]
-            assert list(map(id, calls)) == checked
-            calls.clear()
-            enumerate_reports(G)
-            assert list(map(id, calls)) == checked
+        C4 = group_by_name("C4")
+        enumerate_reports(C4.with_name("tmp"))
+        for G in (C4, group_by_name("Q8"), group_by_name("C6")):
+            dots = [dot for dot, _, _ in analysis._enumerate_classes(G)]
+            for census in (all_surjective, enumerate_reports):
+                calls.clear()
+                census(G)
+                assert [B.circ.name for B in calls] == [G.name] * len(dots)
+                assert all(vars(B.dot) is vars(dot)
+                           for B, dot in zip(calls, dots))
 
     @requires_heavy
     def test_matches_per_operation_definition_on_non_cyclic_order_27(self):

@@ -189,8 +189,8 @@ def dot_lattice_left_ideals(B):
 
 def census_class_braces(orders):
     """One brace per census class of every catalog target of the orders."""
-    return [brace for n in orders for G in groups_of_order(n)
-            for brace, _, _ in analysis._enumerate_classes(G)]
+    return [SkewBrace(dot, G) for n in orders for G in groups_of_order(n)
+            for dot, _, _ in analysis._enumerate_classes(G)]
 
 
 def assert_left_ideals_match_dot_lattice(pool):

@@ -200,6 +200,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "axioms")
         assert code == 0
 
+    def test_all_stdout_pinned(self, capsys):
+        # the five PASS lines of `verify all`, the verify-all workload of
+        # bench/, byte for byte
+        code, out, err = run(capsys, "verify", "all")
+        assert code == 0 and err == ""
+        assert out.count("PASS ") == 5
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "67689f00ce649b23e4e3a4de6fff3bee6878bfaa3d9c211e882ab79c0df32915")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

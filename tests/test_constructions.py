@@ -80,7 +80,7 @@ class TestPsiConstruction:
                             lambda G, sub: made.append(G) or
                             subgroup_group(G, sub))
         Q8 = group_by_name("Q8")
-        fresh = FiniteGroup(Q8.table, Q8.inverse, "fresh")
+        fresh = FiniteGroup(Q8.table, "fresh")
         first = norm_mod_center(fresh)
         assert norm_mod_center(fresh.with_name("renamed")) is first
         assert norm_mod_center(fresh) is first and len(made) == 1

@@ -30,7 +30,6 @@ from skewbrace.catalog import catalog_names, group_by_name, groups_of_order
 from skewbrace.errors import InternalInconsistency, NotAutomorphism
 from skewbrace.groups import (
     GroupMap,
-    _automorphism_generators,
     _compose,
     _invert,
     _itemgetter,
@@ -108,7 +107,7 @@ def old_distinguished(G):
     characteristic = tuple(s for s in subs
                            if all(frozenset(map(f.__getitem__, s))
                                   == frozenset(s)
-                                  for f in _automorphism_generators(G)))
+                                  for f in G._aut_generators))
     normal = tuple(s for s in subs if old_is_normal(G, s))
     return tuple(sorted(norm)), characteristic, normal
 
@@ -223,9 +222,9 @@ def census_braces(orders):
     relabeled along a bijection fixing 0 that is no automorphism."""
     out = []
     for G in catalog_of(orders):
-        for brace, _, _ in analysis._enumerate_classes(G):
-            out.append(brace)
-            found = brace.dot.table
+        for dot, _, _ in analysis._enumerate_classes(G):
+            out.append(SkewBrace(dot, G))
+            found = dot.table
             for images in bijections(G, 1):
                 out.append(SkewBrace(
                     _trusted_group(transport_table(found, images)),
@@ -248,7 +247,7 @@ def test_left_ideal_filters_match_per_call_code(orders):
 def test_cached_orbit_steps_equal_fresh_ones(orders):
     for G in catalog_of(orders):
         n = G.order
-        gens = _automorphism_generators(G)
+        gens = G._aut_generators
         steps = old_orbit_steps(gens, n)
         # each cached step is the shared routine _relabeler(g); closures
         # compare by identity, so compare what they make
@@ -259,8 +258,8 @@ def test_cached_orbit_steps_equal_fresh_ones(orders):
                                                          steps):
             assert relabel(table) == _relabeler(g)(table) \
                 == bytes(positions(table.translate(values))), G.name
-        for brace, orbit, _ in analysis._enumerate_classes(G):
-            found = flat(brace.dot.table)
+        for dot, orbit, _ in analysis._enumerate_classes(G):
+            found = flat(dot.table)
             assert analysis._orbit(found, G) == old_orbit(found, gens, n)
             assert analysis._orbit(found, G) == orbit
 
