@@ -7,7 +7,8 @@ structure on a Galois extension with that Galois group.  Per operation it
 reports the structure type, the correspondence image (the left ideals),
 surjectivity, the exact image ratio and the grouplike set.  Operations
 in one Aut(circ)-orbit are one brace relabeled, so each class is analyzed
-once and its report is carried to the other members along their phi.
+once and its report is carried to the other members along their phi; its
+type and orbit size are read off the class record, not computed again.
 From the key searches of skewbrace.perms to the orbits, a table is flat
 row-major `bytes`, relabeled by the one routine groups._relabeler.
 """
@@ -75,14 +76,15 @@ def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
 def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
     """Analyzed census, one report per operation, canonically sorted.
 
-    Each class is analyzed once, on the operation the search found; every
-    other member is that brace relabeled along its automorphism phi of
-    circ, which carries left ideals and grouplikes to their phi-images and
-    keeps type, bi-skewness, the image ratio and the orbit size.
+    Each class is analyzed once, on the operation the search found, with
+    the type N and the orbit size of its class record; every other member
+    is that brace relabeled along its automorphism phi of circ, which
+    carries left ideals and grouplikes to their phi-images and keeps type,
+    bi-skewness, the image ratio and the orbit size.
     """
     out = []
-    for class_id, (dot, orbit, _) in enumerate(_enumerate_classes(circ)):
-        report = analyze(SkewBrace(dot, circ))
+    for class_id, (dot, orbit, N) in enumerate(_enumerate_classes(circ)):
+        report = _analyze(SkewBrace(dot, circ), N.name, len(orbit))
         for t, phi in orbit.items():
             out.append(report._replace(
                 operation=_trusted_group(_rows(t, circ.order)),
@@ -194,9 +196,12 @@ def _enumerate_classes(circ: FiniteGroup):
     carried along them agree.  Every table is a relabeling of a valid
     one, so none is re-checked.  Distinct Aut(N)-classes are distinct
     brace classes (Guarnieri-Vendramin, Prop. 4.3), and the stabilizer of
-    R in Aut(N) is the brace automorphism group, so |orbit| * |Aut N| =
-    |Aut(N)-class| * |Aut circ| and |orbit| = |Aut circ| / |brace
-    automorphisms|; both are checked per class.
+    R in Aut(N) is the brace automorphism group, so |orbit| = |Aut circ| /
+    |brace automorphisms| = |Aut(N)-class| * |Aut circ| / |Aut N|.  Per
+    class the census checks that the orbit walked here under Aut(circ)
+    and the Aut(N)-class walked by _classify agree in that identity, and
+    that no two classes share a brace; it counts no brace automorphism,
+    as the class record already holds the stabilizer's size.
     """
     n = circ.order
     search = (_cyclic_keys_up_to_aut if circ.is_cyclic()
@@ -216,12 +221,9 @@ def _enumerate_classes(circ: FiniteGroup):
             require(flat not in seen,
                     "two Aut(N)-classes give one brace class")
             orbit = _orbit(flat, circ)
-            dot = _trusted_group(_rows(flat, n))
-            require(len(orbit) * brace_automorphism_count(SkewBrace(dot, circ))
-                    == aut_count, "orbit-stabilizer identity fails")
             require(len(orbit) * _automorphism_count(N) == size * aut_count,
                     "brace class and Aut(N)-class sizes disagree")
-            classes.append((dot, orbit, N))
+            classes.append((_trusted_group(_rows(flat, n)), orbit, N))
             seen |= orbit.keys()
     classes.sort(key=lambda c: min(c[1]))
     return tuple(classes)
@@ -231,8 +233,15 @@ def analyze(B: SkewBrace) -> HgsReport:
     """Correspondence analysis of one brace: the image is exactly the set
     of left ideals, read as subgroups of circ, and holds both ends of
     that lattice, as every gamma value fixes 0 and permutes G.  A lone
-    brace is class 0, with orbit size |Aut(circ)| / |brace
-    automorphisms|."""
+    brace is class 0, typed against the catalog, with orbit size
+    |Aut(circ)| / |brace automorphisms|."""
+    return _analyze(B, type_name(B.dot), _automorphism_count(B.circ)
+                    // brace_automorphism_count(B))
+
+
+def _analyze(B: SkewBrace, type_name: str, orbit_size: int) -> HgsReport:
+    """analyze, given the type name and the orbit size: the census reads
+    both off a class record."""
     image = left_ideals(B)
     subs = subgroups(B.circ)
     require((0,) in image and tuple(range(B.order)) in image,
@@ -242,14 +251,14 @@ def analyze(B: SkewBrace) -> HgsReport:
     require(surjective == (ratio == 1), "surjectivity disagrees with ratio")
     return HgsReport(
         operation=B.dot,
-        type_name=type_name(B.dot),
+        type_name=type_name,
         is_bi_skew=is_bi_skew(B),
         image=image,
         is_surjective=surjective,
         gc_ratio=ratio,
         grouplikes=fix(B),
         iso_class_id=0,
-        orbit_size=_automorphism_count(B.circ) // brace_automorphism_count(B),
+        orbit_size=orbit_size,
     )
 
 
@@ -321,11 +330,12 @@ def all_surjective(circ: FiniteGroup) -> bool:
     """Whether every structure on a circ-extension has surjective
     correspondence, read off one analysis per class of the exhaustive
     census: each class representative is analyzed as enumerate_reports
-    analyzes it.  Surjectivity is an Aut(circ)-orbit invariant, as an
-    automorphism of circ maps left ideals to left ideals and permutes the
-    subgroups of circ."""
-    reports = [analyze(SkewBrace(dot, circ))
-               for dot, _, _ in _enumerate_classes(circ)]
+    analyzes it, with the type and orbit size of its class record.
+    Surjectivity is an Aut(circ)-orbit invariant, as an automorphism of
+    circ maps left ideals to left ideals and permutes the subgroups of
+    circ."""
+    reports = [_analyze(SkewBrace(dot, circ), N.name, len(orbit))
+               for dot, orbit, N in _enumerate_classes(circ)]
     return all(r.is_surjective for r in reports)
 
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from conftest import flat, refuse_searches, requires_heavy, transport_table
 
-from skewbrace import analysis, perms
+from skewbrace import analysis, braces, catalog, perms
 from skewbrace.analysis import (
     HgsReport,
     all_surjective,
@@ -27,11 +27,18 @@ from skewbrace.analysis import (
 from skewbrace.braces import (
     SkewBrace,
     almost_trivial_brace,
+    brace_automorphism_count,
     is_bi_skew,
     make_brace,
     trivial_brace,
 )
-from skewbrace.catalog import cyclic, dihedral, group_by_name, groups_of_order
+from skewbrace.catalog import (
+    cyclic,
+    dihedral,
+    group_by_name,
+    groups_of_order,
+    type_name,
+)
 from skewbrace.constructions import inversion_construction
 from skewbrace.errors import (
     CatalogIncompleteForOrder,
@@ -40,6 +47,7 @@ from skewbrace.errors import (
     UnsupportedOrder,
 )
 from skewbrace.groups import (
+    _automorphism_count,
     _automorphism_images_up_to_stabilizer,
     _compose,
     _invert,
@@ -477,6 +485,65 @@ class TestSharedClassification:
                 for name in expected} == expected
 
 
+class TestClassRecord:
+    """The census reads each class's type and orbit size off its class
+    record (dot, orbit, N): the stabilizer of R in Aut(N) is the brace
+    automorphism group.  The Aut(circ) filter and the catalog typing,
+    which the census no longer runs per class, are the oracles."""
+
+    @pytest.mark.parametrize("name", [
+        *(G.name for G in SERVED),
+        *(pytest.param(G.name, marks=requires_heavy)
+          for G in groups_of_order(27) if not G.is_cyclic())])
+    def test_record_matches_filter_and_catalog(self, name):
+        G = group_by_name(name)
+        for dot, orbit, N in analysis._enumerate_classes(G):
+            assert len(orbit) * brace_automorphism_count(SkewBrace(dot, G)) \
+                == _automorphism_count(G), name
+            assert type_name(dot) == N.name, name
+
+    @pytest.mark.usefixtures("fresh_census")
+    def test_census_filters_and_types_nothing(self, monkeypatch):
+        # only a lone analyze counts brace automorphisms and types its dot
+        calls = Counter()
+        originals = {
+            "brace_automorphisms": braces.brace_automorphisms,
+            # the uncached body, so that the lone call below reaches the
+            # filter whatever the cache already holds
+            "brace_automorphism_count":
+                braces.brace_automorphism_count.__wrapped__,
+            "type_name": catalog.type_name}
+        for name, original in originals.items():
+            def record(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+            for module in (braces, analysis, catalog):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, record)
+        for G in SERVED:
+            enumerate_reports(G)
+            all_surjective(G)
+        assert not calls
+        analyze(almost_trivial_brace(group_by_name("D4")))
+        assert calls.keys() == originals.keys()
+
+    @pytest.mark.usefixtures("fresh_census")
+    def test_class_size_off_by_one_is_caught(self, monkeypatch):
+        # the orbit walked under Aut(circ) and the Aut(N)-class walked by
+        # _classify are two independent counts of one class
+        classify = analysis._classify
+
+        def off_by_one(search, N):
+            reps, classes, members = classify(search, N)
+            return reps, tuple((k, theta, size + 1)
+                               for k, theta, size in classes), members
+
+        monkeypatch.setattr(analysis, "_classify", off_by_one)
+        with pytest.raises(InternalInconsistency,
+                           match="Aut\\(N\\)-class sizes disagree"):
+            enumerate_reports(group_by_name("C2xC2"))
+
+
 class TestCensusScan:
     """The census of a cyclic target scans only the (a, phi) whose
     phi(g_0) is the least of its Stab(g_0)-orbit; the full n-cycle scan
@@ -576,12 +643,13 @@ class TestAllSurjective:
         # analyzed for C4 is on the asking circ, and each class is
         # analyzed once, on the operation its class record holds
         calls = []
+        analyze_class = analysis._analyze
 
-        def counting(B):
+        def counting(B, type_name, orbit_size):
             calls.append(B)
-            return analyze(B)
+            return analyze_class(B, type_name, orbit_size)
 
-        monkeypatch.setattr(analysis, "analyze", counting)
+        monkeypatch.setattr(analysis, "_analyze", counting)
         C4 = group_by_name("C4")
         enumerate_reports(C4.with_name("tmp"))
         for G in (C4, group_by_name("Q8"), group_by_name("C6")):
