@@ -6,11 +6,12 @@ such that (G, ., o) is a skew brace: one operation per Hopf-Galois
 structure on a Galois extension with that Galois group.  Per operation it
 reports the structure type, the correspondence image (the left ideals),
 surjectivity, the exact image ratio and the grouplike set.  Operations
-in one Aut(circ)-orbit are one brace relabeled, so each class is analyzed
-once and its report is carried to the other members along their phi; its
-type and orbit size are read off the class record, not computed again.
-From the key searches of skewbrace.perms to the orbits, a table is flat
-row-major `bytes`, relabeled by the one routine groups._relabeler.
+in one Aut(circ)-orbit are one brace relabeled, so the census analyzes
+each class once, with the type and orbit size of its class record, which
+keeps the report; readers carry it to the other members along their phi.
+The census caches are keyed on tables.  From the key searches of
+skewbrace.perms to the orbits, a table is flat row-major `bytes`,
+relabeled by the one routine groups._relabeler.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def _rows(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
 def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
     """All operations making a skew brace with the given circ, as braces
     sorted by operation table."""
-    classes = _enumerate_classes(circ)
-    tables = sorted(t for _, orbit, _ in classes for t in orbit)
+    classes = _enumerate_classes(circ.table)
+    tables = sorted(t for orbit, _, _ in classes for t in orbit)
     return tuple(SkewBrace(_trusted_group(_rows(t, circ.order)), circ)
                  for t in tables)
 
@@ -76,15 +77,15 @@ def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
 def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
     """Analyzed census, one report per operation, canonically sorted.
 
-    Each class is analyzed once, on the operation the search found, with
-    the type N and the orbit size of its class record; every other member
-    is that brace relabeled along its automorphism phi of circ, which
-    carries left ideals and grouplikes to their phi-images and keeps type,
-    bi-skewness, the image ratio and the orbit size.
+    The census analyzes each class once, on the operation the search
+    found, and its record keeps the report; every other member is that
+    brace relabeled along its automorphism phi of circ, which carries left
+    ideals and grouplikes to their phi-images and keeps type, bi-skewness,
+    the image ratio and the orbit size.
     """
     out = []
-    for class_id, (dot, orbit, N) in enumerate(_enumerate_classes(circ)):
-        report = _analyze(SkewBrace(dot, circ), N.name, len(orbit))
+    for class_id, (orbit, _, report) in enumerate(
+            _enumerate_classes(circ.table)):
         for t, phi in orbit.items():
             out.append(report._replace(
                 operation=_trusted_group(_rows(t, circ.order)),
@@ -97,7 +98,7 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _classify(search, N: FiniteGroup):
+def _classify(search, table):
     """The regular subgroups R that search lists in Hol(N), by their
     Aut(N)-class, as (reps, classes, members).  reps holds the first
     transported group T_R of each type; classes, per Aut(N)-class met in
@@ -115,9 +116,10 @@ def _classify(search, N: FiniteGroup):
     one matches.  Every later R is found in a class by its key: its type
     is that of the class, proved by the relabeling.  The class tables
     live only while the call runs.  Without the catalog, and keyed on the
-    search as well as N, so every census and count of one order that
+    search and N's table, so every census and count of one order that
     takes the same route shares it; no other T_R outlives the call.
     """
+    N = _trusted_group(table)
     n = N.order
     starts = bytes(range(n))
     reps: list[FiniteGroup] = []
@@ -148,7 +150,7 @@ def _classify(search, N: FiniteGroup):
 
 def _onto(search, N: FiniteGroup, circ: FiniteGroup) -> tuple:
     """Per type of _classify(search, N), an isomorphism onto circ or None."""
-    return tuple(isomorphism(T, circ) for T in _classify(search, N)[0])
+    return tuple(isomorphism(T, circ) for T in _classify(search, N.table)[0])
 
 
 def _orbit(found: bytes, G: FiniteGroup) -> dict:
@@ -173,13 +175,13 @@ def _orbit(found: bytes, G: FiniteGroup) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _enumerate_classes(circ: FiniteGroup):
-    """Isomorphism classes of braces over circ, as (dot, orbit, N)
-    triples sorted by the least table of the orbit; dot is the unnamed
-    operation found and checked, orbit is keyed on flat tables (see
-    _orbit), and N is the catalog type of the operations in the class.
-    Keyed on circ by value, a record holds no caller's handle: each
-    caller pairs dot with its own circ.
+def _enumerate_classes(table):
+    """Isomorphism classes of braces over the circ of table, as (orbit,
+    N, report) records sorted by the least table of the orbit; orbit is
+    keyed on flat tables (see _orbit), N is the catalog type of the
+    class, and report analyzes its found operation, report.operation, on
+    the census's own circ.  Keyed on the table, no record holds a caller's
+    handle.
 
     Route: per catalog type N of the same order, the Aut(N)-classes of
     regular subgroups of Hol(N) are those of _classify(search, N); cyclic
@@ -203,6 +205,7 @@ def _enumerate_classes(circ: FiniteGroup):
     that no two classes share a brace; it counts no brace automorphism,
     as the class record already holds the stabilizer's size.
     """
+    circ = _trusted_group(table)
     n = circ.order
     search = (_cyclic_keys_up_to_aut if circ.is_cyclic()
               else _regular_subgroup_keys)
@@ -213,7 +216,7 @@ def _enumerate_classes(circ: FiniteGroup):
     for N in types:
         to_circ = _onto(search, N, circ)
         n_flat = b"".join(map(bytes, N.table))
-        for k, theta, size in _classify(search, N)[1]:
+        for k, theta, size in _classify(search, N.table)[1]:
             iota = to_circ[k]
             if iota is None:
                 continue
@@ -223,9 +226,10 @@ def _enumerate_classes(circ: FiniteGroup):
             orbit = _orbit(flat, circ)
             require(len(orbit) * _automorphism_count(N) == size * aut_count,
                     "brace class and Aut(N)-class sizes disagree")
-            classes.append((_trusted_group(_rows(flat, n)), orbit, N))
+            B = SkewBrace(_trusted_group(_rows(flat, n)), circ)
+            classes.append((orbit, N, _analyze(B, N.name, len(orbit))))
             seen |= orbit.keys()
-    classes.sort(key=lambda c: min(c[1]))
+    classes.sort(key=lambda c: min(c[0]))
     return tuple(classes)
 
 
@@ -289,9 +293,9 @@ def e_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     """Structures on a circG-extension whose type is N, counted per class:
     each class carries its catalog type, an orbit invariant, as orbits are
     relabelings by Aut(circG); one isomorphism test per distinct type."""
-    classes = _enumerate_classes(circG)
-    is_n = {T: isomorphism(T, N) is not None for T in {c[2] for c in classes}}
-    return sum(len(orbit) for _, orbit, T in classes if is_n[T])
+    classes = _enumerate_classes(circG.table)
+    is_n = {T: isomorphism(T, N) is not None for T in {c[1] for c in classes}}
+    return sum(len(orbit) for orbit, T, _ in classes if is_n[T])
 
 
 def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
@@ -310,7 +314,7 @@ def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
         return len(_cyclic_keys(N))
     search = _regular_subgroup_keys
     to_circ = _onto(search, N, circG)
-    _, classes, members = _classify(search, N)
+    _, classes, members = _classify(search, N.table)
     return sum(to_circ[classes[c][0]] is not None for c in members)
 
 
@@ -328,15 +332,12 @@ def byott_check(circG: FiniteGroup, N: FiniteGroup) -> bool:
 
 def all_surjective(circ: FiniteGroup) -> bool:
     """Whether every structure on a circ-extension has surjective
-    correspondence, read off one analysis per class of the exhaustive
-    census: each class representative is analyzed as enumerate_reports
-    analyzes it, with the type and orbit size of its class record.
+    correspondence, read off the report each class record of the
+    exhaustive census holds, the one enumerate_reports carries.
     Surjectivity is an Aut(circ)-orbit invariant, as an automorphism of
     circ maps left ideals to left ideals and permutes the subgroups of
     circ."""
-    reports = [_analyze(SkewBrace(dot, circ), N.name, len(orbit))
-               for dot, orbit, N in _enumerate_classes(circ)]
-    return all(r.is_surjective for r in reports)
+    return all(r.is_surjective for _, _, r in _enumerate_classes(circ.table))
 
 
 def childs_criterion(circ: FiniteGroup) -> bool:

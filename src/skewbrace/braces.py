@@ -276,7 +276,6 @@ def brace_automorphisms(B: SkewBrace) -> tuple[GroupMap, ...]:
                  if _respects_generators(f, B.dot, B.dot, gens))
 
 
-@functools.lru_cache(maxsize=None)
 def brace_automorphism_count(B: SkewBrace) -> int:
     return len(brace_automorphisms(B))
 

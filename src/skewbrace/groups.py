@@ -119,7 +119,7 @@ class FiniteGroup:
     __slots__ = ("name", "__dict__", "__weakref__")
 
     def __init__(self, table, name: str | None = None) -> None:
-        _handle(_Facts(table=table), name, self)
+        _handle(_Facts(table=tuple(map(tuple, table))), name, self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -76,12 +76,15 @@ SERVED = [*(G for n in range(1, 16) for G in groups_of_order(n)),
 
 def classify_transports(monkeypatch, record):
     """Hand record every group T_R that _classify transports: the groups
-    analysis._trusted_group builds when called from _classify itself."""
+    analysis._trusted_group builds when called from _classify itself,
+    other than the handle on N that _classify makes from its table
+    argument."""
     code = analysis._classify.__wrapped__.__code__
 
     def hook(rows):
         T = _trusted_group(rows)
-        if sys._getframe(1).f_code is code:
+        caller = sys._getframe(1)
+        if caller.f_code is code and rows is not caller.f_locals["table"]:
             record(T)
         return T
 
@@ -331,9 +334,9 @@ class TestSharedClassification:
     def test_orbits_from_generators_match_full_sweep(self):
         for G in SERVED:
             auts = automorphisms(G)
-            for dot, orbit, _ in analysis._enumerate_classes(G):
+            for orbit, _, report in analysis._enumerate_classes(G.table):
                 # the orbit's flat bytes keys against the row-tuple relabeling
-                found = dot.table
+                found = report.operation.table
                 sweep = {transport_table(found, f.images) for f in auts}
                 assert {analysis._rows(t, G.order) for t in orbit} == sweep, \
                     G.name
@@ -344,9 +347,9 @@ class TestSharedClassification:
 
     def test_counts_match_per_class_and_per_subgroup_definitions(self):
         def old_e(G, N):
-            return sum(len(orbit)
-                       for dot, orbit, _ in analysis._enumerate_classes(G)
-                       if isomorphism(dot, N) is not None)
+            return sum(len(orbit) for orbit, _, report
+                       in analysis._enumerate_classes(G.table)
+                       if isomorphism(report.operation, N) is not None)
 
         def old_f(G, N):
             # every regular subgroup, never the census's one per class; the
@@ -369,7 +372,7 @@ class TestSharedClassification:
         for N in groups_of_order(order):
             for search in (_regular_subgroup_keys, _cyclic_keys_up_to_aut):
                 listed = listed_subgroups(search, N)
-                reps, classes, members = analysis._classify(search, N)
+                reps, classes, members = analysis._classify(search, N.table)
                 old_reps, old_types = per_subgroup_classification(listed)
                 assert reps == old_reps, N.name
                 assert [classes[c][0] for c in members] == old_types, N.name
@@ -430,7 +433,7 @@ class TestSharedClassification:
         searches = {(_cyclic_keys_up_to_aut if G.is_cyclic()
                      else _regular_subgroup_keys, G.order) for G in targets}
         reps = {id(T) for search, n in searches for N in groups_of_order(n)
-                for T in analysis._classify(search, N)[0]}
+                for T in analysis._classify(search, N.table)[0]}
         assert len(refs) > len(reps)
         assert alive == reps
 
@@ -439,12 +442,12 @@ class TestSharedClassification:
         # the census refuses a repeated class and a wrong class size
         classify = analysis._classify
 
-        def repeated(search, N):
-            reps, classes, members = classify(search, N)
+        def repeated(search, table):
+            reps, classes, members = classify(search, table)
             return reps, classes * 2, members
 
-        def doubled(search, N):
-            reps, classes, members = classify(search, N)
+        def doubled(search, table):
+            reps, classes, members = classify(search, table)
             return reps, tuple((k, theta, 2 * size)
                                for k, theta, size in classes), members
 
@@ -454,7 +457,7 @@ class TestSharedClassification:
                 analysis._enumerate_classes.cache_clear()
                 monkeypatch.setattr(analysis, "_classify", patch)
                 with pytest.raises(InternalInconsistency, match=what):
-                    analysis._enumerate_classes(G)
+                    analysis._enumerate_classes(G.table)
         analysis._enumerate_classes.cache_clear()
 
     def test_identity_catches_an_f_counting_classes(self, monkeypatch):
@@ -467,7 +470,7 @@ class TestSharedClassification:
             search = _regular_subgroup_keys
             to_circ = analysis._onto(search, N, circG)
             return sum(to_circ[k] is not None
-                       for k, _, _ in analysis._classify(search, N)[1])
+                       for k, _, _ in analysis._classify(search, N.table)[1])
 
         assert (f_count(Q8, E8), per_class_f(Q8, E8)) == (14, 1)
         monkeypatch.setattr(analysis, "f_count", per_class_f)
@@ -487,7 +490,7 @@ class TestSharedClassification:
 
 class TestClassRecord:
     """The census reads each class's type and orbit size off its class
-    record (dot, orbit, N): the stabilizer of R in Aut(N) is the brace
+    record (orbit, N, report): the stabilizer of R in Aut(N) is the brace
     automorphism group.  The Aut(circ) filter and the catalog typing,
     which the census no longer runs per class, are the oracles."""
 
@@ -497,7 +500,8 @@ class TestClassRecord:
           for G in groups_of_order(27) if not G.is_cyclic())])
     def test_record_matches_filter_and_catalog(self, name):
         G = group_by_name(name)
-        for dot, orbit, N in analysis._enumerate_classes(G):
+        for orbit, N, report in analysis._enumerate_classes(G.table):
+            dot = report.operation
             assert len(orbit) * brace_automorphism_count(SkewBrace(dot, G)) \
                 == _automorphism_count(G), name
             assert type_name(dot) == N.name, name
@@ -508,10 +512,7 @@ class TestClassRecord:
         calls = Counter()
         originals = {
             "brace_automorphisms": braces.brace_automorphisms,
-            # the uncached body, so that the lone call below reaches the
-            # filter whatever the cache already holds
-            "brace_automorphism_count":
-                braces.brace_automorphism_count.__wrapped__,
+            "brace_automorphism_count": braces.brace_automorphism_count,
             "type_name": catalog.type_name}
         for name, original in originals.items():
             def record(*args, name=name, original=original):
@@ -533,8 +534,8 @@ class TestClassRecord:
         # _classify are two independent counts of one class
         classify = analysis._classify
 
-        def off_by_one(search, N):
-            reps, classes, members = classify(search, N)
+        def off_by_one(search, table):
+            reps, classes, members = classify(search, table)
             return reps, tuple((k, theta, size + 1)
                                for k, theta, size in classes), members
 
@@ -638,10 +639,10 @@ class TestAllSurjective:
 
     @pytest.mark.usefixtures("fresh_census")
     def test_one_analysis_per_class(self, monkeypatch):
-        # the census cache is keyed on circ's value and keeps no caller's
-        # handle: after a census of C4 under another name, every brace
-        # analyzed for C4 is on the asking circ, and each class is
-        # analyzed once, on the operation its class record holds
+        # the census analyzes each class once, on its own circ, whichever
+        # reader asks first and under whatever name: the class record
+        # holds the report, and the reports, the sums and the surjectivity
+        # of every later reader are read off it
         calls = []
         analyze_class = analysis._analyze
 
@@ -650,16 +651,34 @@ class TestAllSurjective:
             return analyze_class(B, type_name, orbit_size)
 
         monkeypatch.setattr(analysis, "_analyze", counting)
-        C4 = group_by_name("C4")
-        enumerate_reports(C4.with_name("tmp"))
-        for G in (C4, group_by_name("Q8"), group_by_name("C6")):
-            dots = [dot for dot, _, _ in analysis._enumerate_classes(G)]
-            for census in (all_surjective, enumerate_reports):
-                calls.clear()
-                census(G)
-                assert [B.circ.name for B in calls] == [G.name] * len(dots)
-                assert all(vars(B.dot) is vars(dot)
-                           for B, dot in zip(calls, dots))
+        for G in (group_by_name(name) for name in ("C4", "Q8", "C6")):
+            callers = [G.with_name("tmp"), G, G, G]
+            calls.clear()
+            enumerate_reports(callers[0])
+            enumerate_reports(callers[1])
+            all_surjective(callers[2])
+            e_count(callers[3], G)
+            records = analysis._enumerate_classes(G.table)
+            assert len(calls) == len(records) > 0, G.name
+            assert {id(B.dot) for B in calls} \
+                == {id(report.operation) for _, _, report in records}, G.name
+            assert all(B.circ == G for B in calls), G.name
+            assert not any(B.circ is caller
+                           for B in calls for caller in callers), G.name
+
+    @pytest.mark.usefixtures("fresh_census")
+    def test_census_keeps_no_callers_handle(self):
+        # the census caches are keyed on tables: once the caller drops its
+        # group, nothing the census, the counts or all_surjective cached
+        # holds it
+        G = group_by_name("C4").with_name("tmp")
+        ref = weakref.ref(G)
+        enumerate_reports(G)
+        assert e_count(G, G) == f_count(G, G) == 1
+        assert all_surjective(G)
+        del G
+        gc.collect()
+        assert ref() is None
 
     @requires_heavy
     def test_matches_per_operation_definition_on_non_cyclic_order_27(self):

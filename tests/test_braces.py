@@ -189,8 +189,9 @@ def dot_lattice_left_ideals(B):
 
 def census_class_braces(orders):
     """One brace per census class of every catalog target of the orders."""
-    return [SkewBrace(dot, G) for n in orders for G in groups_of_order(n)
-            for dot, _, _ in analysis._enumerate_classes(G)]
+    return [SkewBrace(report.operation, G)
+            for n in orders for G in groups_of_order(n)
+            for _, _, report in analysis._enumerate_classes(G.table)]
 
 
 def assert_left_ideals_match_dot_lattice(pool):

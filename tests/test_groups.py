@@ -12,6 +12,7 @@ import weakref
 import pytest
 
 from skewbrace import groups
+from skewbrace.analysis import enumerate_reports
 from skewbrace.braces import make_brace
 from skewbrace.catalog import catalog_names, group_by_name, groups_of_order
 from skewbrace.errors import (
@@ -296,6 +297,15 @@ class TestFiniteGroupContract:
         assert G.with_name("renamed") == G
         assert hash(G.with_name("renamed")) == hash(G)
         assert G != group_by_name("Q8")
+
+    def test_list_rows_are_stored_as_tuples(self):
+        # a group made from list rows is the group of their tuples: equal
+        # and hash-equal to the catalog's C2, and served by the census
+        C2 = group_by_name("C2")
+        G = groups.FiniteGroup([[0, 1], [1, 0]])
+        assert G.table == C2.table
+        assert G == C2 and hash(G) == hash(C2)
+        assert enumerate_reports(G) == enumerate_reports(C2)
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_cached_values_match_recomputation(self, name):

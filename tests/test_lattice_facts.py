@@ -222,9 +222,9 @@ def census_braces(orders):
     relabeled along a bijection fixing 0 that is no automorphism."""
     out = []
     for G in catalog_of(orders):
-        for dot, _, _ in analysis._enumerate_classes(G):
-            out.append(SkewBrace(dot, G))
-            found = dot.table
+        for _, _, report in analysis._enumerate_classes(G.table):
+            out.append(SkewBrace(report.operation, G))
+            found = report.operation.table
             for images in bijections(G, 1):
                 out.append(SkewBrace(
                     _trusted_group(transport_table(found, images)),
@@ -258,8 +258,8 @@ def test_cached_orbit_steps_equal_fresh_ones(orders):
                                                          steps):
             assert relabel(table) == _relabeler(g)(table) \
                 == bytes(positions(table.translate(values))), G.name
-        for dot, orbit, _ in analysis._enumerate_classes(G):
-            found = flat(dot.table)
+        for orbit, _, report in analysis._enumerate_classes(G.table):
+            found = flat(report.operation.table)
             assert analysis._orbit(found, G) == old_orbit(found, gens, n)
             assert analysis._orbit(found, G) == orbit
 
