@@ -8,10 +8,13 @@ reports the structure type, the correspondence image (the left ideals),
 surjectivity, the exact image ratio and the grouplike set.  Operations
 in one Aut(circ)-orbit are one brace relabeled, so the census analyzes
 each class once, with the type and orbit size of its class record, which
-keeps the report; readers carry it to the other members along their phi.
-The census caches are keyed on tables.  From the key searches of
-skewbrace.perms to the orbits, a table is flat row-major `bytes`,
-relabeled by the one routine groups._relabeler.
+keeps the report; readers carry it to the rest of the orbit along their
+phi.  The regular subgroups of Hol(N) are classified by Aut(N)-class
+only, each class holding its transported group T, which the census and
+f_count type against their own target.  The census caches are keyed on
+tables.  From the key searches of skewbrace.perms to the orbits, a table
+is flat row-major `bytes`, relabeled by the one routine
+groups._relabeler.
 """
 
 from __future__ import annotations
@@ -67,11 +70,8 @@ def _rows(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
 
 def enumerate_operations(circ: FiniteGroup) -> tuple[SkewBrace, ...]:
     """All operations making a skew brace with the given circ, as braces
-    sorted by operation table."""
-    classes = _enumerate_classes(circ.table)
-    tables = sorted(t for orbit, _, _ in classes for t in orbit)
-    return tuple(SkewBrace(_trusted_group(_rows(t, circ.order)), circ)
-                 for t in tables)
+    sorted by operation table: the operations of enumerate_reports."""
+    return tuple(SkewBrace(r.operation, circ) for r in enumerate_reports(circ))
 
 
 def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
@@ -100,57 +100,36 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
 @functools.lru_cache(maxsize=None)
 def _classify(search, table):
     """The regular subgroups R that search lists in Hol(N), by their
-    Aut(N)-class, as (reps, classes, members).  reps holds the first
-    transported group T_R of each type; classes, per Aut(N)-class met in
-    search order, (k, theta, size): the type index, the images of an
-    isomorphism T_R -> reps[k] for the first R of the class, and the
-    number of R in the class; members, per R in search order, the index
-    of its class.
+    Aut(N)-class, as one (T, size, listed) per class met in search order:
+    T is the transported group T_R of the class's first R, size the
+    number of R in the class, and listed how many of them search listed.
 
     R's key is the flat table of T_R once evaluation at 0 is checked to
     be a bijection.  Conjugating R by phi in Aut(N) relabels T_R along
     phi, so a class is the _orbit of the first R's key under the
-    generators of Aut(N), and the first R alone is transported and typed
-    by isomorphism against each of reps in turn; a T_R joins reps only
-    when none matches, so reps are pairwise non-isomorphic and at most
-    one matches.  Every later R is found in a class by its key: its type
-    is that of the class, proved by the relabeling.  The class tables
-    live only while the call runs.  Without the catalog, and keyed on the
-    search and N's table, so every census and count of one order that
-    takes the same route shares it; no other T_R outlives the call.
+    generators of Aut(N), and every later R is found in a class by its
+    key.  Nothing is typed here: whether a class gives braces on a circ
+    depends on that circ alone, and each caller asks it of T.  The class
+    tables live only while the call runs.  Without the catalog, and keyed
+    on the search and N's table, so every census and count of one order
+    that takes the same route shares it; no other T_R outlives the call.
     """
     N = _trusted_group(table)
     n = N.order
     starts = bytes(range(n))
-    reps: list[FiniteGroup] = []
-    classes = []
-    members = []
+    classes = []  # (T, size) per class
     class_of: dict[bytes, int] = {}  # every table of a class met
+    listed = collections.Counter()
     for key in search(N):
         c = class_of.get(key)
         if c is None:
             require(key[::n] == starts, "evaluation at 0 is not a bijection")
-            T = _trusted_group(_rows(key, n))
-            for k, rep in enumerate(reps):
-                iso = isomorphism(T, rep)
-                if iso is not None:
-                    theta = iso.images
-                    break
-            else:
-                k = len(reps)
-                reps.append(T)
-                theta = tuple(range(n))
             c = len(classes)
             orbit = _orbit(key, N)
-            classes.append((k, theta, len(orbit)))
+            classes.append((_trusted_group(_rows(key, n)), len(orbit)))
             class_of.update(dict.fromkeys(orbit, c))
-        members.append(c)
-    return tuple(reps), tuple(classes), tuple(members)
-
-
-def _onto(search, N: FiniteGroup, circ: FiniteGroup) -> tuple:
-    """Per type of _classify(search, N), an isomorphism onto circ or None."""
-    return tuple(isomorphism(T, circ) for T in _classify(search, N.table)[0])
+        listed[c] += 1
+    return tuple((T, size, listed[c]) for c, (T, size) in enumerate(classes))
 
 
 def _orbit(found: bytes, G: FiniteGroup) -> dict:
@@ -185,13 +164,14 @@ def _enumerate_classes(table):
 
     Route: per catalog type N of the same order, the Aut(N)-classes of
     regular subgroups of Hol(N) are those of _classify(search, N); cyclic
-    ones, at least one R per class, for a cyclic circ.  Each
-    representative type is mapped to circ once, by an isomorphism iota;
-    the first R of each class of a type isomorphic to circ is a brace on
-    N, pulled back to circ's labels by relabeling N's flat table along
-    iota∘theta; that is the found brace, and the class's only one.  The
-    full operation set is the union of the orbits under the automorphism
-    action s ._phi t = phi(phi^-1(s) . phi^-1(t)), each built from
+    ones, at least one R per class, for a cyclic circ.  Each class's T is
+    typed against circ by one isomorphism iota: T -> circ; when there is
+    one, the class's first R is a brace on N, pulled back to circ's labels
+    by relabeling N's flat table along iota; that is the found brace, and
+    the class's only one (another iota differs by an automorphism of
+    circ, so it gives a table of the same orbit).  The full operation set
+    is the union of the orbits under the automorphism action
+    s ._phi t = phi(phi^-1(s) . phi^-1(t)), each built from
     generators of Aut(circ); orbit maps each member to the images of an
     automorphism phi that produces it from the found table.  Any two such
     phi differ by a brace automorphism of the found brace, so the reports
@@ -214,13 +194,12 @@ def _enumerate_classes(table):
     seen: set = set()
     classes = []
     for N in types:
-        to_circ = _onto(search, N, circ)
         n_flat = b"".join(map(bytes, N.table))
-        for k, theta, size in _classify(search, N.table)[1]:
-            iota = to_circ[k]
+        for T, size, _ in _classify(search, N.table):
+            iota = isomorphism(T, circ)
             if iota is None:
                 continue
-            flat = _relabeler(_compose(iota.images, theta))(n_flat)
+            flat = _relabeler(iota.images)(n_flat)
             require(flat not in seen,
                     "two Aut(N)-classes give one brace class")
             orbit = _orbit(flat, circ)
@@ -304,18 +283,18 @@ def f_count(circG: FiniteGroup, N: FiniteGroup) -> int:
     the regular subgroups of Hol(N) whose transported type is circG's.
     Every R is counted, or the identity would check nothing.  For a
     cyclic circG these are the cyclic ones, which the full n-cycle scan
-    lists with no transport; otherwise every R of the full search, each
-    typed by its Aut(N)-class, and one isomorphism test per type; both
-    count keys.  Any order is served, as _classify never reads the
-    catalog; f_count(D8, C2xC2xC2xC2) takes minutes."""
+    lists with no transport; otherwise every R of the full search: the
+    listed R of each Aut(N)-class whose T is isomorphic to circG, one
+    isomorphism test per class; both count keys.  Any order is served, as
+    _classify never reads the catalog; f_count(D8, C2xC2xC2xC2) takes
+    minutes."""
     if circG.order != N.order:
         return 0
     if circG.is_cyclic():
         return len(_cyclic_keys(N))
-    search = _regular_subgroup_keys
-    to_circ = _onto(search, N, circG)
-    _, classes, members = _classify(search, N.table)
-    return sum(to_circ[classes[c][0]] is not None for c in members)
+    return sum(listed for T, _, listed
+               in _classify(_regular_subgroup_keys, N.table)
+               if isomorphism(T, circG) is not None)
 
 
 def byott_check(circG: FiniteGroup, N: FiniteGroup) -> bool:

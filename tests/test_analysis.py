@@ -372,24 +372,52 @@ class TestSharedClassification:
         for N in groups_of_order(order):
             for search in (_regular_subgroup_keys, _cyclic_keys_up_to_aut):
                 listed = listed_subgroups(search, N)
-                reps, classes, members = analysis._classify(search, N.table)
                 old_reps, old_types = per_subgroup_classification(listed)
-                assert reps == old_reps, N.name
-                assert [classes[c][0] for c in members] == old_types, N.name
+                # classes are met in search order: each class's first R is
+                # the first listed R no earlier class holds
+                rest = list(range(len(listed)))
                 closures = []
-                for c, (k, theta, size) in enumerate(classes):
-                    own = [R for R, m in zip(listed, members) if m == c]
-                    # theta relabels the first R's group onto its type
-                    T = transport_operation(own[0])
-                    assert transport_table(T.table, theta) == reps[k].table
-                    closure = aut_class(own[0].elements, N)
+                for T, size, count in analysis._classify(search, N.table):
+                    first = listed[rest[0]]
+                    assert T.table == transport_operation(first).table, \
+                        N.name
+                    closure = aut_class(first.elements, N)
+                    own = [i for i in rest if listed[i].elements in closure]
+                    rest = [i for i in rest if i not in own]
+                    types = {old_types[i] for i in own}
+                    assert len(types) == 1, N.name
+                    assert isomorphism(T, old_reps[types.pop()]) is not None
                     assert len(closure) == size, N.name
-                    assert {R.elements for R in own} <= closure, N.name
+                    assert count == len(own), N.name
+                    if search is _regular_subgroup_keys:
+                        assert count == size, N.name
                     closures.append(closure)
+                # the classes partition the listed R
+                assert not rest, N.name
                 union = set().union(*closures)
                 assert len(union) == sum(map(len, closures)), N.name
                 if search is _regular_subgroup_keys:
                     assert union == {R.elements for R in listed}, N.name
+
+    @pytest.mark.usefixtures("fresh_census")
+    def test_classify_types_nothing(self, monkeypatch):
+        # _classify only partitions by Aut(N)-class; its callers type each
+        # class's T against their own target
+        code = analysis._classify.__wrapped__.__code__
+        calls = []
+
+        def record(G, H):
+            if sys._getframe(1).f_code is code:
+                calls.append((G.order, H.order))
+            return isomorphism(G, H)
+
+        monkeypatch.setattr(analysis, "isomorphism", record)
+        for order in range(1, 16):
+            for N in groups_of_order(order):
+                for search in (_regular_subgroup_keys,
+                               _cyclic_keys_up_to_aut):
+                    analysis._classify(search, N.table)
+        assert calls == []
 
     @pytest.mark.usefixtures("fresh_census")
     def test_one_transport_per_route_type_and_aut_class(self, monkeypatch):
@@ -417,11 +445,11 @@ class TestSharedClassification:
         assert calls == expected
 
     @pytest.mark.usefixtures("fresh_census")
-    def test_only_representatives_outlive_the_census(self, monkeypatch):
-        # a transported group that is not its type's representative is
-        # dropped once classified, and no cache keeps it: a group is a
-        # handle of its own, whatever other handle shares its table, so
-        # the live transported groups are exactly the representatives
+    def test_only_class_groups_outlive_the_census(self, monkeypatch):
+        # _classify transports the first R of each Aut(N)-class only, and
+        # no cache keeps any other transported group: a group is a handle
+        # of its own, whatever other handle shares its table, so the live
+        # transported groups are exactly the T of _classify's classes
         refs = []
         classify_transports(monkeypatch, lambda T: refs.append(weakref.ref(T)))
         targets = [*groups_of_order(8), group_by_name("C27")]
@@ -432,10 +460,10 @@ class TestSharedClassification:
         # the route _enumerate_classes takes for each target
         searches = {(_cyclic_keys_up_to_aut if G.is_cyclic()
                      else _regular_subgroup_keys, G.order) for G in targets}
-        reps = {id(T) for search, n in searches for N in groups_of_order(n)
-                for T in analysis._classify(search, N.table)[0]}
-        assert len(refs) > len(reps)
-        assert alive == reps
+        kept = {id(T) for search, n in searches for N in groups_of_order(n)
+                for T, _, _ in analysis._classify(search, N.table)}
+        assert len(refs) == len(kept)
+        assert alive == kept
 
     def test_class_sizes_and_disjointness_checked(self, monkeypatch):
         # each Aut(N)-class gives one brace class of the matching size;
@@ -443,13 +471,11 @@ class TestSharedClassification:
         classify = analysis._classify
 
         def repeated(search, table):
-            reps, classes, members = classify(search, table)
-            return reps, classes * 2, members
+            return classify(search, table) * 2
 
         def doubled(search, table):
-            reps, classes, members = classify(search, table)
-            return reps, tuple((k, theta, 2 * size)
-                               for k, theta, size in classes), members
+            return tuple((T, 2 * size, listed)
+                         for T, size, listed in classify(search, table))
 
         for G in (group_by_name("Q8"), group_by_name("C4")):
             for patch, what in ((repeated, "one brace class"),
@@ -467,10 +493,8 @@ class TestSharedClassification:
         assert byott_check(Q8, E8)
 
         def per_class_f(circG, N):
-            search = _regular_subgroup_keys
-            to_circ = analysis._onto(search, N, circG)
-            return sum(to_circ[k] is not None
-                       for k, _, _ in analysis._classify(search, N.table)[1])
+            return sum(isomorphism(T, circG) is not None for T, _, _
+                       in analysis._classify(_regular_subgroup_keys, N.table))
 
         assert (f_count(Q8, E8), per_class_f(Q8, E8)) == (14, 1)
         monkeypatch.setattr(analysis, "f_count", per_class_f)
@@ -486,6 +510,20 @@ class TestSharedClassification:
                     "C4xC4": 0}
         assert {name: f_count(C16, group_by_name(name))
                 for name in expected} == expected
+
+    @pytest.mark.parametrize("name, expected", [
+        ("C16", 1), ("C8xC2", 16), ("C4xC4", 0), ("D8", 24), ("Q16", 24),
+        ("SD16", 24), ("M16", 8),
+        pytest.param("C4xC2xC2", 0, marks=requires_heavy)])
+    def test_full_search_f_count_at_incomplete_order_16(self, name,
+                                                        expected):
+        # a non-cyclic target at order 16, which the catalog does not hold
+        # completely: _classify never reads the catalog; the values are
+        # pinned as found and checked against the per-subgroup definition
+        D8, N = group_by_name("D8"), group_by_name(name)
+        oracle = sum(1 for R in regular_subgroups_in_holomorph(N)
+                     if isomorphism(transport_operation(R), D8) is not None)
+        assert f_count(D8, N) == oracle == expected
 
 
 class TestClassRecord:
@@ -535,9 +573,8 @@ class TestClassRecord:
         classify = analysis._classify
 
         def off_by_one(search, table):
-            reps, classes, members = classify(search, table)
-            return reps, tuple((k, theta, size + 1)
-                               for k, theta, size in classes), members
+            return tuple((T, size + 1, listed)
+                         for T, size, listed in classify(search, table))
 
         monkeypatch.setattr(analysis, "_classify", off_by_one)
         with pytest.raises(InternalInconsistency,
