@@ -1,8 +1,10 @@
 """Batch command-line surface: enumerate, analyze, verify.
 
 Exit codes: 0 success; 1 I/O or parse failure; 2 unsupported order or
-unknown group; 3 (analyze) the supplied pair violates the brace law.
-Report data goes to stdout or --out, never to stderr.
+unknown group; 3 the pair given to analyze is no brace (BraceLawViolated
+or IdentityMismatch; only analyze validates a supplied pair).  Report
+data goes to stdout or --out, never to stderr: both report commands
+write through _write, and serialize lays out both formats.
 """
 
 from __future__ import annotations
@@ -59,30 +61,21 @@ def _resolve_group(spec: str) -> FiniteGroup:
     raise UnknownName(f"{spec!r} is neither a catalog name nor a file")
 
 
-def _format_table(reports) -> str:
-    header = f"{'#':>3}  {'type':<14} {'bi-skew':<8} {'surjective':<11} " \
-             f"{'ratio':<8} {'class':>5} {'orbit':>5}"
-    lines = [header, "-" * len(header)]
-    for i, r in enumerate(reports):
-        lines.append(
-            f"{i:>3}  {r.type_name:<14} {str(r.is_bi_skew):<8} "
-            f"{str(r.is_surjective):<11} {str(r.gc_ratio):<8} "
-            f"{r.iso_class_id:>5} {r.orbit_size:>5}")
-    return "\n".join(lines) + "\n"
+def _write(args, chunks) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
+    else:
+        sys.stdout.writelines(chunks)
 
 
 def cmd_enumerate(args) -> int:
     # an order the catalog does not serve is refused before any search
     reports = analysis.enumerate_reports(_resolve_group(args.group))
     if args.format == "json":
-        chunks = serialize.report_chunks(reports)
+        _write(args, serialize.report_chunks(reports))
     else:
-        chunks = [_format_table(reports)]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+        _write(args, [serialize.report_table(reports)])
     total = len(reports)
     # the type is an orbit invariant: one test per class
     operations = {r.iso_class_id: r.operation for r in reports}
@@ -99,13 +92,9 @@ def cmd_analyze(args) -> int:
     B = make_brace(dot, circ)
     report = analysis.analyze(B)
     if args.format == "json":
-        payload = serialize.report_text(report)
+        _write(args, [serialize.report_text(report)])
     else:
-        payload = _format_table([report])
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+        _write(args, [serialize.report_table([report])])
     return 0
 
 
@@ -298,11 +287,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (BraceLawViolated, IdentityMismatch) as exc:
-        if args.command == "analyze":
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # only analyze validates a supplied pair
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

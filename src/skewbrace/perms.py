@@ -24,6 +24,7 @@ import math
 
 from .errors import (
     BadParameters,
+    InternalInconsistency,
     NotNormalized,
     NotRegular,
     OrderTooLargeForOracle,
@@ -269,8 +270,13 @@ def _grow_regular(candidates_by_start, n: int, accept,
             for g in gens:
                 if not add(g.translate(padded)):
                     return None
-        if n % len(out) != 0:
-            return None
+        # out is a group whose elements have distinct images of 0; made
+        # of fixed-point-free perms it acts semiregularly, so its order
+        # divides n.  Inline, not require: this runs once per branch
+        if n % len(out):
+            raise InternalInconsistency(
+                f"a closed subgroup of order {len(out)} in degree {n}: the "
+                "candidate pool let in a perm with a fixed point")
         return out
 
     def conjugation_closure(members: dict[int, bytes],

@@ -1,10 +1,17 @@
-"""File formats: Cayley-table files and census report files.
+"""File formats: Cayley-table files, census report files and the report
+table.
 
-Both formats are JSON, UTF-8, all integers decimal, with deterministic
-byte-for-byte output so golden fixtures diff cleanly.  Report text is
-laid out by _json_text, byte for byte as json.dumps(indent=2,
-sort_keys=True), whose pure-Python encoder it replaces: a list of plain
-ints is written by one str.join.
+Both file formats are JSON, UTF-8, all integers decimal, with
+deterministic byte-for-byte output so golden fixtures diff cleanly.
+Report text is laid out by _json_text, byte for byte as
+json.dumps(indent=2, sort_keys=True), whose pure-Python encoder it
+replaces: a list of plain ints is written by one str.join.  The aligned
+text table of `--format table` is laid out by report_table, so both
+report layouts live here.
+
+A report is read by its fields alone and a record is told from it by
+being a dict, so this module loads only the group core: reading or
+writing a group file never loads the census.
 """
 
 from __future__ import annotations
@@ -14,7 +21,6 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .analysis import HgsReport
 from .errors import ParseError
 from .groups import FiniteGroup, make_group
 
@@ -78,7 +84,8 @@ def _fits(x, shape) -> bool:
     return isinstance(x, shape) and (shape is bool or not isinstance(x, bool))
 
 
-def report_to_record(r: HgsReport) -> dict:
+def report_to_record(r) -> dict:
+    """The JSON record of an analysis.HgsReport."""
     return {
         "operation_table": [list(row) for row in r.operation.table],
         "type_name": r.type_name,
@@ -132,21 +139,35 @@ def report_chunks(reports):
         return
     sep = "[\n  "
     for r in items:
-        rec = report_to_record(r) if isinstance(r, HgsReport) else r
+        rec = r if isinstance(r, dict) else report_to_record(r)
         yield sep + _json_text(rec, "\n  ")
         sep = ",\n  "
     yield "\n]\n"
 
 
-def report_text(report: HgsReport) -> str:
+def report_text(report) -> str:
     """One report as a JSON object, the text of `skewbrace analyze`."""
     return _json_text(report_to_record(report)) + "\n"
 
 
+def report_table(reports) -> str:
+    """Reports as an aligned text table, one row each in the given order:
+    the text of `--format table`."""
+    header = f"{'#':>3}  {'type':<14} {'bi-skew':<8} {'surjective':<11} " \
+             f"{'ratio':<8} {'class':>5} {'orbit':>5}"
+    lines = [header, "-" * len(header)]
+    for i, r in enumerate(reports):
+        lines.append(
+            f"{i:>3}  {r.type_name:<14} {str(r.is_bi_skew):<8} "
+            f"{str(r.is_surjective):<11} {str(r.gc_ratio):<8} "
+            f"{r.iso_class_id:>5} {r.orbit_size:>5}")
+    return "\n".join(lines) + "\n"
+
+
 def _operation_table(r) -> tuple:
-    if isinstance(r, HgsReport):
-        return r.operation.table
-    return tuple(map(tuple, r["operation_table"]))
+    if isinstance(r, dict):
+        return tuple(map(tuple, r["operation_table"]))
+    return r.operation.table
 
 
 def reports_to_text(reports) -> str:

@@ -31,6 +31,18 @@ def refuse_searches(monkeypatch, *names):
         monkeypatch.setattr(analysis, name, refuse)
 
 
+def not_bi_skew_on_c6():
+    """The one operation on C6 that is not bi-skew (its type is D3), as a
+    brace: the witness for every refusal of a brace that is not bi-skew."""
+    from skewbrace.braces import is_bi_skew
+    from skewbrace.catalog import group_by_name, type_name
+
+    (B,) = [B for B in analysis.enumerate_operations(group_by_name("C6"))
+            if not is_bi_skew(B)]
+    assert type_name(B.dot) == "D3"
+    return B
+
+
 def transport_table(table, images):
     """The table relabeled along the bijection images, as row tuples, by
     its definition out[images[a]][images[b]] = images[table[a][b]]: the

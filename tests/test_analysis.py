@@ -7,7 +7,13 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import flat, refuse_searches, requires_heavy, transport_table
+from conftest import (
+    flat,
+    not_bi_skew_on_c6,
+    refuse_searches,
+    requires_heavy,
+    transport_table,
+)
 
 from skewbrace import analysis, braces, catalog, perms
 from skewbrace.analysis import (
@@ -259,11 +265,10 @@ class TestBiskewPair:
         assert rep.subgroup_counts == (10, 4)
 
     def test_requires_bi_skew(self):
-        from skewbrace.constructions import cpr_cps_brace
-        B = cpr_cps_brace(3, 1, 1)
-        if not is_bi_skew(B):
-            with pytest.raises(NotBiSkew):
-                biskew_pair_report(B)
+        B = not_bi_skew_on_c6()
+        assert not is_bi_skew(B)
+        with pytest.raises(NotBiSkew):
+            biskew_pair_report(B)
 
 
 class TestCounting:
@@ -288,6 +293,58 @@ class TestCounting:
 
     def test_mixed_orders_give_zero(self):
         assert f_count(group_by_name("C2"), group_by_name("C4")) == 0
+
+
+def prime_factors(n):
+    """The prime factors of n with multiplicity, ascending."""
+    out, p = [], 2
+    while n > 1:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out
+
+
+def closed_form_e(G, N):
+    """e(G, N) from |G|'s factorisation and which of G and N are cyclic,
+    or None outside the shapes below.  These laws were fitted to the
+    census's counts and recalled from Byott (1996, orders pq) and Kohl
+    (1998, cyclic Galois groups of odd prime-power order); they are not
+    transcribed from the published statements.  They read nothing of the
+    holomorph, so they pin the census independently of its route."""
+    fs = prime_factors(G.order)
+    cyc_g, cyc_n = G.is_cyclic(), N.is_cyclic()
+    p = fs[0]
+    if cyc_g and fs == [p] * len(fs) and (len(fs) == 1 or p % 2):
+        return p ** (len(fs) - 1) if cyc_n else 0
+    if fs == [3, 3] and not cyc_g:
+        return 0 if cyc_n else 9
+    if len(fs) == 2 and fs[0] != fs[1]:
+        q = fs[1]
+        if (q - 1) % p:
+            return 1  # only the cyclic group has order pq
+        if cyc_g:
+            return 1 if cyc_n else 2 * (p - 1)
+        return q if cyc_n else 2 + 2 * q * (p - 2)
+    return None
+
+
+def test_e_count_matches_closed_forms_on_every_served_order():
+    covered = set()
+    for order in range(2, 28):
+        try:
+            gs = groups_of_order(order)
+        except (CatalogIncompleteForOrder, UnsupportedOrder):
+            continue
+        for G in gs:
+            for N in gs:
+                expected = closed_form_e(G, N)
+                if expected is not None:
+                    assert e_count(G, N) == expected, (G.name, N.name)
+                    covered.add(order)
+    # the S_n oracle stops at order 8; these reach 9-15 and 27
+    assert covered >= {2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15, 27}
 
 
 def aut_class(elements, N):
@@ -793,11 +850,10 @@ class TestSurjectivePowerAuto:
         assert surjective_iff_power_auto(B) is False
 
     def test_requires_bi_skew(self):
-        from skewbrace.constructions import cpr_cps_brace
-        B = cpr_cps_brace(3, 1, 1)
-        if not is_bi_skew(B):
-            with pytest.raises(NotBiSkew):
-                surjective_iff_power_auto(B)
+        B = not_bi_skew_on_c6()
+        assert not is_bi_skew(B)
+        with pytest.raises(NotBiSkew):
+            surjective_iff_power_auto(B)
 
     def test_never_inconsistent_across_census(self):
         for name in ("C6", "D3", "C4", "C2xC2", "D4"):

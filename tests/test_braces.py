@@ -1,7 +1,7 @@
 """Brace layer: the compatibility law, gamma, ideals, opposites, products."""
 
 import pytest
-from conftest import requires_heavy
+from conftest import not_bi_skew_on_c6, requires_heavy
 
 from skewbrace import analysis, braces
 from skewbrace.braces import (
@@ -264,10 +264,10 @@ class TestBiSkew:
         assert is_bi_skew(cpr_cps_brace(2, 2, 1))
 
     def test_swap_requires_bi_skew(self):
-        B = cpr_cps_brace(3, 1, 1)
-        if not is_bi_skew(B):
-            with pytest.raises(NotBiSkew):
-                swap(B)
+        B = not_bi_skew_on_c6()
+        assert not is_bi_skew(B)
+        with pytest.raises(NotBiSkew):
+            swap(B)
 
 
 class TestBraceIsomorphism:
@@ -299,6 +299,10 @@ class TestBraceIsomorphism:
         B1 = trivial_brace(group_by_name("C4"))
         B2 = cpr_cps_brace(2, 1, 1)  # dot cyclic, circ V4
         assert brace_isomorphism(B1, B2) is None
+
+    def test_different_orders(self):
+        assert brace_isomorphism(trivial_brace(group_by_name("C2")),
+                                 trivial_brace(group_by_name("C3"))) is None
 
     def test_trivial_vs_almost_trivial_on_q8(self):
         Q8 = group_by_name("Q8")

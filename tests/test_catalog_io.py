@@ -39,6 +39,7 @@ from skewbrace.groups import (
 from skewbrace.cli import main
 from skewbrace.serialize import (
     _json_text,
+    group_from_text,
     read_group,
     read_reports,
     report_chunks,
@@ -274,6 +275,10 @@ class TestGroupFiles:
         with pytest.raises(ParseError):
             read_group(path)
 
+    def test_row_count_must_match_order(self):
+        with pytest.raises(ParseError, match='"table" must have 3 rows'):
+            group_from_text('{"order": 3, "table": [[0, 1, 2], [1, 2, 0]]}')
+
     def test_algebraic_validation_delegated(self, tmp_path):
         path = tmp_path / "notgroup.json"
         path.write_text('{"order": 2, "table": [[0, 1], [1, 1]]}')
@@ -302,6 +307,13 @@ class TestReportFiles:
             assert set(r) == {"operation_table", "type_name", "is_bi_skew",
                               "image", "is_surjective", "gc_ratio",
                               "grouplikes", "iso_class_id", "orbit_size"}
+
+    def test_report_file_must_hold_an_array(self, tmp_path):
+        path = tmp_path / "object.json"
+        path.write_text('{"a": 1}', encoding="utf-8")
+        with pytest.raises(ParseError,
+                           match="expected a JSON array of report records"):
+            read_reports(path)
 
     def test_byte_stable_round_trip(self, tmp_path):
         reports = enumerate_reports(group_by_name("C6"))

@@ -163,6 +163,22 @@ class TestAnalyze:
         assert code == 3
         assert "law fails" in err
 
+    @pytest.mark.parametrize("flags, digest", [
+        ((),
+         "0b85feb371b99cb494dbcdd6cd4b88b186148ad17bd565a93c76bbf1df606626"),
+        (("--format", "table"),
+         "13e1cd2f1124499b7e23a2baa58bdfaa2f7e7106cb70baf93cbddd9b0cbedaef"),
+    ], ids=("json", "table"))
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path,
+                                            flags, digest):
+        code, out, err = run(capsys, "analyze", "C6", "C6", *flags)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        path = tmp_path / "report"
+        assert run(capsys, "analyze", "C6", "C6", *flags,
+                   "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
     def test_io_error_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "analyze", "C6",
                            str(tmp_path / "missing.json"))

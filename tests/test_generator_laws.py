@@ -750,6 +750,15 @@ def test_bytes_search_matches_tuple_kernel_on_symmetric_pools(n):
         == tuple_kernel_search(points, n)
 
 
+def test_fixed_point_in_the_pool_fails_loudly():
+    # (0 1) fixes 2, so <(0 1)> has order 2, which does not divide 3: the
+    # kernel raises rather than dropping the branch and finding nothing
+    found = []
+    with pytest.raises(InternalInconsistency, match="fixed point"):
+        _grow_regular({1: [bytes([1, 0, 2])]}, 3, found.append)
+    assert found == []
+
+
 def test_subgroups_are_normal_exactly_when_full_loop_says():
     for G in small_catalog(12):
         for s in subgroups(G):

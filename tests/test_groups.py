@@ -102,6 +102,14 @@ class TestMakeGroup:
         with pytest.raises(NotLatinSquare):
             make_group([[0, 1], [1, 1]])
 
+    def test_column_check_alone_catches(self):
+        # every row is a permutation and row 0 and column 0 are the
+        # identity: only column 2, (2, 3, 0, 2), repeats an entry
+        with pytest.raises(NotLatinSquare,
+                           match="column 2 is not a permutation of 0..3"):
+            make_group([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1],
+                        [3, 0, 2, 1]])
+
     def test_identity_required_at_zero(self):
         with pytest.raises(NoIdentityAtZero):
             make_group([[1, 0], [0, 1]])

@@ -46,6 +46,14 @@ class TestFootprint:
             "skewbrace.catalog", "skewbrace.groups", "skewbrace.errors"}
         assert not loaded & {"fractions", "decimal", "json"}
 
+    def test_serialize_loads_the_group_core_only(self):
+        # a report is read by its fields, so the file formats never load
+        # the census
+        loaded = loaded_after("import skewbrace.serialize")
+        assert {m for m in loaded if m.partition(".")[0] == "skewbrace"} \
+            == {"skewbrace", "skewbrace.serialize", "skewbrace.groups",
+                "skewbrace.errors"}
+
     def test_enumerate_never_loads_constructions(self):
         loaded = loaded_after(
             "import contextlib, io\n"

@@ -173,6 +173,12 @@ class TestTransport:
         with pytest.raises(NotRegular):
             operation_from_regular_subgroup(R, group_by_name("C3"))
 
+    def test_subgroup_of_another_degree_rejected(self):
+        # a regular subgroup of Hol(C3) acts on 3 points, not on C2's 2
+        (R,) = regular_subgroups_in_holomorph(group_by_name("C3"))
+        with pytest.raises(NotRegular, match="bijection onto G"):
+            operation_from_regular_subgroup(R, group_by_name("C2"))
+
     def test_empty_hand_built_subgroup_rejected(self):
         with pytest.raises(NotRegular):
             transport_operation(RegularSubgroup(()))
