@@ -46,7 +46,6 @@ from .groups import (
     _automorphism_count,
     _compose,
     _relabeler,
-    _trusted_group,
     distinguished_subgroups,
     generating_set,
     is_power_automorphism,
@@ -88,7 +87,7 @@ def enumerate_reports(circ: FiniteGroup) -> tuple[HgsReport, ...]:
             _enumerate_classes(circ.table)):
         for t, phi in orbit.items():
             out.append(report._replace(
-                operation=_trusted_group(_rows(t, circ.order)),
+                operation=FiniteGroup(_rows(t, circ.order)),
                 image=tuple(sorted(tuple(sorted(phi[x] for x in s))
                                    for s in report.image)),
                 grouplikes=tuple(sorted(phi[x] for x in report.grouplikes)),
@@ -114,7 +113,7 @@ def _classify(search, table):
     on the search and N's table, so every census and count of one order
     that takes the same route shares it; no other T_R outlives the call.
     """
-    N = _trusted_group(table)
+    N = FiniteGroup(table)
     n = N.order
     starts = bytes(range(n))
     classes = []  # (T, size) per class
@@ -126,7 +125,7 @@ def _classify(search, table):
             require(key[::n] == starts, "evaluation at 0 is not a bijection")
             c = len(classes)
             orbit = _orbit(key, N)
-            classes.append((_trusted_group(_rows(key, n)), len(orbit)))
+            classes.append((FiniteGroup(_rows(key, n)), len(orbit)))
             class_of.update(dict.fromkeys(orbit, c))
         listed[c] += 1
     return tuple((T, size, listed[c]) for c, (T, size) in enumerate(classes))
@@ -185,7 +184,7 @@ def _enumerate_classes(table):
     that no two classes share a brace; it counts no brace automorphism,
     as the class record already holds the stabilizer's size.
     """
-    circ = _trusted_group(table)
+    circ = FiniteGroup(table)
     n = circ.order
     search = (_cyclic_keys_up_to_aut if circ.is_cyclic()
               else _regular_subgroup_keys)
@@ -205,7 +204,7 @@ def _enumerate_classes(table):
             orbit = _orbit(flat, circ)
             require(len(orbit) * _automorphism_count(N) == size * aut_count,
                     "brace class and Aut(N)-class sizes disagree")
-            B = SkewBrace(_trusted_group(_rows(flat, n)), circ)
+            B = SkewBrace(FiniteGroup(_rows(flat, n)), circ)
             classes.append((orbit, N, _analyze(B, N.name, len(orbit))))
             seen |= orbit.keys()
     classes.sort(key=lambda c: min(c[0]))

@@ -55,9 +55,8 @@ def _resolve_group(spec: str) -> FiniteGroup:
         return group_by_name(spec)
     except UnknownName:
         pass
-    path = Path(spec)
-    if path.exists():
-        return serialize.read_group(path)
+    if Path(spec).exists():
+        return serialize.read_group(spec)
     raise UnknownName(f"{spec!r} is neither a catalog name nor a file")
 
 

@@ -16,16 +16,19 @@ group alive: a store refers to no handle on its own table.  A fact that
 names a group, such as the GroupMaps of automorphisms(G), is kept as image
 tuples and built on the handle that asks.
 
-A table is validated once, where it enters.  make_group checks it in full,
-on a handle on its store, and records in the store that it passed; the
-checks read the transpose and the generating set as facts of that handle,
-so they build the very facts the group keeps.  On a table that has passed,
-make_group returns a new handle on the store under the name asked for and
-checks nothing again.  A table that has never passed is checked in full on
-every call, also when it is live through _trusted_group.  A table derived
-from valid groups (a quotient, a subgroup, a semidirect product along a
-checked action, a relabeling along a bijection) is a group by construction
-and _trusted_group takes it as is.
+A group has two constructors.  make_group checks a table, and
+FiniteGroup(table, name) trusts it; both hand out a handle on the table's
+live store.  A table is validated once, where it enters.  make_group checks
+it in full, on a handle on its store, and records in the store that it
+passed; the checks read the transpose and the generating set as facts of
+that handle, so they build the very facts the group keeps.  Only then is
+the store registered.  On a table that has passed, make_group returns a new
+handle on the store under the name asked for and checks nothing again.  A
+table that has never passed is checked in full on every call, also when it
+is live through FiniteGroup.  A table derived from valid groups (a
+quotient, a subgroup, a semidirect product along a checked action, a
+relabeling along a bijection) is a group by construction and FiniteGroup
+takes it as is.
 
 Every law is checked on generators, by one argument: a map that respects
 multiplication by every generator (x -> x*g) respects every word in them,
@@ -111,15 +114,16 @@ class FiniteGroup:
     lattice as member sets, the distinguished subgroups, N(G)/Z(G),
     cyclic subgroups with their generators, conjugation rows and orbit
     relabeling steps.  The name alone is the handle's own; handles are
-    made freely and compared by value.  A group made by calling
-    FiniteGroup(table, name) has a store of its own, outside the registry,
-    and is not checked: make_group validates a table.
+    made freely and compared by value.  FiniteGroup(table, name) trusts
+    the table: it checks nothing and returns a handle on the table's live
+    store, registering the store when the table is not live.  make_group
+    is the constructor that checks.
     """
 
     __slots__ = ("name", "__dict__", "__weakref__")
 
     def __init__(self, table, name: str | None = None) -> None:
-        _handle(_Facts(table=tuple(map(tuple, table))), name, self)
+        _handle(_store(tuple(map(tuple, table)), register=True), name, self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -378,16 +382,12 @@ def make_group(table, name: str | None = None) -> FiniteGroup:
     except TypeError:
         raise NotLatinSquare(f"table {table!r} is not a sequence of rows") \
             from None
-    rows = tuple(map(_ints, given))
-    key = hash(rows)
-    facts = _LIVE.get(key)
-    if facts is None or facts["table"] != rows:
-        facts = _Facts(table=rows, _table_hash=key)
+    facts = _store(tuple(map(_ints, given)), register=False)
     G = _handle(facts, name)
     if "_checked" not in facts:
         _check_table(G, given)
         facts["_checked"] = True
-        _LIVE[key] = facts
+        _LIVE[facts["_table_hash"]] = facts
     return G
 
 
@@ -442,17 +442,17 @@ def _check_table(G: FiniteGroup, given) -> None:
 _LIVE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _trusted_group(table, name: str | None = None) -> FiniteGroup:
-    """The group of a table already checked by make_group or derived from
-    valid groups, checking nothing: a new handle, under name, on the live
-    table's facts when the table is live, else on new facts, registered.
-    The table is hashed once, for the key and the store."""
-    rows = tuple(map(tuple, table))
+def _store(rows, register: bool) -> _Facts:
+    """The facts of the table rows: the live store when rows is live, else
+    a new one, put in _LIVE when register is true.  The table is hashed
+    once, for the key and the store."""
     key = hash(rows)
     facts = _LIVE.get(key)
     if facts is None or facts["table"] != rows:
-        facts = _LIVE[key] = _Facts(table=rows, _table_hash=key)
-    return _handle(facts, name)
+        facts = _Facts(table=rows, _table_hash=key)
+        if register:
+            _LIVE[key] = facts
+    return facts
 
 
 def _handle(facts: _Facts, name: str | None,
@@ -473,8 +473,7 @@ def opposite_table(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 def opposite_group(G: FiniteGroup) -> FiniteGroup:
     """G with a*b read as b*a."""
-    return _trusted_group(opposite_table(G),
-                          f"{G.name}^op" if G.name else None)
+    return FiniteGroup(opposite_table(G), f"{G.name}^op" if G.name else None)
 
 
 def closure(G: FiniteGroup, seed) -> Subgroup:
@@ -1016,7 +1015,7 @@ def quotient(G: FiniteGroup, N) -> tuple[FiniteGroup, GroupMap]:
     for i, ci in enumerate(cosets):
         for j, cj in enumerate(cosets):
             table[i][j] = label_of[G.table[ci[0]][cj[0]]]
-    Q = _trusted_group(table)
+    Q = FiniteGroup(table)
     proj = GroupMap(G, Q, tuple(label_of))
     require(is_homomorphism(proj), "coset projection is not a homomorphism")
     return Q, proj
@@ -1033,7 +1032,7 @@ def subgroup_group(G: FiniteGroup, sub) -> tuple[FiniteGroup, tuple[int, ...]]:
         raise BadParameters(f"{sub!r} is not a subgroup of {G!r}")
     pos = {e: i for i, e in enumerate(elems)}
     table = [[pos[G.table[a][b]] for b in elems] for a in elems]
-    return _trusted_group(table), elems
+    return FiniteGroup(table), elems
 
 
 def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
@@ -1069,7 +1068,7 @@ def semidirect_product(A: FiniteGroup, B: FiniteGroup, action) -> FiniteGroup:
                 for d in range(nb):
                     row[c * nb + d] = \
                         A.table[a][action[b][c]] * nb + B.table[b][d]
-    return _trusted_group(table)
+    return FiniteGroup(table)
 
 
 def _int_maps(maps, error=NotAHomomorphism):

@@ -39,7 +39,6 @@ from .groups import (
     _int_maps,
     _integer,
     _itemgetter,
-    _trusted_group,
     generating_set,
     make_group,
     opposite_table,
@@ -136,7 +135,7 @@ def transport_operation(R: RegularSubgroup) -> FiniteGroup:
     rows = sorted(R.elements)
     if not rows or [p[0] for p in rows] != list(range(R.degree)):
         raise NotRegular("evaluation at 0 is not a bijection")
-    return _trusted_group(rows)
+    return FiniteGroup(rows)
 
 
 def operation_from_regular_subgroup(R: RegularSubgroup, G: FiniteGroup) \
@@ -354,7 +353,7 @@ def _cyclic_keys(N: FiniteGroup, images=None) -> list[bytes]:
     grows, so phi is dropped at the first generator that takes it off the
     divisors of n.  No map of the stream is kept.
     """
-    n = N.order
+    n = _byte_degree(N.order)
     exp = N.exponent()
     gens = generating_set(N)
     found = set()
@@ -406,6 +405,7 @@ def _cyclic_keys_up_to_aut(N: FiniteGroup) -> list[bytes]:
     by some psi in Stab(g_0) that moves phi(g_0) there, of the same order,
     so every class keeps a generator in the scan.
     """
+    _byte_degree(N.order)  # before the stabilizer chain of Aut(N) is built
     return _cyclic_keys(N, _automorphism_images_up_to_stabilizer(N))
 
 

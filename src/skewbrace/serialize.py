@@ -41,6 +41,15 @@ def write_group(G: FiniteGroup, path) -> None:
     Path(path).write_text(group_to_text(G), encoding="utf-8")
 
 
+def _read_text(path) -> str:
+    """The text of the file at path; ParseError names a file that is not
+    UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
+
+
 def _parse_json(text: str):
     try:
         return json.loads(text)
@@ -63,7 +72,7 @@ def group_from_text(text: str) -> FiniteGroup:
 
 
 def read_group(path) -> FiniteGroup:
-    return group_from_text(Path(path).read_text(encoding="utf-8"))
+    return group_from_text(_read_text(path))
 
 
 # the fields of report_to_record, each with the shape of its JSON value
@@ -182,7 +191,7 @@ def write_reports(reports, path) -> None:
 def read_reports(path) -> list[dict]:
     """The records of a report file; ParseError names the first record
     and field not in its report_to_record shape, or a gc_ratio den <= 0."""
-    data = _parse_json(Path(path).read_text(encoding="utf-8"))
+    data = _parse_json(_read_text(path))
     if not isinstance(data, list):
         raise ParseError("expected a JSON array of report records")
     for i, record in enumerate(data):

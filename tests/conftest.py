@@ -2,12 +2,15 @@ import os
 
 import pytest
 
-from skewbrace import analysis, perms
+from skewbrace import analysis, groups, perms
 
 HEAVY = os.environ.get("SKEWBRACE_HEAVY") == "1"
 
 requires_heavy = pytest.mark.skipif(
     not HEAVY, reason="set SKEWBRACE_HEAVY=1 to run the expensive checks")
+
+# a group file whose one byte outside ASCII is Latin-1, not UTF-8
+NOT_UTF8 = '{"order": 1, "table": [[0]], "by": "Gödel"}'.encode("latin-1")
 
 
 @pytest.fixture
@@ -19,6 +22,12 @@ def fresh_census():
     yield
     analysis._enumerate_classes.cache_clear()
     analysis._classify.cache_clear()
+
+
+def fresh_group(table, name=None):
+    """A group on table with a new store of its own, outside the registry:
+    every fact it is asked for is recomputed from the table."""
+    return groups._handle(groups._Facts(table=tuple(map(tuple, table))), name)
 
 
 def refuse_searches(monkeypatch, *names):

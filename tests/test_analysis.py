@@ -53,11 +53,11 @@ from skewbrace.errors import (
     UnsupportedOrder,
 )
 from skewbrace.groups import (
+    FiniteGroup,
     _automorphism_count,
     _automorphism_images_up_to_stabilizer,
     _compose,
     _invert,
-    _trusted_group,
     automorphisms,
     distinguished_subgroups,
     isomorphism,
@@ -82,19 +82,19 @@ SERVED = [*(G for n in range(1, 16) for G in groups_of_order(n)),
 
 def classify_transports(monkeypatch, record):
     """Hand record every group T_R that _classify transports: the groups
-    analysis._trusted_group builds when called from _classify itself,
+    analysis.FiniteGroup builds when called from _classify itself,
     other than the handle on N that _classify makes from its table
     argument."""
     code = analysis._classify.__wrapped__.__code__
 
     def hook(rows):
-        T = _trusted_group(rows)
+        T = FiniteGroup(rows)
         caller = sys._getframe(1)
         if caller.f_code is code and rows is not caller.f_locals["table"]:
             record(T)
         return T
 
-    monkeypatch.setattr(analysis, "_trusted_group", hook)
+    monkeypatch.setattr(analysis, "FiniteGroup", hook)
 
 
 class TestEnumerate:

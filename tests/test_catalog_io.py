@@ -7,6 +7,7 @@ import re
 import sys
 
 import pytest
+from conftest import NOT_UTF8
 from hypothesis import given, settings, strategies as st
 
 from skewbrace import catalog
@@ -217,6 +218,18 @@ class TestCatalog:
         with pytest.raises(UnsupportedOrder, match=re.escape(repr(order))):
             groups_of_order(order)
 
+    def test_undercount_refused(self, monkeypatch, capsys, fresh_census):
+        # the count check is how the catalog refuses to undercount an order
+        # it claims is complete; the census asks for it on every target
+        monkeypatch.setitem(catalog.GROUP_COUNTS, 8, 6)
+        with pytest.raises(CatalogIncompleteForOrder,
+                           match="catalog stores 5 groups of order 8, "
+                                 "expected 6"):
+            groups_of_order(8)
+        assert main(["enumerate", "C8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: catalog stores 5 groups")
+
     def test_partial_order_sixteen(self):
         with pytest.raises(CatalogIncompleteForOrder):
             groups_of_order(16)
@@ -293,6 +306,12 @@ class TestGroupFiles:
         with pytest.raises(ParseError):
             read_group(path)
 
+    def test_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(NOT_UTF8)
+        with pytest.raises(ParseError, match="latin1.json is not UTF-8"):
+            read_group(path)
+
 
 class TestReportFiles:
     def test_q8_census_file(self, tmp_path):
@@ -313,6 +332,12 @@ class TestReportFiles:
         path.write_text('{"a": 1}', encoding="utf-8")
         with pytest.raises(ParseError,
                            match="expected a JSON array of report records"):
+            read_reports(path)
+
+    def test_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"[" + NOT_UTF8 + b"]")
+        with pytest.raises(ParseError, match="latin1.json is not UTF-8"):
             read_reports(path)
 
     def test_byte_stable_round_trip(self, tmp_path):

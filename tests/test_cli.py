@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import requires_heavy
+from conftest import NOT_UTF8, requires_heavy
 
 from skewbrace import analysis
 from skewbrace.catalog import cyclic, dihedral, group_by_name
@@ -125,6 +125,13 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", str(path))
         assert code == 1 and err
 
+    def test_not_utf8_file_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(NOT_UTF8)
+        code, out, err = run(capsys, "enumerate", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path} is not UTF-8 text\n"
+
     def test_byte_identical_runs(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         run(capsys, "enumerate", "D4", "--out", str(p1))
@@ -180,9 +187,20 @@ class TestAnalyze:
         assert path.read_bytes() == out.encode()
 
     def test_io_error_exit_1(self, capsys, tmp_path):
+        # a path that does not exist resolves as an unknown name: exit 2
         code, _, err = run(capsys, "analyze", "C6",
                            str(tmp_path / "missing.json"))
-        assert code == 2 or code == 1  # unknown spec resolves first
+        assert code == 2 and "is neither a catalog name nor a file" in err
+        # a file that cannot be read as a group: exit 1, one error line
+        for content, message in (
+                (b'{"order": 6, "table": [[0]]}', '"table" must have 6 rows'),
+                (NOT_UTF8, "is not UTF-8")):
+            path = tmp_path / "op.json"
+            path.write_bytes(content)
+            code, out, err = run(capsys, "analyze", "C6", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert message in err and "Traceback" not in err
 
 
 class TestVerify:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import fresh_group
 from skewbrace.braces import (
     almost_trivial_brace,
     gamma,
@@ -29,7 +30,6 @@ from skewbrace.errors import (
 )
 from skewbrace import groups
 from skewbrace.groups import (
-    FiniteGroup,
     distinguished_subgroups,
     inversion_action,
     isomorphism,
@@ -80,7 +80,8 @@ class TestPsiConstruction:
                             lambda G, sub: made.append(G) or
                             subgroup_group(G, sub))
         Q8 = group_by_name("Q8")
-        fresh = FiniteGroup(Q8.table, "fresh")
+        fresh = fresh_group(Q8.table, "fresh")
+        assert vars(fresh) is not vars(Q8)
         first = norm_mod_center(fresh)
         assert norm_mod_center(fresh.with_name("renamed")) is first
         assert norm_mod_center(fresh) is first and len(made) == 1

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from skewbrace import perms
-from skewbrace.analysis import enumerate_reports, kohl_obstruction
+from skewbrace.analysis import enumerate_reports, f_count, kohl_obstruction
 from skewbrace.braces import (
     SkewBrace,
     make_brace,
@@ -436,6 +436,9 @@ def test_degree_above_255_named_before_holomorph(monkeypatch):
     monkeypatch.setattr(perms, "_automorphism_images", refuse)
     C256 = cyclic(256)
     for search in (perms.regular_subgroups_in_holomorph, perms.holomorph,
+                   perms.cyclic_regular_subgroups_in_holomorph,
+                   perms._cyclic_keys_up_to_aut,
+                   lambda G: f_count(G, G),
                    lambda G: perms.regular_subgroups_normalized_by(
                        G, bound=256)):
         with pytest.raises(BadParameters, match="degree 256"):

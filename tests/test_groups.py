@@ -11,6 +11,7 @@ import weakref
 
 import pytest
 
+from conftest import fresh_group
 from skewbrace import groups
 from skewbrace.analysis import enumerate_reports
 from skewbrace.braces import make_brace
@@ -173,7 +174,7 @@ class TestFiniteGroupContract:
         # one live table has one store, whichever route hands it out
         G = group_by_name("D4")
         rows = [list(row) for row in G.table]
-        for same in (make_group(rows, "D4"), groups._trusted_group(rows, "D4"),
+        for same in (make_group(rows, "D4"), groups.FiniteGroup(rows, "D4"),
                      G.with_name("D4")):
             assert same == G and vars(same) is vars(G) and same.name == "D4"
         H = make_group(rows)
@@ -214,7 +215,7 @@ class TestFiniteGroupContract:
         assert all(facts["table"] != LOOP5
                    for facts in list(groups._LIVE.values()))
         # every check runs, also when an instance of the table is live
-        trusted = groups._trusted_group(LOOP5)
+        trusted = groups.FiniteGroup(LOOP5)
         with pytest.raises(NotAssociative):
             make_group(LOOP5)
         assert trusted.table == LOOP5
@@ -236,7 +237,7 @@ class TestFiniteGroupContract:
     def test_a_trusted_table_is_checked_once(self, monkeypatch):
         checked = count_checks(monkeypatch)
         rows = units_mod(23)
-        trusted = groups._trusted_group(rows)
+        trusted = groups.FiniteGroup(rows)
         assert "_checked" not in vars(trusted)
         G = make_group(rows)
         assert G == trusted and vars(G) is vars(trusted) and G.name is None
@@ -248,7 +249,7 @@ class TestFiniteGroupContract:
 
     def test_a_failing_table_is_checked_on_every_call(self, monkeypatch):
         checked = count_checks(monkeypatch)
-        groups._trusted_group(LOOP5)
+        groups.FiniteGroup(LOOP5)
         for k in range(1, 4):
             with pytest.raises(NotAssociative):
                 make_group(LOOP5)
@@ -266,7 +267,8 @@ class TestFiniteGroupContract:
         # the units mod 11, the unit x as the element x - 1
         rows = [[a * b % 11 - 1 for b in range(1, 11)] for a in range(1, 11)]
         G = make_group(rows, "units mod 11")
-        fresh = groups.FiniteGroup(G.table, "fresh")
+        fresh = fresh_group(G.table, "fresh")
+        assert vars(fresh) is not vars(G)
         for fact in ("columns", "_generators"):
             assert vars(G)[fact] == getattr(fresh, fact)
 
@@ -278,7 +280,8 @@ class TestFiniteGroupContract:
         renamed = G.with_name(f"{name} renamed")
         assert renamed is not G and renamed.name == f"{name} renamed"
         known = vars(renamed)
-        fresh = groups.FiniteGroup(G.table, "fresh")
+        fresh = fresh_group(G.table, "fresh")
+        assert vars(fresh) is not vars(G)
         for fact in FACTS:
             assert known[fact] == getattr(fresh, fact), fact
         assert renamed.inverse == G.inverse == fresh.inverse
@@ -298,9 +301,8 @@ class TestFiniteGroupContract:
 
     def test_equal_tables_are_equal_and_hash_equal(self):
         G = group_by_name("D4")
-        same = groups.FiniteGroup(tuple(tuple(list(r)) for r in G.table),
-                                  "other")
-        assert same.table is not G.table
+        same = fresh_group(tuple(tuple(list(r)) for r in G.table), "other")
+        assert vars(same) is not vars(G) and same.table is not G.table
         assert same == G and hash(same) == hash(G)
         assert G.with_name("renamed") == G
         assert hash(G.with_name("renamed")) == hash(G)
@@ -490,7 +492,8 @@ class TestAutomorphisms:
         monkeypatch.setattr(groups._Extender, "complete", twice_at_level_one)
         # a fresh instance, as each group keeps its chain once built
         C3xC3 = group_by_name("C3xC3")
-        N = groups.FiniteGroup(C3xC3.table)
+        N = fresh_group(C3xC3.table)
+        assert vars(N) is not vars(C3xC3)
         for read in (automorphisms, perms.holomorph,
                      perms.cyclic_regular_subgroups_in_holomorph,
                      perms._cyclic_keys_up_to_aut):
@@ -529,9 +532,11 @@ class TestAutomorphisms:
                             lambda G: [*real(G), *real(G)])
         # a fresh instance, as each group keeps its generators once found
         C3xC3 = group_by_name("C3xC3")
+        fresh = fresh_group(C3xC3.table)
+        assert vars(fresh) is not vars(C3xC3)
         with pytest.raises(InternalInconsistency,
                            match="do not reach all of Aut"):
-            groups.FiniteGroup(C3xC3.table)._aut_generators
+            fresh._aut_generators
 
     def test_order_divides_factorial(self):
         import math

@@ -32,9 +32,9 @@ from skewbrace.groups import (
     GroupMap,
     _compose,
     _invert,
+    FiniteGroup,
     _itemgetter,
     _relabeler,
-    _trusted_group,
     automorphisms,
     cyclic_subgroup,
     distinguished_subgroups,
@@ -227,8 +227,8 @@ def census_braces(orders):
             found = report.operation.table
             for images in bijections(G, 1):
                 out.append(SkewBrace(
-                    _trusted_group(transport_table(found, images)),
-                    _trusted_group(transport_table(G.table, images))))
+                    FiniteGroup(transport_table(found, images)),
+                    FiniteGroup(transport_table(G.table, images))))
     return out
 
 
