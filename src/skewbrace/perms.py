@@ -8,12 +8,15 @@ element fixed-point-free.
 The regular-subgroup search works on permutations as `bytes` of length
 n, so a degree above 255 is refused: p∘q is q.translate(p + pad), with
 pad = bytes(range(n, 256)) filling the 256-byte table, so a product is
-formed in C.  Hol(N), the candidate pool and every partial subgroup are
-`bytes`, and the census reads each regular subgroup R off a key search
-as its key b"".join(sorted elements), the flat row-major table of the
-transported group (row a is R's a-th sorted element).  Values below 256
-and rows of length n make keys sort as the tuples do.  Tuples come back
-in the public wrappers, the S_n oracle and the n-cycle scan.
+formed in C.  Both searches read Hol(N) as one stream of `bytes`,
+_hol_elements, which translates each row of N along each automorphism
+phi whose order divides n and keeps no element; only the public
+holomorph lists Hol(N).  The candidate pool and every partial subgroup
+are `bytes`, and the census reads each regular subgroup R off a key
+search as its key b"".join(sorted elements), the flat row-major table
+of the transported group (row a is R's a-th sorted element).  Values
+below 256 and rows of length n make keys sort as the tuples do.  Tuples
+come back in the public wrappers and the S_n oracle's check.
 """
 
 from __future__ import annotations
@@ -101,28 +104,44 @@ def _byte_degree(n: int) -> int:
     return n
 
 
-def _holomorph_bytes(N: FiniteGroup) -> list[bytes]:
-    """Hol(N) as sorted bytes; Aut(N) is streamed, not kept.  The row of
-    a translated along phi is tau -> phi(a*tau) = phi(a)*phi(tau), and
-    (phi(a), phi) runs over N x Aut(N) as (a, phi) does."""
+def _hol_elements(N: FiniteGroup, images=None, step: int = 1):
+    """Yield, as bytes, each element tau -> phi(a*tau) of Hol(N), for
+    every phi of images, a stream of automorphisms of N (all of Aut(N) by
+    default), whose order divides n and is a multiple of step.
+
+    (a, phi)^k has phi^k for its automorphism part, so an element of
+    order dividing n has such a phi.  phi^k is the identity iff it fixes
+    every generator of N, so the order of phi is the lcm of its cycle
+    lengths through the generators; the lcm only grows, so phi is dropped
+    at the first generator that takes it off the divisors of n.  No map
+    of the stream is kept.
+    """
     n = _byte_degree(N.order)
     rows = list(map(bytes, N.table))
     pad = bytes(range(n, 256))
-    perms = set()
-    auts = 0
-    for fi in _automorphism_images(N):
-        auts += 1
-        perms.update(map(bytes.translate, rows,
-                         itertools.repeat(bytes(fi) + pad)))
-    out = sorted(perms)
-    require(len(out) == n * auts, "repeated holomorph perm")
-    return out
+    gens = generating_set(N)
+    for fi in _automorphism_images(N) if images is None else images:
+        m = 1
+        for g in gens:
+            m = math.lcm(m, _cycle_length(fi, g))
+            if n % m != 0:
+                break
+        if n % m == 0 and m % step == 0:
+            yield from map(bytes.translate, rows,
+                           itertools.repeat(bytes(fi) + pad))
 
 
 def holomorph(N: FiniteGroup) -> tuple[Perm, ...]:
     """The permutations tau -> a * phi(tau) for a in N, phi in Aut(N),
     sorted."""
-    return tuple(map(tuple, _holomorph_bytes(N)))
+    n = _byte_degree(N.order)
+    perms = set()
+    auts = 0
+    for fi in _automorphism_images(N):
+        auts += 1
+        perms.update(map(_itemgetter(fi), N.table))
+    require(len(perms) == n * auts, "repeated holomorph perm")
+    return tuple(sorted(perms))
 
 
 def transport_operation(R: RegularSubgroup) -> FiniteGroup:
@@ -318,7 +337,7 @@ def _regular_subgroup_keys(N: FiniteGroup) -> list[bytes]:
     """Every regular subgroup of Hol(N) as its key, sorted."""
     n = N.order
     found: list[bytes] = []
-    _grow_regular(_candidate_pool(_holomorph_bytes(N), n), n,
+    _grow_regular(_candidate_pool(_hol_elements(N), n), n,
                   lambda elems: found.append(b"".join(elems)))
     return sorted(found)
 
@@ -340,48 +359,37 @@ def regular_subgroups_in_holomorph(N: FiniteGroup) \
 
 def _cyclic_keys(N: FiniteGroup, images=None) -> list[bytes]:
     """The keys, sorted, of the cyclic regular subgroups of Hol(N) that
-    the n-cycles tau -> a*phi(tau) generate, for a in N and phi in images,
+    the n-cycles tau -> phi(a*tau) generate, for a in N and phi in images,
     a stream of automorphisms of N.  By default the stream is all of
     Aut(N), and every n-cycle of each subgroup found must be met.
 
     Equivalent to filtering for n-cycles, without building Hol(N):
     (a, phi)^m is a translation when phi has order m, so (a, phi) has
     order m*k with k | exp(N), and only the phi with m | n and
-    (n/m) | exp(N) are scanned.  No element of Hol(C3xC3xC3) passes.
-    phi^k is the identity iff it fixes every generator of N, so m is the
-    lcm of the phi-cycle lengths through the generators; the lcm only
-    grows, so phi is dropped at the first generator that takes it off the
-    divisors of n.  No map of the stream is kept.
+    (n/m) | exp(N), that is (n/exp(N)) | m, are scanned.  No element of
+    Hol(C3xC3xC3) passes.
     """
     n = _byte_degree(N.order)
-    exp = N.exponent()
-    gens = generating_set(N)
+    ident = bytes(range(n))
+    pad = bytes(range(n, 256))
     found = set()
     covered = set()  # an n-cycle in a found subgroup generates that one
     cycles = 0
-    for fi in _automorphism_images(N) if images is None else images:
-        m = 1
-        for g in gens:
-            m = math.lcm(m, _cycle_length(fi, g))
-            if n % m != 0:
-                break
-        if n % m != 0 or exp % (n // m) != 0:
+    for p in _hol_elements(N, images, n // N.exponent()):
+        # an n-cycle generates a cyclic regular subgroup, and conversely
+        if _cycle_length(p, 0) != n:
             continue
-        for p in map(_itemgetter(fi), N.table):
-            # an n-cycle generates a cyclic regular subgroup, and conversely
-            if _cycle_length(p, 0) != n:
-                continue
-            cycles += 1
-            if p in covered:
-                continue
-            elems = [tuple(range(n))]
-            q = p
-            while q != elems[0]:
-                elems.append(q)
-                q = compose(q, p)
-            require(len(elems) == n, "an n-cycle does not have order n")
-            covered.update(elems)
-            found.add(b"".join(map(bytes, sorted(elems))))
+        cycles += 1
+        if p in covered:
+            continue
+        elems = [ident]
+        q = p
+        while q != ident:
+            elems.append(q)
+            q = q.translate(p + pad)
+        require(len(elems) == n, "an n-cycle does not have order n")
+        covered.update(elems)
+        found.add(b"".join(sorted(elems)))
     # each subgroup found has totient(n) generators, all of them n-cycles
     unmet = sum(math.gcd(k, n) == 1 for k in range(n)) * len(found) - cycles
     require(unmet >= 0, "an n-cycle met lies in no subgroup found")

@@ -139,10 +139,11 @@ class TestEnumerate:
         # the n-cycle scan serves every cyclic target
         refuse_searches(monkeypatch, "_regular_subgroup_keys")
 
-        def refuse(N):
-            pytest.fail(f"Hol({N.name}) was built")
+        def refuse(*args):
+            pytest.fail("Hol(N) was listed or searched")
 
-        monkeypatch.setattr(perms, "_holomorph_bytes", refuse)
+        monkeypatch.setattr(perms, "holomorph", refuse)
+        monkeypatch.setattr(perms, "_candidate_pool", refuse)
         for G in SERVED:
             if not G.is_cyclic():
                 continue

@@ -3,10 +3,11 @@ oracle for small orders."""
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import flat, transport_table
+from conftest import flat, fresh_group, requires_heavy, transport_table
 from skewbrace import perms
 from skewbrace.catalog import group_by_name, groups_of_order
 from skewbrace.errors import NotNormalized, NotRegular, OrderTooLargeForOracle
@@ -51,6 +52,24 @@ class TestHolomorph:
         H = set(holomorph(G))
         assert set(left_translations(G)) <= H
 
+    @staticmethod
+    def assert_stream_pools_as_listing(N):
+        # the listed holomorph is the oracle for the stream of (a, phi)
+        n = N.order
+        assert perms._candidate_pool(perms._hol_elements(N), n) == \
+            perms._candidate_pool(map(bytes, holomorph(N)), n), N.name
+
+    @pytest.mark.parametrize("order", range(1, 16))
+    def test_stream_pools_as_listing(self, order):
+        for N in groups_of_order(order):
+            self.assert_stream_pools_as_listing(N)
+
+    @requires_heavy
+    @pytest.mark.parametrize("name", ["C3xC3xC3", "Heisenberg-27",
+                                      "C2xC2xC2xC2"])
+    def test_stream_pools_as_listing_heavy(self, name):
+        self.assert_stream_pools_as_listing(group_by_name(name))
+
 
 class TestRegularSubgroups:
     def test_counts_small(self):
@@ -69,6 +88,19 @@ class TestRegularSubgroups:
                     for i, v in enumerate(p):
                         inv[v] = i
                     assert tuple(inv) in members
+
+    @requires_heavy
+    def test_full_search_memory_bounded(self):
+        # the search streams Hol(N) and keeps the pool, not its 303,264
+        # perms; a fresh group builds its stabilizer chain inside the trace
+        N = fresh_group(group_by_name("C3xC3xC3").table)
+        tracemalloc.start()
+        try:
+            perms._regular_subgroup_keys(N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, peak
 
     def test_transport_is_valid_group(self):
         for R in regular_subgroups_in_holomorph(group_by_name("C4")):
@@ -104,11 +136,11 @@ class TestRegularSubgroups:
             assert [R.elements for R in scan] == sorted(oracle), N.name
 
     def test_cyclic_scan_never_builds_holomorph(self, monkeypatch):
-        def refuse(N):
-            raise AssertionError("holomorph built")
+        def refuse(*args):
+            raise AssertionError("holomorph listed or searched")
 
         monkeypatch.setattr(perms, "holomorph", refuse)
-        monkeypatch.setattr(perms, "_holomorph_bytes", refuse)
+        monkeypatch.setattr(perms, "_candidate_pool", refuse)
         N = group_by_name("C3xC3xC3")
         assert cyclic_regular_subgroups_in_holomorph(N) == ()
 
